@@ -24,7 +24,7 @@ from .asymptotic import (
     log_variance_approx,
     scaling_fit,
 )
-from .errors import NumericError, ParameterDomainError, QuadratureError, TableStateError
+from .errors import NumericError, ParameterDomainError, QuadratureError
 from .families import (
     CoefficientTable,
     FamilyKind,
@@ -98,7 +98,6 @@ __all__ = [
     "SampledPolynomial",
     "ScalingFit",
     "ScalingFitError",
-    "TableStateError",
     "adaptive_quadrature",
     "alpha_beta_family",
     "alpha_beta_ratio_check",

@@ -211,7 +211,7 @@ def _worker_threads() -> int:
 
 def _run_density(family: PolynomialClass, n: int, grid: np.ndarray) -> tuple[list[Table], dict, int]:
     is_kac = family.kind is FamilyKind.GAMMA and family.gamma == 0.0
-    table = None if is_kac else coefficient_table(family, n, with_convolution=True)
+    table = None if is_kac else coefficient_table(family, n)
     rows = []
     for x in grid:
         triple = kac_triple(n, abs(x)) if is_kac else kac_rice_eval(table, abs(x))
@@ -230,7 +230,7 @@ def _run_expect(family: PolynomialClass, n: int, interval, tol: float) -> tuple[
         if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
             result = kac_expected_roots_interval(n, a, b, tol)
         else:
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             result = expected_roots_interval(table, a, b, tol)
     rows = [(n, result.value, result.abs_error_estimate, result.evaluations)]
     diagnostics = {"converged": result.converged}

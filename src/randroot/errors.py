@@ -5,10 +5,6 @@ class ParameterDomainError(ValueError):
     """A parameter lies outside its mathematical domain."""
 
 
-class TableStateError(RuntimeError):
-    """A coefficient table lacks data required by the requested operation."""
-
-
 class NumericError(RuntimeError):
     """A numerical procedure failed in a way that cannot be repaired silently."""
 

@@ -10,14 +10,9 @@ xi_i i.i.d. standard normal:
   alpha, beta > -1, generalized binomials via the gamma function.
 
 All coefficient work happens on log(a_i^2); C(n, n/2)^(2*gamma) overflows a
-double near n ~ 1030/gamma, log-gamma does not.  Tables optionally carry the
-convolution weights
-
-    c_m = 1/2 * sum_{i+j=m} (i-j)^2 a_i^2 a_j^2,
-
-the positive-termed expansion of A_n*M_n - B_n^2 used by the density
-evaluation (see kacrice).  c_0 = c_{2n} = 0 since only i = j contributes
-there; those slots hold -inf.
+double near n ~ 1030/gamma, log-gamma does not.  A table is just these n+1
+logs: the density evaluation (see kacrice) needs nothing else, so building a
+table is O(n).
 """
 from __future__ import annotations
 
@@ -120,20 +115,13 @@ def legendre() -> PolynomialClass:
 class CoefficientTable:
     """Degree ``n`` plus log-scale squared coefficients.
 
-    ``log_sq_coeff[i] = log(a_i^2)`` (length n+1, all finite) and, when built
-    with the convolution flag, ``log_conv_coeff[m] = log(c_m)`` (length 2n+1,
-    -inf at m = 0 and m = 2n).  Arrays are read-only; tables are safe to share
-    across threads.
+    ``log_sq_coeff[i] = log(a_i^2)`` (length n+1, all finite).  The array is
+    read-only; tables are safe to share across threads.
     """
 
     family: PolynomialClass
     n: int
     log_sq_coeff: np.ndarray
-    log_conv_coeff: np.ndarray | None = None
-
-    @property
-    def has_convolution(self) -> bool:
-        return self.log_conv_coeff is not None
 
 
 def _log_sq_array(family: PolynomialClass, n: int) -> np.ndarray:
@@ -157,31 +145,6 @@ def log_sq_coeff(family: PolynomialClass, n: int, i: int) -> float:
     return float(_log_sq_array(family, n)[i])
 
 
-def _log_conv_array(log_sq: np.ndarray) -> np.ndarray:
-    """log c_m by log-sum-exp over each anti-diagonal, O(n^2) total.
-
-    Per diagonal the term array is a palindrome (a_i^2 a_{m-i}^2 symmetric
-    under i <-> m-i), which makes the result bit-identical under coefficient
-    reversal as well.
-    """
-    n = len(log_sq) - 1
-    out = np.full(2 * n + 1, -np.inf)
-    if n == 0:
-        return out
-    log_d = 2.0 * np.log(np.arange(1, 2 * n + 1, dtype=float))  # log(k^2)
-    log_half = math.log(0.5)
-    for m in range(1, 2 * n):
-        lo, hi = max(0, m - n), min(n, m)
-        i = np.arange(lo, hi + 1)
-        d = np.abs(2 * i - m)
-        keep = d != 0
-        i, d = i[keep], d[keep]
-        terms = (log_sq[i] + log_sq[m - i]) + log_d[d - 1]
-        peak = terms.max()
-        out[m] = peak + math.log(np.exp(terms - peak).sum()) + log_half
-    return out
-
-
 def _check_degree(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomainError(f"degree n must be an integer >= 1, got {n!r}")
@@ -190,15 +153,17 @@ def _check_degree(n: int) -> None:
 def coefficient_table(
     family: PolynomialClass, n: int, with_convolution: bool = False
 ) -> CoefficientTable:
-    """Build the coefficient table for ``family`` at degree ``n``."""
+    """Build the coefficient table for ``family`` at degree ``n``.
+
+    ``with_convolution`` is accepted and ignored.  Tables once carried an
+    O(n^2) convolution of the coefficients for the density; the centred
+    variance kernel needs none, and the benchmark harness still passes the
+    keyword.
+    """
     _check_degree(n)
     log_sq = _log_sq_array(family, n)
     log_sq.flags.writeable = False
-    log_conv = None
-    if with_convolution:
-        log_conv = _log_conv_array(log_sq)
-        log_conv.flags.writeable = False
-    return CoefficientTable(family, int(n), log_sq, log_conv)
+    return CoefficientTable(family, int(n), log_sq)
 
 
 def reciprocal_class(family: PolynomialClass) -> PolynomialClass:
@@ -215,14 +180,10 @@ def reciprocal_class(family: PolynomialClass) -> PolynomialClass:
 
 
 def reciprocal_table(table: CoefficientTable) -> CoefficientTable:
-    """Reverse a table in place of rebuilding it (arrays are palindromic maps)."""
+    """Reverse a table in place of rebuilding it (the reversal contract above)."""
     log_sq = table.log_sq_coeff[::-1].copy()
     log_sq.flags.writeable = False
-    log_conv = None
-    if table.log_conv_coeff is not None:
-        log_conv = table.log_conv_coeff[::-1].copy()
-        log_conv.flags.writeable = False
-    return CoefficientTable(reciprocal_class(table.family), table.n, log_sq, log_conv)
+    return CoefficientTable(reciprocal_class(table.family), table.n, log_sq)
 
 
 def equilibrium_fraction(x: float) -> float:

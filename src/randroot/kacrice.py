@@ -8,13 +8,16 @@ For p(x) = sum_i a_i xi_i x^i with xi_i i.i.d. standard normal, write
 
 The expected number of real roots in (a, b) is (1/pi) * integral of the
 density f = sqrt(A*M - B^2)/M.  The discriminant A*M - B^2 is never formed by
-subtraction; it equals the positive double sum
+subtraction.  With the weights p_x(i) = a_i^2 x^(2i) / M (Edelman & Kostlan),
 
-    1/2 * sum_{i,j} (i-j)^2 a_i^2 a_j^2 x^(2(i+j-1)) = sum_m c_m x^(2m-2)
+    A*M - B^2 = M^2 Var_p(i) / x^2,   so   f(x) = sqrt(Var_p(i)) / x,
 
-(the table's convolution coefficients), which near x = 1 avoids the ~log10(n)
-digits the subtraction S2 - S1^2 would lose.  Everything is evaluated by
-log-sum-exp on the log-scale tables.
+and the variance is taken as the centred two-pass sum sum_i p_i (i - mu)^2,
+whose terms are all non-negative; near x = 1 this keeps the ~log10(n) digits
+that S2 - S1^2 would lose.  One log-sum-exp pass over the n+1 log-scale
+coefficients per point gives log M, the mean and the variance.  Points whose
+weights peak at i = 0 (or i = n) are rescaled by x^2 so that f stays exact
+down to x = 5e-324, where the variance itself would underflow.
 
 The Kac family (gamma = 0) has closed forms: M(x) = (1 - x^(2n+2))/(1 - x^2)
 and, with X = x^2 and phi(X) = X M'(X)/M(X),
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, QuadratureError, TableStateError
+from .errors import ParameterDomainError, QuadratureError
 from .families import (
     CoefficientTable,
     FamilyKind,
@@ -78,83 +81,126 @@ class KacRiceTriple:
 
 
 # ---------------------------------------------------------------------------
-# generic log-sum-exp evaluation
+# generic evaluation: one weights pass per point
 # ---------------------------------------------------------------------------
 
-def _log_m_s1_s2(table: CoefficientTable, x: float) -> tuple[float, float, float]:
-    """(log M, B/M, A/M) at x >= 0; needs only the squared coefficients."""
-    la = table.log_sq_coeff
-    n = table.n
-    if x == 0.0:
-        return float(la[0]), 0.0, float(np.exp(la[1] - la[0]))
+_LOG_TINY = -700.0  # weights below e^-700 (< 1e-304 of the peak) count as 0
+
+
+def _exp_weights(t: np.ndarray) -> np.ndarray:
+    """exp(t), with entries below ``_LOG_TINY`` set to 0.
+
+    Skipping them also keeps numpy's exp off its slow path near underflow,
+    which is several times slower per element.
+    """
+    return np.exp(t, where=t > _LOG_TINY, out=np.zeros_like(t))
+
+
+def _edge_moments(la: np.ndarray, x: np.ndarray, lx: np.ndarray):
+    """(log M, B/M, f^2) at points whose weights peak at index 0.
+
+    With v_i = a_i^2 x^(2i-2) / a_0^2 for i >= 1 and V = sum v_i, M = a_0^2 (1 + x^2 V)
+    and f^2 = Var/x^2 is a sum of non-negative terms in v alone, so nothing
+    underflows as x -> 0: f^2 tends to v_1 = a_1^2/a_0^2.
+    """
+    j = np.arange(1, len(la), dtype=float)
+    x2 = x * x
+    v = _exp_weights(np.multiply.outer(2.0 * lx, j - 1.0) + (la[1:] - la[0]))
+    x2v = x2 * v.sum(axis=1)
+    w = 1.0 + x2v
+    s = v @ j
+    mu = x2 * s / w
+    f2 = (x2 * (s / w) ** 2 + np.einsum("ij,ij->i", v, (j - mu[:, None]) ** 2)) / w
+    return la[0] + np.log1p(x2v), x * s / w, f2
+
+
+def _moments(la: np.ndarray, xs: np.ndarray):
+    """(log M, B/M, f, log f) at each x > 0 of the 1-d array ``xs``.
+
+    Weights p_i = a_i^2 x^(2i) / M give M by log-sum-exp, the mean mu = x B/M
+    and the centred variance Var = sum p_i (i - mu)^2 = x^2 (A*M - B^2)/M^2, so
+    f = sqrt(Var)/x.  Points whose weights peak at index 0 (or n, through the
+    reversed coefficients at 1/x) go through ``_edge_moments``, where Var
+    would underflow.
+    """
+    n = len(la) - 1
     i = np.arange(n + 1, dtype=float)
-    terms = la + 2.0 * i * math.log(x)
-    peak = terms.max()
-    w = np.exp(terms - peak)
-    total = w.sum()
-    log_m = peak + math.log(total)
-    p = w / total
-    s1 = float((i * p).sum()) / x
-    s2 = float((i * i * p).sum()) / (x * x)
-    return float(log_m), s1, s2
+    lx = np.log(xs)
+    t = np.multiply.outer(2.0 * lx, i)
+    t += la
+    peak = t.max(axis=1)
+    t -= peak[:, None]
+    low, high = t[:, 0] == 0.0, t[:, n] == 0.0
+    edge = low | high
+    w = _exp_weights(t)
+    total = w.sum(axis=1)
+    log_m = peak + np.log(total)
+    mu = (w @ i) / total
+    s1 = mu / xs
+    var = np.einsum("ij,ij->i", w, np.square(np.subtract(i, mu[:, None], out=t), out=t)) / total
+    if not np.count_nonzero(edge):
+        return log_m, s1, np.sqrt(var) / xs, 0.5 * np.log(var) - lx
+    f, log_f = np.empty(len(xs)), np.empty(len(xs))
+    inner = ~edge
+    f[inner] = np.sqrt(var[inner]) / xs[inner]
+    log_f[inner] = 0.5 * np.log(var[inner]) - lx[inner]
+    if low.any():
+        log_m[low], s1[low], f2 = _edge_moments(la, xs[low], lx[low])
+        f[low] = np.sqrt(f2)
+        log_f[low] = 0.5 * np.log(f2)
+    high &= ~low
+    if high.any():
+        xh, lxh = xs[high], lx[high]
+        log_mr, s1r, f2 = _edge_moments(la[::-1], 1.0 / xh, -lxh)
+        log_m[high] = log_mr + 2.0 * n * lxh
+        s1[high] = (n - s1r / xh) / xh  # mean n - mu_reversed
+        f[high] = np.sqrt(f2) / xh / xh
+        log_f[high] = 0.5 * np.log(f2) - 2.0 * lxh
+    return log_m, s1, f, log_f
 
 
-def _log_amb(table: CoefficientTable, x: float) -> float:
-    lc = table.log_conv_coeff
-    if x == 0.0:
-        return float(lc[1])  # c_1 = a_0^2 a_1^2, times x^0
-    m = np.arange(len(lc), dtype=float)
-    terms = lc + (2.0 * m - 2.0) * math.log(x)
-    finite = np.isfinite(terms)
-    peak = terms[finite].max()
-    return float(peak + math.log(np.exp(terms[finite] - peak).sum()))
+def _evaluate(table: CoefficientTable, xs: np.ndarray):
+    """``_moments`` at each x >= 0 of ``xs``, with the exact limits at x = 0."""
+    la = table.log_sq_coeff
+    zero = xs == 0.0
+    if not np.count_nonzero(zero):
+        return _moments(la, xs)
+    half_gap = 0.5 * (la[1] - la[0])
+    out = np.empty((4, len(xs)))
+    out[:, zero] = np.array([[la[0]], [0.0], [math.exp(half_gap)], [half_gap]])
+    if not zero.all():
+        out[:, ~zero] = _moments(la, xs[~zero])
+    return out
 
 
 def kac_rice_eval(table: CoefficientTable, x: float) -> KacRiceTriple:
     """Evaluate (M, B/M, A/M, A*M - B^2, f) at x >= 0 in log scale.
 
-    Negative x is handled upstream through evenness of the density.
+    A/M = f^2 + (B/M)^2 and log(A*M - B^2) = 2 log M + log Var - 2 log x
+    = 2 (log M + log f), so neither divides by x^2.  Negative x is handled
+    upstream through evenness of the density.
     """
     if x < 0:
         raise ParameterDomainError(f"kac_rice_eval requires x >= 0, got {x!r}")
-    if not table.has_convolution:
-        raise TableStateError("table was built without convolution coefficients")
-    log_m, s1, s2 = _log_m_s1_s2(table, x)
-    log_amb = _log_amb(table, x)
-    f = math.exp(0.5 * log_amb - log_m)
-    return KacRiceTriple(float(x), log_m, s1, s2, log_amb, f)
+    log_m, s1, f, log_f = (float(v[0]) for v in _evaluate(table, np.array([float(x)])))
+    return KacRiceTriple(float(x), log_m, s1, f * f + s1 * s1, 2.0 * (log_m + log_f), f)
+
+
+def _log_m_s1_s2(table: CoefficientTable, x: float) -> tuple[float, float, float]:
+    """(log M, B/M, A/M) at x >= 0."""
+    t = kac_rice_eval(table, x)
+    return t.log_m, t.s1, t.s2
 
 
 def _density_array(table: CoefficientTable, xs: np.ndarray) -> np.ndarray:
     """Vectorized f(|x|); drives the quadrature."""
-    la = table.log_sq_coeff
-    lc = table.log_conv_coeff
-    xs = np.abs(np.asarray(xs, dtype=float))
-    out = np.empty(xs.shape)
-    zero = xs == 0.0
-    out[zero] = math.exp(0.5 * (la[1] - la[0]))
-    if zero.all():
-        return out
-    lx = np.log(xs[~zero])
-    i2 = 2.0 * np.arange(len(la))
-    t = la[None, :] + lx[:, None] * i2[None, :]
-    peak = t.max(axis=1)
-    log_m = peak + np.log(np.exp(t - peak[:, None]).sum(axis=1))
-    finite = np.isfinite(lc)
-    m2 = 2.0 * np.arange(len(lc))[finite] - 2.0
-    t = lc[finite][None, :] + lx[:, None] * m2[None, :]
-    peak = t.max(axis=1)
-    log_amb = peak + np.log(np.exp(t - peak[:, None]).sum(axis=1))
-    out[~zero] = np.exp(0.5 * log_amb - log_m)
-    return out
+    return _evaluate(table, np.abs(np.asarray(xs, dtype=float)))[2]
 
 
 def density(table: CoefficientTable, x):
     """Kac-Rice density f(|x|) = sqrt(A*M - B^2)/M; accepts scalars or arrays."""
-    if not table.has_convolution:
-        raise TableStateError("table was built without convolution coefficients")
     arr = np.asarray(x, dtype=float)
-    res = _density_array(table, np.atleast_1d(arr))
+    res = _density_array(table, np.atleast_1d(arr).ravel())
     return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
 
 
@@ -302,8 +348,6 @@ def expected_roots_interval(
 ) -> QuadratureResult:
     """(1/pi) * integral of f over (a, b); endpoints may be +-inf."""
     _validate_interval(a, b, tol)
-    if not table.has_convolution:
-        raise TableStateError("table was built without convolution coefficients")
     recip = reciprocal_table(table)
     return _integrate_legs(
         lambda xs: _density_array(table, xs),
@@ -333,7 +377,7 @@ def expected_roots_real_line_result(
         leg = kac_expected_roots_interval(n, 0.0, 1.0, tol / 4.0)
         return QuadratureResult(4.0 * leg.value, 4.0 * leg.abs_error_estimate,
                                 leg.evaluations, leg.converged)
-    table = coefficient_table(family, n, with_convolution=True)
+    table = coefficient_table(family, n)
     direct = lambda xs: _density_array(table, xs)
     leg = adaptive_quadrature(lambda xs: direct(xs) / math.pi, 0.0, 1.0, tol=tol / 4.0)
     if family.is_symmetric:

@@ -84,7 +84,7 @@ def _check_gram_identity(params) -> tuple[bool, str]:
     families += [alpha_beta_family(a, b) for a, b in params["ab_grid"][:3]]
     for family in families:
         for n in params["gram_n"]:
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             for x in (0.1, 0.5, 1.0, 2.0):
                 lse = kac_rice_eval(table, x).log_amb
                 brute = _brute_gram(table.log_sq_coeff, x)
@@ -106,7 +106,7 @@ def _check_endpoints(params) -> tuple[bool, str]:
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["recurrence_n"]:
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             f0, f1 = density_endpoints(n, alpha, beta)
             worst = max(worst, abs(density(table, 0.0) / f0 - 1.0))
             worst = max(worst, abs(density(table, 1.0) / f1 - 1.0))
@@ -119,7 +119,7 @@ def _check_envelope(params) -> tuple[bool, str]:
     for alpha in (-0.5, 0.0, 1.0, 2.5):
         family = alpha_beta_family(alpha, alpha)
         for n in params["envelope_n"]:
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             f = density(table, xs)
             envelope = np.sqrt(n) / (2.0 * xs)
             worst = max(worst, float((f / envelope).max()) - 1.0)
@@ -138,12 +138,10 @@ def _check_symmetry(params) -> tuple[bool, str]:
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
-            table = coefficient_table(family, n, with_convolution=True)
-            swapped = coefficient_table(alpha_beta_family(beta, alpha), n, with_convolution=True)
+            table = coefficient_table(family, n)
+            swapped = coefficient_table(alpha_beta_family(beta, alpha), n)
             if not np.array_equal(table.log_sq_coeff[::-1], swapped.log_sq_coeff):
                 return False, f"reversal contract broken at n={n}, ({alpha}, {beta})"
-            if not np.array_equal(table.log_conv_coeff[::-1], swapped.log_conv_coeff):
-                return False, f"convolution reversal broken at n={n}, ({alpha}, {beta})"
             xs = np.array([0.2, 0.8, 1.6])
             if not np.array_equal(density(table, xs), density(table, -xs)):
                 return False, "density not even"
@@ -155,7 +153,7 @@ def _check_reciprocity(params) -> tuple[bool, str]:
     worst = 0.0
     for family in (gamma_family(1.0), gamma_family(0.5), alpha_beta_family(1.5, 1.5)):
         for n in params["envelope_n"]:
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             inner = expected_roots_interval(table, 0.0, 1.0, tol)
             outer = expected_roots_interval(table, 1.0, math.inf, tol)
             worst = max(worst, abs(inner.value - outer.value))

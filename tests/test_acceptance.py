@@ -95,7 +95,7 @@ def test_c04_gram_double_sum_identity():
     worst = 0.0
     for family in families:
         for n in range(1, 16):
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             for x in (0.1, 0.5, 1.0, 2.0):
                 got = kac_rice_eval(table, x).log_amb
                 want = brute_gram_fsum(table.log_sq_coeff, x)
@@ -112,7 +112,7 @@ def test_c05_root_sum_density():
         family = alpha_beta_family(alpha, beta)
         for n in (1, 2, 3, 5, 8, 13, 21, 34, 50):
             rootset = jacobi_roots(n, alpha, beta)
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             worst = max(worst, float(np.max(np.abs(
                 density_via_roots(rootset, xs) / density(table, xs) - 1.0))))
     report("C05 root-sum-density", worst < 1e-8,
@@ -199,7 +199,7 @@ def test_c10_laplace_approximants():
         ok = ok and errs[0] > errs[1] > errs[2] and errs[2] < 0.05
         details.append(f"x={x}: errs {errs[0]:.1e}>{errs[1]:.1e}>{errs[2]:.1e}")
     n = 4000
-    table = coefficient_table(gamma_family(1.0), n, with_convolution=True)
+    table = coefficient_table(gamma_family(1.0), n)
     for x in (0.5, 1.0):
         exact = kac_rice_eval(table, x).log_amb
         approx = log_gram_approx(1.0, n, x)
@@ -229,7 +229,7 @@ def test_c11_recurrence_and_endpoints():
                 worst_res = max(worst_res, derivative_recurrence_residual(n, alpha, beta, x))
         family = alpha_beta_family(alpha, beta)
         for n in range(1, 11):
-            table = coefficient_table(family, n, with_convolution=True)
+            table = coefficient_table(family, n)
             f0, f1 = density_endpoints(n, alpha, beta)
             worst_end = max(worst_end, abs(density(table, 0.0) / f0 - 1.0),
                             abs(density(table, 1.0) / f1 - 1.0))

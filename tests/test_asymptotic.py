@@ -125,7 +125,7 @@ def test_validity_window_flag():
 def test_gram_approx_squared_prefactor_matches_exact():
     n = 4000
     for gamma, x in ((1.0, 0.5), (1.0, 1.0), (0.5, 0.9)):
-        table = coefficient_table(gamma_family(gamma), n, with_convolution=True)
+        table = coefficient_table(gamma_family(gamma), n)
         exact = kac_rice_eval(table, x).log_amb
         approx = log_gram_approx(gamma, n, x)
         assert abs(math.expm1(approx.log_value_squared_prefactor - exact)) < 0.10

@@ -88,6 +88,24 @@ def test_density_schema_and_precision(capsys):
     assert float(left[3]) == -float(right[3])
 
 
+def test_density_tiny_x_rows_are_finite(capsys):
+    # gamma=1, n=50: as x -> 0, f -> a_1/a_0 = 50, S1 = B/M ~ 2500 x, S2 = A/M -> 2500;
+    # log-gamma puts ~1e-14 relative error on a_1^2/a_0^2
+    code, out, _ = run_cli(
+        capsys, "density", "--class", "gamma", "--gamma", "1", "--n", "50",
+        "--grid", "0:1e-200:3",
+    )
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    for x, f, log_m, s1, s2 in rows:
+        assert all(math.isfinite(v) for v in (f, log_m, s1, s2))
+        assert f == pytest.approx(50.0, rel=1e-13)
+        assert log_m == 0.0
+        assert s1 == pytest.approx(2500.0 * x, rel=1e-13)
+        assert s2 == pytest.approx(2500.0, rel=1e-13)
+
+
 def test_density_kac_route(capsys):
     code, out, _ = run_cli(capsys, "density", "--class", "kac", "--n", "50000",
                            "--grid", "0:2:9")

@@ -18,6 +18,7 @@ from randroot.families import (
     reciprocal_class,
     reciprocal_table,
 )
+from randroot.kacrice import kac_rice_eval
 
 ALL_FAMILIES = [
     kac(),
@@ -65,10 +66,8 @@ def test_log_sq_coeff_matches_high_precision_oracle(family):
 
 
 def test_coefficient_table_pinned_values():
-    t = coefficient_table(gamma_family(1.0), 1, with_convolution=True)
+    t = coefficient_table(gamma_family(1.0), 1)
     assert np.allclose(t.log_sq_coeff, [0.0, 0.0])
-    # c_1 = 1/2 * ((0-1)^2 * 1 * 1 + (1-0)^2 * 1 * 1) = 1, expanded by hand
-    assert t.log_conv_coeff[1] == pytest.approx(0.0, abs=1e-15)
 
     t = coefficient_table(gamma_family(1.0), 2)
     assert np.allclose(t.log_sq_coeff, [0.0, math.log(4.0), 0.0])
@@ -79,22 +78,33 @@ def test_coefficient_table_pinned_values():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label())
 def test_convolution_invariants(family):
+    # A*M - B^2 = sum_{m=1}^{2n-1} c_m x^(2m-2) with the convolution weights
+    # c_m = 1/2 sum_{i+j=m} (i-j)^2 a_i^2 a_j^2 > 0, so its log is
+    # log(c_1) = log(a_0^2 a_1^2) at x = 0, grows like
+    # log(c_{2n-1}) + (4n-4) log x, and a palindromic c makes it x^(4n-4)-reciprocal
     for n in (1, 2, 5, 12):
-        t = coefficient_table(family, n, with_convolution=True)
-        lc = t.log_conv_coeff
-        assert len(lc) == 2 * n + 1
-        assert lc[0] == -np.inf and lc[2 * n] == -np.inf  # only i=j contributes there
-        assert np.isfinite(lc[1 : 2 * n]).all()  # c_m > 0 inside
-        if family.is_symmetric:
-            assert np.array_equal(lc, lc[::-1])
+        t = coefficient_table(family, n)
+        la = t.log_sq_coeff
+        assert kac_rice_eval(t, 0.0).log_amb == pytest.approx(la[0] + la[1], abs=1e-13)
+        big = 1e100
+        far = kac_rice_eval(t, big).log_amb - (4 * n - 4) * math.log(big)
+        assert far == pytest.approx(la[n - 1] + la[n], abs=1e-9)
+        for x in (0.3, 0.9, 2.0):
+            amb = kac_rice_eval(t, x).log_amb
+            assert math.isfinite(amb)
+            if family.is_symmetric:
+                mirrored = kac_rice_eval(t, 1.0 / x).log_amb + (4 * n - 4) * math.log(x)
+                assert mirrored == pytest.approx(amb, abs=1e-12)
 
 
 def test_convolution_oracle_small_case():
     # c_m = 1/2 sum_{i+j=m} (i-j)^2 a_i^2 a_j^2, expanded by hand for n=2, gamma=1
     # a^2 = (1, 4, 1): c_1 = a0 a1 = 4, c_2 = 1/2 * (4*1*1 + 4*1*1) = 4,
-    # c_3 = a1 a2 = 4
-    t = coefficient_table(gamma_family(1.0), 2, with_convolution=True)
-    assert np.exp(t.log_conv_coeff[1:4]) == pytest.approx([4.0, 4.0, 4.0], rel=1e-14)
+    # c_3 = a1 a2 = 4, so A*M - B^2 = 4 + 4x^2 + 4x^4
+    t = coefficient_table(gamma_family(1.0), 2)
+    for x in (0.0, 0.5, 1.0, 3.0):
+        want = 4.0 + 4.0 * x**2 + 4.0 * x**4
+        assert math.exp(kac_rice_eval(t, x).log_amb) == pytest.approx(want, rel=1e-14)
 
 
 def test_reciprocal_class_pinned_values():
@@ -106,14 +116,12 @@ def test_reciprocal_class_pinned_values():
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label())
 @pytest.mark.parametrize("n", [1, 3, 17, 64, 100])
 def test_reversal_contract_bit_for_bit(family, n):
-    table = coefficient_table(family, n, with_convolution=True)
-    swapped = coefficient_table(reciprocal_class(family), n, with_convolution=True)
+    table = coefficient_table(family, n)
+    swapped = coefficient_table(reciprocal_class(family), n)
     assert np.array_equal(table.log_sq_coeff[::-1], swapped.log_sq_coeff)
-    assert np.array_equal(table.log_conv_coeff[::-1], swapped.log_conv_coeff)
     # reciprocal_table is the cheap equivalent of rebuilding
     mirrored = reciprocal_table(table)
     assert np.array_equal(mirrored.log_sq_coeff, swapped.log_sq_coeff)
-    assert np.array_equal(mirrored.log_conv_coeff, swapped.log_conv_coeff)
     assert mirrored.family == swapped.family
 
 
@@ -141,8 +149,8 @@ def test_parameter_domain_validation():
 
 
 def test_tables_are_immutable():
-    t = coefficient_table(elliptic(), 6, with_convolution=True)
+    t = coefficient_table(elliptic(), 6)
     with pytest.raises(ValueError):
         t.log_sq_coeff[0] = 1.0
     with pytest.raises(ValueError):
-        t.log_conv_coeff[1] = 1.0
+        reciprocal_table(t).log_sq_coeff[1] = 1.0

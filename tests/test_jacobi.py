@@ -148,14 +148,14 @@ def test_variance_identity_hand_case():
 def test_variance_identity_cross_route(alpha, beta):
     family = alpha_beta_family(alpha, beta)
     for n in (1, 2, 5, 12, 20):
-        table = coefficient_table(family, n, with_convolution=True)
+        table = coefficient_table(family, n)
         for x in (0.1, 0.3, 0.5, 0.7, 0.9):
             via_jacobi = log_variance_via_jacobi(n, alpha, beta, x)
             direct = kac_rice_eval(table, x).log_m
             assert math.exp(via_jacobi - direct) == pytest.approx(1.0, abs=1e-10)
     # looser contract up to n = 50
     n = 50
-    table = coefficient_table(family, n, with_convolution=True)
+    table = coefficient_table(family, n)
     for x in (0.2, 0.6, 0.9):
         via_jacobi = log_variance_via_jacobi(n, alpha, beta, x)
         direct = kac_rice_eval(table, x).log_m
@@ -182,7 +182,7 @@ def test_density_via_roots_cross_route(alpha, beta):
     xs = np.linspace(0.15, 3.0, 20)
     for n in (1, 3, 10, 28, 50):
         rs = jacobi_roots(n, alpha, beta)
-        table = coefficient_table(family, n, with_convolution=True)
+        table = coefficient_table(family, n)
         via_roots = density_via_roots(rs, xs)
         direct = density(table, xs)
         assert np.max(np.abs(via_roots / direct - 1.0)) < 1e-8
@@ -251,7 +251,7 @@ def test_density_endpoints_closed_forms():
 def test_density_endpoints_match_pointwise(alpha, beta):
     family = alpha_beta_family(alpha, beta)
     for n in (1, 3, 8):
-        table = coefficient_table(family, n, with_convolution=True)
+        table = coefficient_table(family, n)
         f0, f1 = density_endpoints(n, alpha, beta)
         assert density(table, 0.0) == pytest.approx(f0, rel=1e-10)
         assert density(table, 1.0) == pytest.approx(f1, rel=1e-10)
@@ -272,7 +272,7 @@ def test_derivative_recurrence_against_finite_difference():
     family = alpha_beta_family(alpha, beta)
 
     def m_of(nn, y):
-        return math.exp(kac_rice_eval(coefficient_table(family, nn, with_convolution=True), y).log_m)
+        return math.exp(kac_rice_eval(coefficient_table(family, nn), y).log_m)
 
     m_prime = (m_of(n, x + h) - m_of(n, x - h)) / (2 * h)
     s = 2 * n + alpha + beta

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from randroot.errors import ParameterDomainError, QuadratureError, TableStateError
+from randroot.errors import ParameterDomainError, QuadratureError
 from randroot.families import (
     alpha_beta_family,
     coefficient_table,
@@ -75,7 +75,7 @@ def mp_gram_double_sum(log_sq, x, dps=50):
 
 def test_degree_one_closed_form():
     # gamma=1, n=1: M = 1 + x^2, A*M - B^2 = 1, f = 1/(1 + x^2)
-    table = coefficient_table(gamma_family(1.0), 1, with_convolution=True)
+    table = coefficient_table(gamma_family(1.0), 1)
     for x in (0.0, 0.3, 1.0, 2.5):
         t = kac_rice_eval(table, x)
         assert t.log_m == pytest.approx(math.log1p(x * x), abs=1e-14)
@@ -85,13 +85,13 @@ def test_degree_one_closed_form():
 
 def test_variance_at_one_is_central_binomial():
     # alpha=beta=0, n=2: M(1) = sum C(2,i)^2 = 6 = C(4,2)
-    table = coefficient_table(legendre(), 2, with_convolution=True)
+    table = coefficient_table(legendre(), 2)
     assert kac_rice_eval(table, 1.0).log_m == pytest.approx(math.log(6.0), rel=1e-15)
 
 
 def test_gram_log_frozen_value():
     # brute mpmath double sum for gamma=1, n=3, x=0.5 gives exactly 24.22265625
-    table = coefficient_table(gamma_family(1.0), 3, with_convolution=True)
+    table = coefficient_table(gamma_family(1.0), 3)
     assert kac_rice_eval(table, 0.5).log_amb == pytest.approx(
         3.1872884038703155, abs=1e-12
     )
@@ -101,7 +101,7 @@ def test_gram_log_frozen_value():
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0])
 def test_gram_identity_against_double_sum(family, x):
     for n in (1, 2, 4, 8, 15):
-        table = coefficient_table(family, n, with_convolution=True)
+        table = coefficient_table(family, n)
         got = kac_rice_eval(table, x).log_amb
         want = float(mp.log(mp_gram_double_sum(table.log_sq_coeff, x)))
         assert math.exp(got - want) == pytest.approx(1.0, abs=1e-12)
@@ -110,7 +110,7 @@ def test_gram_identity_against_double_sum(family, x):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
 def test_triple_against_high_precision_sums(family):
     for n in (2, 6, 13):
-        table = coefficient_table(family, n, with_convolution=True)
+        table = coefficient_table(family, n)
         for x in (0.2, 0.9, 1.0, 1.7):
             t = kac_rice_eval(table, x)
             m, a, b = mp_triple(table.log_sq_coeff, x)
@@ -121,17 +121,17 @@ def test_triple_against_high_precision_sums(family):
 
 
 def test_density_pinned_values():
-    table = coefficient_table(legendre(), 2, with_convolution=True)
+    table = coefficient_table(legendre(), 2)
     assert density(table, 1.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
-    table = coefficient_table(alpha_beta_family(0.0, 1.0), 2, with_convolution=True)
+    table = coefficient_table(alpha_beta_family(0.0, 1.0), 2)
     assert density(table, 0.0) == pytest.approx(math.sqrt(6.0), rel=1e-13)
-    table = coefficient_table(alpha_beta_family(-0.5, -0.5), 1, with_convolution=True)
+    table = coefficient_table(alpha_beta_family(-0.5, -0.5), 1)
     assert density(table, 0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
 def test_at_zero_s1_vanishes_and_f_squared_is_s2(family):
-    table = coefficient_table(family, 9, with_convolution=True)
+    table = coefficient_table(family, 9)
     t = kac_rice_eval(table, 0.0)
     assert t.s1 == 0.0
     assert t.f**2 == pytest.approx(t.s2, rel=1e-13)
@@ -140,7 +140,7 @@ def test_at_zero_s1_vanishes_and_f_squared_is_s2(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
 def test_density_even_and_nonnegative(family):
-    table = coefficient_table(family, 7, with_convolution=True)
+    table = coefficient_table(family, 7)
     xs = np.linspace(-3.0, 3.0, 31)
     f = density(table, xs)
     assert (f >= 0).all()
@@ -153,7 +153,7 @@ def test_ultraspherical_density_shape(alpha):
     family = alpha_beta_family(alpha, alpha)
     xs = np.linspace(0.02, 3.0, 120)
     for n in (2, 5, 12, 30):
-        table = coefficient_table(family, n, with_convolution=True)
+        table = coefficient_table(family, n)
         f = density(table, xs)
         assert (np.diff(f) <= 1e-12 * f[:-1]).all()
         assert (f <= math.sqrt(n) / (2 * xs) * (1 + 1e-12)).all()
@@ -163,15 +163,88 @@ def test_ultraspherical_density_shape(alpha):
         assert (f[inside] >= f1 * (1 - 1e-12)).all()
 
 
-def test_eval_requires_convolution_and_nonnegative_x():
-    bare = coefficient_table(elliptic(), 5)
-    with pytest.raises(TableStateError):
-        kac_rice_eval(bare, 0.5)
-    with pytest.raises(TableStateError):
-        density(bare, 0.5)
-    full = coefficient_table(elliptic(), 5, with_convolution=True)
+# f at n = 50 from the convolution kernel this package used before the
+# centred-variance one.  Its tiny-x values are the exact limit; near underflow
+# its values carried the error of exp(0.5*log(A*M - B^2) - log M) with logs
+# near 7e4, up to 3e-12 relative.
+EXTREME_X = (0.0, 5e-324, 1e-300, 1e-200, 1e-20, 1e100, 1e150)
+EXTREME_F_BEFORE = {
+    "gamma(0.5)": (7.071067811865501, 7.071067811865501, 7.071067811865501, 7.071067811865501,
+                   7.071067811865501, 7.071067811848564e-200, 7.07106781189712e-300),
+    "gamma(1)": (50.00000000000037, 50.00000000000037, 50.00000000000037, 50.00000000000037,
+                 50.00000000000037, 4.999999999998364e-199, 5.000000000014509e-299),
+    "gamma(2)": (2500.0000000000373, 2500.000000000035, 2500.000000000035, 2500.000000000035,
+                 2500.000000000035, 2.5000000000004083e-197, 2.500000000017576e-297),
+    "alpha_beta(0.5,2)": (41.63331998932282, 41.633319989322814, 41.633319989322814,
+                          41.633319989322814, 41.633319989322814, 2.901149197585819e-199,
+                          2.901149197605741e-299),
+}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [gamma_family(0.5), gamma_family(1.0), gamma_family(2.0), alpha_beta_family(0.5, 2.0)],
+    ids=lambda f: f.label(),
+)
+def test_density_at_extreme_x(family):
+    # f(x) -> a_1/a_0 as x -> 0 and f(x) ~ (a_{n-1}/a_n) / x^2 as x -> inf; at
+    # these points the neglected terms are below 1e-30 relative
+    n = 50
+    table = coefficient_table(family, n)
+    la = table.log_sq_coeff
+    at_zero = math.exp(0.5 * (la[1] - la[0]))
+    at_inf = math.exp(0.5 * (la[n - 1] - la[n]))
+    got = density(table, np.array(EXTREME_X))
+    for x, f, before in zip(EXTREME_X, got, EXTREME_F_BEFORE[family.label()]):
+        limit = at_zero if x < 1.0 else at_inf / x / x
+        assert f == pytest.approx(limit, rel=1e-14)
+        assert f == pytest.approx(before, rel=1e-14 if x < 1.0 else 1e-11)
+        t = kac_rice_eval(table, x)
+        assert t.f == pytest.approx(f, rel=1e-15)
+        assert math.isfinite(t.log_amb) and math.isfinite(t.s2)
+        if x < 1.0:
+            assert t.s2 == pytest.approx(at_zero**2, rel=1e-14)
+            assert t.s1 == pytest.approx(at_zero**2 * x, rel=1e-14)
+            assert t.log_m == pytest.approx(la[0], abs=1e-14)
+        else:
+            assert t.s1 == pytest.approx(n / x, rel=1e-14)
+            assert t.log_m == pytest.approx(la[n] + 2 * n * math.log(x), rel=1e-15)
+
+
+def mp_density(log_sq, x, dps=50):
+    """f = sqrt(A*M - B^2)/M from direct sums at ``dps`` digits, one pass over i."""
+    mp.mp.dps = dps
+    x = mp.mpf(x)
+    x2 = x * x
+    m = a = b = mp.mpf(0)
+    power = mp.mpf(1)  # x^(2i)
+    for i, v in enumerate(log_sq):
+        term = mp.e ** mp.mpf(float(v)) * power
+        m += term
+        b += i * term
+        a += i * i * term
+        power *= x2
+    # B and A carry x^(2i-1) and x^(2i-2): divide the sums once
+    b, a = b / x, a / x2
+    return mp.sqrt(a * m - b * b) / m
+
+
+@pytest.mark.parametrize("family", [gamma_family(1.0), alpha_beta_family(0.5, 2.0)],
+                         ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_density_large_n_against_50_digit_oracle(family, n):
+    # near x = 1 forming A*M - B^2 by subtraction would lose ~log10(n) digits;
+    # the convolution kernel this package used before reached 5.6e-13 here
+    table = coefficient_table(family, n)
+    for x in (0.5, 0.99, 0.999, 1.0):
+        want = mp_density(table.log_sq_coeff, x)
+        assert density(table, x) == pytest.approx(float(want), rel=2e-14)
+
+
+def test_eval_requires_nonnegative_x():
+    table = coefficient_table(elliptic(), 5)
     with pytest.raises(ParameterDomainError):
-        kac_rice_eval(full, -0.5)
+        kac_rice_eval(table, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +261,7 @@ def test_eval_requires_convolution_and_nonnegative_x():
     ids=["gamma1", "ab22", "kac"],
 )
 def test_relation_residuals(family, n, x, h, r1_rel, r2_rel):
-    table = coefficient_table(family, n, with_convolution=True)
+    table = coefficient_table(family, n)
     t = kac_rice_eval(table, x)
     r1, r2 = relation_residuals(table, x, h)
     assert r1 / t.s1 < r1_rel
@@ -196,7 +269,7 @@ def test_relation_residuals(family, n, x, h, r1_rel, r2_rel):
 
 
 def test_relation_residuals_default_step():
-    table = coefficient_table(gamma_family(1.0), 5, with_convolution=True)
+    table = coefficient_table(gamma_family(1.0), 5)
     r1, r2 = relation_residuals(table, 0.8)
     assert r1 < 1e-7 and r2 < 1e-6
     with pytest.raises(ParameterDomainError):
@@ -209,7 +282,7 @@ def test_relation_residuals_default_step():
 
 @pytest.mark.parametrize("n", [1, 3, 12, 60])
 def test_kac_fast_path_matches_table_route(n):
-    table = coefficient_table(kac(), n, with_convolution=True)
+    table = coefficient_table(kac(), n)
     for x in (0.0, 0.3, 0.9, 0.999, 1.0, 1.0001, 1.8, 5.0):
         slow = kac_rice_eval(table, x)
         fast = kac_triple(n, x)
@@ -266,21 +339,21 @@ def test_full_line_within_closed_form_bracket():
 
 
 def test_interval_full_line_proxy_degree_one():
-    table = coefficient_table(elliptic(), 1, with_convolution=True)
+    table = coefficient_table(elliptic(), 1)
     res = expected_roots_interval(table, -math.inf, math.inf, tol=1e-10)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interval_full_line_elliptic():
-    table = coefficient_table(elliptic(), 100, with_convolution=True)
+    table = coefficient_table(elliptic(), 100)
     res = expected_roots_interval(table, -math.inf, math.inf, tol=1e-9)
     assert res.converged
     assert res.value == pytest.approx(10.0, abs=2e-9)
 
 
 def test_interval_composition_and_symmetry():
-    table = coefficient_table(gamma_family(1.0), 8, with_convolution=True)
+    table = coefficient_table(gamma_family(1.0), 8)
     tol = 1e-10
     inner = expected_roots_interval(table, 0.0, 1.0, tol)
     outer = expected_roots_interval(table, 1.0, math.inf, tol)
@@ -328,7 +401,7 @@ def test_kac_interval_route():
     # logarithmic growth: (2/pi) ln n plus a bounded constant
     assert res.value == pytest.approx((2 / math.pi) * math.log(1000) + 0.6257, abs=0.01)
     # same family through the generic table machinery at small n
-    table = coefficient_table(kac(), 30, with_convolution=True)
+    table = coefficient_table(kac(), 30)
     via_table = expected_roots_interval(table, 0.0, 1.0, 1e-10)
     via_closed = kac_expected_roots_interval(30, 0.0, 1.0, 1e-10)
     assert via_table.value == pytest.approx(via_closed.value, abs=1e-9)
@@ -345,19 +418,17 @@ def test_internal_equilibria_is_half_the_real_line():
 
 
 def test_interval_validation():
-    table = coefficient_table(elliptic(), 3, with_convolution=True)
+    table = coefficient_table(elliptic(), 3)
     with pytest.raises(ParameterDomainError):
         expected_roots_interval(table, 1.0, 1.0)
     with pytest.raises(ParameterDomainError):
         expected_roots_interval(table, 2.0, 1.0)
     with pytest.raises(ParameterDomainError):
         expected_roots_interval(table, 0.0, 1.0, tol=0.0)
-    with pytest.raises(TableStateError):
-        expected_roots_interval(coefficient_table(elliptic(), 3), 0.0, 1.0)
 
 
 def test_results_are_deterministic():
-    table = coefficient_table(gamma_family(1.5), 11, with_convolution=True)
+    table = coefficient_table(gamma_family(1.5), 11)
     r1 = expected_roots_interval(table, 0.0, 2.0, 1e-9)
     r2 = expected_roots_interval(table, 0.0, 2.0, 1e-9)
     assert r1 == r2
