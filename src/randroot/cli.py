@@ -33,22 +33,25 @@ from .families import (
     FamilyKind,
     PolynomialClass,
     alpha_beta_family,
-    coefficient_table,
     elliptic,
     gamma_family,
     kac,
     legendre,
 )
 from .jacobi import root_bounds, ultraspherical_bounds
-from .kacrice import (
+from .kacrice import expected_roots_interval_result, expected_roots_real_line_result, kernel
+from .montecarlo import mc_expected_roots
+from . import verify as verify_mod
+
+# Nothing here calls these; benchmarks/layers.py patches them on this module to
+# trace the CLI.
+from .families import coefficient_table  # noqa: F401
+from .kacrice import (  # noqa: F401
     expected_roots_interval,
-    expected_roots_real_line_result,
     kac_expected_roots_interval,
     kac_rice_eval,
     kac_triple,
 )
-from .montecarlo import mc_expected_roots
-from . import verify as verify_mod
 
 DEFAULT_SEED = 123456789
 DEFAULT_TOL = 1e-9
@@ -210,13 +213,9 @@ def _worker_threads() -> int:
 # ---------------------------------------------------------------------------
 
 def _run_density(family: PolynomialClass, n: int, grid: np.ndarray) -> tuple[list[Table], dict, int]:
-    is_kac = family.kind is FamilyKind.GAMMA and family.gamma == 0.0
-    table = None if is_kac else coefficient_table(family, n)
-    rows = []
-    for x in grid:
-        triple = kac_triple(n, abs(x)) if is_kac else kac_rice_eval(table, abs(x))
-        s1 = -triple.s1 if x < 0 else triple.s1  # B is odd in x
-        rows.append((float(x), triple.f, triple.log_m, s1, triple.s2))
+    log_m, s1, f, _ = kernel(family, n).rows(np.abs(grid))
+    s1 = np.where(grid < 0, -s1, s1)  # B is odd in x
+    rows = list(zip(grid.tolist(), f.tolist(), log_m.tolist(), s1.tolist(), (f * f + s1 * s1).tolist()))
     return [Table("density", ("x", "f", "log_M", "S1", "S2"), rows)], {}, 0
 
 
@@ -224,14 +223,7 @@ def _run_expect(family: PolynomialClass, n: int, interval, tol: float) -> tuple[
     if interval is None:
         result = expected_roots_real_line_result(family, n, tol)
     else:
-        a, b = interval
-        if not a < b:
-            raise ParameterDomainError(f"need a < b, got ({a!r}, {b!r})")
-        if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
-            result = kac_expected_roots_interval(n, a, b, tol)
-        else:
-            table = coefficient_table(family, n)
-            result = expected_roots_interval(table, a, b, tol)
+        result = expected_roots_interval_result(family, n, *interval, tol)
     rows = [(n, result.value, result.abs_error_estimate, result.evaluations)]
     diagnostics = {"converged": result.converged}
     return ([Table("expect", ("n", "value", "abs_err", "evaluations"), rows)],
@@ -244,15 +236,12 @@ def _run_bounds(family: PolynomialClass, n: int) -> tuple[list[Table], dict, int
             "bounds requires an alpha/beta class (the Jacobi bracket has no gamma-family form)"
         )
     jac = root_bounds(n, family.alpha, family.beta)
-    from .jacobi import jacobi_roots
-
-    s_max = float(jacobi_roots(n, family.alpha, family.beta).roots[-1])
     if family.alpha == family.beta:
         ultra = ultraspherical_bounds(n, family.alpha)
         ultra_lower, ultra_upper = ultra.lower, ultra.upper
     else:
         ultra_lower = ultra_upper = None
-    rows = [(n, jac.lower, jac.upper, ultra_lower, ultra_upper, s_max)]
+    rows = [(n, jac.lower, jac.upper, ultra_lower, ultra_upper, jac.s_max)]
     diagnostics = {"note": jac.note} if jac.note else {}
     return ([Table("bounds", ("n", "jacobi_lower", "jacobi_upper", "ultra_lower",
                               "ultra_upper", "s_max"), rows)], diagnostics, 0)
@@ -314,11 +303,16 @@ def _json_safe(value):
     return value
 
 
+def _csv_cell(value) -> str:
+    """``_fmt_csv``, with Python floats, the bulk of every table, formatted directly."""
+    return format(value, ".17g") if type(value) is float else _fmt_csv(value)
+
+
 def render_csv(tables: list[Table]) -> str:
     blocks = []
     for table in tables:
         lines = [",".join(table.columns)]
-        lines.extend(",".join(_fmt_csv(v) for v in row) for row in table.rows)
+        lines.extend(",".join(map(_csv_cell, row)) for row in table.rows)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

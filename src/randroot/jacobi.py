@@ -23,7 +23,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NumericError, ParameterDomainError
 from .families import alpha_beta_family, coefficient_table
-from .kacrice import _log_m_s1_s2
+from .kacrice import _evaluate
 
 __all__ = [
     "jacobi_eval",
@@ -47,24 +47,39 @@ def _check_ab(alpha: float, beta: float) -> None:
         raise ParameterDomainError(f"need alpha, beta > -1, got ({alpha!r}, {beta!r})")
 
 
-def jacobi_eval(n: int, alpha: float, beta: float, x):
-    """J_n^(alpha,beta)(x) by the three-term recurrence; scalar or array x."""
-    _check_ab(alpha, beta)
-    if n < 0:
-        raise ParameterDomainError(f"degree must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    p_prev = np.ones_like(x, dtype=float)
-    if n == 0:
-        return float(p_prev) if scalar else p_prev
+def _recurrence(n: int, alpha: float, beta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_(n-1), J_n) at x by the three-term recurrence, n >= 1."""
     apb = alpha + beta
+    p_prev = np.ones_like(x, dtype=float)
     p_cur = 0.5 * ((apb + 2.0) * x + (alpha - beta))
     for k in range(2, n + 1):
         c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
         c2 = (2.0 * k + apb - 1.0) * ((2.0 * k + apb) * (2.0 * k + apb - 2.0) * x + alpha * alpha - beta * beta)
         c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
         p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-    return float(p_cur) if scalar else p_cur
+    return p_prev, p_cur
+
+
+def jacobi_eval(n: int, alpha: float, beta: float, x):
+    """J_n^(alpha,beta)(x) by the three-term recurrence; scalar or array x."""
+    _check_ab(alpha, beta)
+    if n < 0:
+        raise ParameterDomainError(f"degree must be >= 0, got {n}")
+    x = np.asarray(x, dtype=float)
+    p = np.ones_like(x, dtype=float) if n == 0 else _recurrence(n, alpha, beta, x)[1]
+    return float(p) if x.ndim == 0 else p
+
+
+def _value_and_derivative(n: int, alpha: float, beta: float, x: np.ndarray):
+    """(J_n, J_n') at |x| < 1 from one recurrence, n >= 1, through
+
+    (2n+a+b)(1-x^2) J_n' = n[(a-b) - (2n+a+b)x] J_n + 2(n+a)(n+b) J_(n-1).
+    """
+    p_prev, p_cur = _recurrence(n, alpha, beta, x)
+    s = 2.0 * n + alpha + beta
+    deriv = (n * ((alpha - beta) - s * x) * p_cur
+             + 2.0 * (n + alpha) * (n + beta) * p_prev) / (s * (1.0 - x * x))
+    return p_cur, deriv
 
 
 def jacobi_derivative(n: int, alpha: float, beta: float, x):
@@ -122,8 +137,8 @@ def jacobi_roots(n: int, alpha: float, beta: float) -> JacobiRootSet:
             f"tridiagonal eigensolver failed for n={n}, alpha={alpha}, beta={beta}: {exc}"
         ) from exc
     s = np.sort(np.asarray(s, dtype=float))
-    deriv = jacobi_derivative(n, alpha, beta, s)
-    step = np.where(deriv != 0.0, jacobi_eval(n, alpha, beta, s) / np.where(deriv == 0.0, 1.0, deriv), 0.0)
+    value, deriv = _value_and_derivative(n, alpha, beta, s)
+    step = np.where(deriv != 0.0, value / np.where(deriv == 0.0, 1.0, deriv), 0.0)
     s = s - step
     if alpha == beta:
         s = 0.5 * (s - s[::-1])  # enforce the exact s_k = -s_{n+1-k} symmetry
@@ -190,6 +205,7 @@ class BoundsReport:
     upper: float
     method: str  # "jacobi_root" or "ultraspherical_closed_form"
     note: str = ""
+    s_max: float | None = None  # the largest Jacobi root, for "jacobi_root"
 
 
 def root_bounds(n: int, alpha: float, beta: float) -> BoundsReport:
@@ -201,7 +217,7 @@ def root_bounds(n: int, alpha: float, beta: float) -> BoundsReport:
         n, float(alpha), float(beta),
         sqrt_n * (1.0 - s_max) / (1.0 + s_max),
         sqrt_n * (1.0 + s_max) / (1.0 - s_max),
-        "jacobi_root", note,
+        "jacobi_root", note, s_max,
     )
 
 
@@ -235,28 +251,31 @@ def density_endpoints(n: int, alpha: float, beta: float) -> tuple[float, float]:
     return f0, f1
 
 
-def derivative_recurrence_residual(n: int, alpha: float, beta: float, x: float) -> float:
+def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
     """Residual of the M_n'/M_n/M_{n-1} recurrence, normalized by M_n(x).
 
     Checks x*(2n+a+b)*M_n'(x) = n*(2n+a+b+b-a)*M_n(x)
     - 2*(1-x^2)*(n+a)*(n+b)*M_{n-1}(x), with M_n' = 2*B_n taken analytically.
     (The asymmetry term carries the factor n: differentiating
     (1-x^2)^n J_n((1+x^2)/(1-x^2)) and eliminating J_n' leaves n*(b-a), as
-    brute-force expansion at small n confirms.)
+    brute-force expansion at small n confirms.)  Scalar or array x > 0; a
+    scalar x gives a float.
     """
     _check_ab(alpha, beta)
     if n < 2:
         raise ParameterDomainError(f"recurrence residual needs n >= 2, got {n}")
-    if not x > 0:
+    arr = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(arr).ravel()
+    if not (xs > 0).all():
         raise ParameterDomainError(f"need x > 0, got {x!r}")
     family = alpha_beta_family(alpha, beta)
-    log_m_n, s1_n, _ = _log_m_s1_s2(coefficient_table(family, n), x)
-    log_m_prev, _, _ = _log_m_s1_s2(coefficient_table(family, n - 1), x)
+    log_m_n, s1_n = _evaluate(coefficient_table(family, n), xs)[:2]
+    log_m_prev = _evaluate(coefficient_table(family, n - 1), xs)[0]
     s = 2.0 * n + alpha + beta
-    ratio_prev = math.exp(log_m_prev - log_m_n)
-    residual = (
-        x * s * 2.0 * s1_n
+    ratio_prev = np.exp(log_m_prev - log_m_n)
+    residual = np.abs(
+        xs * s * 2.0 * s1_n
         - n * (s + beta - alpha)
-        + 2.0 * (1.0 - x * x) * (n + alpha) * (n + beta) * ratio_prev
+        + 2.0 * (1.0 - xs * xs) * (n + alpha) * (n + beta) * ratio_prev
     )
-    return abs(residual)
+    return float(residual[0]) if arr.ndim == 0 else residual.reshape(arr.shape)

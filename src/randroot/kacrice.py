@@ -24,8 +24,10 @@ and, with X = x^2 and phi(X) = X M'(X)/M(X),
 
     f(x)^2 = d phi/dX = 1/(X-1)^2 - (n+1)^2 X^n / (X^(n+1) - 1)^2,
 
-evaluated through series fallbacks near X = 1, which makes density and root
-counts O(1) per point up to n ~ 10^6.
+evaluated as array code at y = min(x, 1/x) and reflected through the
+palindromic coefficients, with series fallbacks near X = 1; density and root
+counts cost O(1) per point up to n ~ 10^6.  ``kernel`` is the one place that
+picks these closed forms over the generic kernel.
 
 Intervals reaching past x = 1 are always mapped back onto (0, 1) through the
 substitution u = 1/x, whose integrand is the density of the reciprocal
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .families import (
     FamilyKind,
     PolynomialClass,
     coefficient_table,
+    kac,
     reciprocal_table,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature
@@ -54,6 +58,7 @@ __all__ = [
     "kac_rice_eval",
     "density",
     "expected_roots_interval",
+    "expected_roots_interval_result",
     "expected_roots_real_line",
     "expected_roots_real_line_result",
     "expected_internal_equilibria",
@@ -61,6 +66,8 @@ __all__ = [
     "kac_log_variance",
     "kac_density",
     "kac_triple",
+    "Kernel",
+    "kernel",
 ]
 
 
@@ -115,7 +122,7 @@ def _edge_moments(la: np.ndarray, x: np.ndarray, lx: np.ndarray):
 
 
 def _moments(la: np.ndarray, xs: np.ndarray):
-    """(log M, B/M, f, log f) at each x > 0 of the 1-d array ``xs``.
+    """(log M, B/M, f, log f) at each finite x > 0 of the 1-d array ``xs``.
 
     Weights p_i = a_i^2 x^(2i) / M give M by log-sum-exp, the mean mu = x B/M
     and the centred variance Var = sum p_i (i - mu)^2 = x^2 (A*M - B^2)/M^2, so
@@ -159,18 +166,57 @@ def _moments(la: np.ndarray, xs: np.ndarray):
     return log_m, s1, f, log_f
 
 
-def _evaluate(table: CoefficientTable, xs: np.ndarray):
-    """``_moments`` at each x >= 0 of ``xs``, with the exact limits at x = 0."""
-    la = table.log_sq_coeff
-    zero = xs == 0.0
-    if not np.count_nonzero(zero):
-        return _moments(la, xs)
-    half_gap = 0.5 * (la[1] - la[0])
+def _with_limits(moments, xs: np.ndarray, n: int, la_ends) -> tuple[np.ndarray, ...]:
+    """Rows (log M, B/M, f, log(A*M - B^2)) at each x >= 0 of ``xs``.
+
+    ``moments`` gives the rows at finite x > 0; x = 0 takes the exact limits
+    and x = inf the x -> inf ones (f ~ (a_(n-1)/a_n)/x^2 -> 0), both from
+    ``la_ends = (log a_0^2, log a_1^2)``.  Callers pass |x|; NaN raises
+    ``ParameterDomainError``.
+    """
+    m = len(xs)
+    if np.count_nonzero(np.isfinite(xs)) == m and np.count_nonzero(xs) == m:
+        return moments(xs)
+    inside = (xs > 0.0) & (xs < math.inf)
+    zero, infinite = xs == 0.0, xs == math.inf
+    bad = ~(inside | zero | infinite)
+    if bad.any():
+        raise ParameterDomainError(f"density needs x >= 0, got {xs[bad][0]!r}")
+    la0, la1 = la_ends
+    half_gap = 0.5 * (la1 - la0)
     out = np.empty((4, len(xs)))
-    out[:, zero] = np.array([[la[0]], [0.0], [math.exp(half_gap)], [half_gap]])
-    if not zero.all():
-        out[:, ~zero] = _moments(la, xs[~zero])
-    return out
+    out[:, zero] = np.array([[la0], [0.0], [math.exp(half_gap)], [2.0 * (la0 + half_gap)]])
+    # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
+    out[:, infinite] = np.array([[math.inf], [0.0], [0.0], [la0 + la1 if n == 1 else math.inf]])
+    if inside.any():
+        out[:, inside] = moments(xs[inside])
+    return tuple(out)
+
+
+_BLOCK = 1 << 13  # points x coefficients per weights array; 15-point panels stay whole
+
+
+def _evaluate(table: CoefficientTable, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows (log M, B/M, f, log(A*M - B^2)) of the generic kernel at each x >= 0.
+
+    Long grids go through ``_moments`` in blocks, so memory stays O(n) however
+    many points are asked for.
+    """
+    la = table.log_sq_coeff
+    step = max(16, _BLOCK // len(la))
+
+    def rows(v: np.ndarray) -> tuple[np.ndarray, ...]:
+        if len(v) > step:
+            return tuple(np.concatenate([rows(v[i:i + step]) for i in range(0, len(v), step)], axis=1))
+        log_m, s1, f, log_f = _moments(la, v)
+        return log_m, s1, f, 2.0 * (log_m + log_f)
+
+    return _with_limits(rows, xs, table.n, (la[0], la[1]))
+
+
+def _triple(x: float, rows: tuple[np.ndarray, ...]) -> KacRiceTriple:
+    log_m, s1, f, log_amb = (float(v[0]) for v in rows)
+    return KacRiceTriple(x, log_m, s1, f * f + s1 * s1, log_amb, f)
 
 
 def kac_rice_eval(table: CoefficientTable, x: float) -> KacRiceTriple:
@@ -178,12 +224,11 @@ def kac_rice_eval(table: CoefficientTable, x: float) -> KacRiceTriple:
 
     A/M = f^2 + (B/M)^2 and log(A*M - B^2) = 2 log M + log Var - 2 log x
     = 2 (log M + log f), so neither divides by x^2.  Negative x is handled
-    upstream through evenness of the density.
+    upstream through evenness of the density; x = inf gives the limits.
     """
     if x < 0:
         raise ParameterDomainError(f"kac_rice_eval requires x >= 0, got {x!r}")
-    log_m, s1, f, log_f = (float(v[0]) for v in _evaluate(table, np.array([float(x)])))
-    return KacRiceTriple(float(x), log_m, s1, f * f + s1 * s1, 2.0 * (log_m + log_f), f)
+    return _triple(float(x), _evaluate(table, np.array([float(x)])))
 
 
 def _log_m_s1_s2(table: CoefficientTable, x: float) -> tuple[float, float, float]:
@@ -192,104 +237,196 @@ def _log_m_s1_s2(table: CoefficientTable, x: float) -> tuple[float, float, float
     return t.log_m, t.s1, t.s2
 
 
-def _density_array(table: CoefficientTable, xs: np.ndarray) -> np.ndarray:
-    """Vectorized f(|x|); drives the quadrature."""
-    return _evaluate(table, np.abs(np.asarray(xs, dtype=float)))[2]
+def _over_abs(fn, x):
+    """``fn`` on |x| as a flat array, reshaped like ``x``; a float for a scalar."""
+    arr = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(arr).ravel()
+    if np.isnan(flat).any():
+        raise ParameterDomainError("x must not be NaN")
+    res = fn(np.abs(flat))
+    return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
 
 
 def density(table: CoefficientTable, x):
-    """Kac-Rice density f(|x|) = sqrt(A*M - B^2)/M; accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    res = _density_array(table, np.atleast_1d(arr).ravel())
-    return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
+    """Kac-Rice density f(|x|) = sqrt(A*M - B^2)/M; accepts scalars or arrays.
+
+    f(+-inf) = 0, its limit; NaN raises ``ParameterDomainError``.
+    """
+    return _over_abs(lambda xs: _evaluate(table, xs)[2], x)
 
 
 # ---------------------------------------------------------------------------
 # Kac (gamma = 0) closed forms
 # ---------------------------------------------------------------------------
 
-# Taylor coefficients of csch^2(v) - 1/v^2 = sum c_k v^(2k-2), k >= 1.
-_CSCH2 = (-1.0 / 3, 1.0 / 15, -2.0 / 189, 7.0 / 4725, -2.0 / 10395, 1382.0 / 58046625)
-# Odd coefficients of 1/(e^v - 1) - 1/v + 1/2 = sum d_k v^(2k-1), k >= 1.
-_EXPM1_INV = (1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600)
-_SERIES_CUT = 0.25  # switch to series once |(n+1) ln X| drops below this
+# Taylor coefficients of csch^2(v) - 1/v^2 = sum c_k v^(2k-2), k >= 1:
+# c_k = -2^(2k) (2k-1) B_(2k) / (2k)!, B the Bernoulli numbers.
+_CSCH2 = (-0.3333333333333333, 0.06666666666666667, -0.010582010582010581,
+          0.0014814814814814814, -0.0001924001924001924, 2.380844708887037e-05,
+          -2.8503732207435913e-06, 3.332191318496952e-07, -3.8263339078575285e-08,
+          4.332978728872515e-09, -4.852350845790551e-10, 5.3846925685597234e-11)
+# Odd coefficients of 1/(e^v - 1) - 1/v + 1/2 = sum d_k v^(2k-1), d_k = B_(2k) / (2k)!.
+_EXPM1_INV = (0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+              -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+              1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+              -2.174868698558062e-16, 5.5090028283602295e-18)
+# The series serve (n+1)|ln x| below this, where the first dropped term is
+# below 1e-17 relative; above it the closed forms lose at most ~12x to
+# cancellation.
+_SERIES_CUT = 0.5
+_LN2 = math.log(2.0)
+
+
+def _horner(coeffs, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k."""
+    p = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        p = p * z + c
+    return p
+
+
+def _log1mexp(t: np.ndarray) -> np.ndarray:
+    """log(1 - e^t) for t < 0, without cancellation on either side of -ln 2."""
+    return np.where(t > -_LN2, np.log(-np.expm1(t)), np.log1p(-np.exp(t)))
+
+
+def _kac_terms(n: int, s: np.ndarray):
+    """(near, ln X, 1 - X, 1 - X^(n+1), X^n) at X = y^2, y = e^-s <= 1.
+
+    ``near`` marks the points with (n+1)s < ``_SERIES_CUT``, which the series
+    serve; they get X = e^-2 in place, which keeps x = 1 out of 0/0.
+    """
+    near = (n + 1.0) * s < _SERIES_CUT
+    t = -2.0 * (np.where(near, 1.0, s) if near.any() else s)  # ln X
+    return near, t, -np.expm1(t), -np.expm1((n + 1.0) * t), np.exp(n * t)
+
+
+def _kac_f2(n: int, s: np.ndarray, terms) -> np.ndarray:
+    """f(y)^2 at y = e^-s <= 1; s = inf (x = 0 or inf) gives f(0)^2 = 1.
+
+    f^2 = 1/(1 - X)^2 - (n+1)^2 X^n / (1 - X^(n+1))^2, which is
+    e^(2s)/4 (csch^2 s - (n+1)^2 csch^2((n+1)s)); where the two terms cancel,
+    the 1/s^2 poles are taken out and the series of the rest take over.
+    """
+    big = n + 1.0
+    near, _, one_m_x, one_m_xbig, x_n = terms
+    f2 = 1.0 / (one_m_x * one_m_x) - big * big * x_n / (one_m_xbig * one_m_xbig)
+    if near.any():
+        sn = s[near]
+        vn = big * sn
+        residue = _horner(_CSCH2, sn * sn) - big * big * _horner(_CSCH2, vn * vn)
+        f2[near] = np.exp(2.0 * sn) / 4.0 * residue
+    return f2
+
+
+def _unreflect_f(f: np.ndarray, xs: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """f(x) = f(1/x)/x^2 at the points x > 1."""
+    if high.any():
+        xh = xs[high]
+        f[high] = f[high] / xh / xh
+    return f
+
+
+def _kac_density(n: int, xs: np.ndarray) -> np.ndarray:
+    """Kac density at each x >= 0 of ``xs``, x = inf included; O(1) per point."""
+    lx = np.log(xs)
+    s = np.abs(lx)
+    return _unreflect_f(np.sqrt(_kac_f2(n, s, _kac_terms(n, s))), xs, lx > 0.0)
+
+
+def _kac_moments(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at finite x > 0.
+
+    Every closed form is taken at y = min(x, 1/x) = e^-s, where its terms stay
+    bounded, and reflected through the palindromic coefficients:
+    M(x) = x^(2n) M(1/x), the mean index phi = x B/M is n - phi(1/x), and
+    f(x) = f(1/x)/x^2.  With X = y^2, M = (1 - X^(n+1))/(1 - X) and
+    phi = X (1/(1 - X) - (n+1) X^n/(1 - X^(n+1))).
+    """
+    big = n + 1.0
+    lx = np.log(xs)
+    s = np.abs(lx)
+    high = lx > 0.0
+    terms = near, t, one_m_x, one_m_xbig, x_n = _kac_terms(n, s)
+    f2 = _kac_f2(n, s, terms)
+    q = 1.0 / one_m_x - big * x_n / one_m_xbig  # phi / X
+    s1 = xs * q                                 # B/M = phi/x, exact as x -> 0
+    if high.any():
+        s1[high] = (n - np.exp(t[high]) * q[high]) / xs[high]
+    log_m = _log1mexp(big * t) - _log1mexp(t)
+    if near.any():
+        u = 2.0 * lx[near]  # ln x^2
+        w = big * u
+        phi = 0.5 * n + big * w * _horner(_EXPM1_INV, w * w) - u * _horner(_EXPM1_INV, u * u)
+        s1[near] = phi / xs[near]
+        sn = s[near]
+        ratio = np.divide(np.expm1(-2.0 * big * sn), np.expm1(-2.0 * sn),
+                          out=np.full_like(sn, big), where=sn > 0.0)
+        log_m[near] = np.log(ratio)
+    up = np.maximum(lx, 0.0)
+    log_m += 2.0 * n * up
+    log_f = 0.5 * np.log(f2) - 2.0 * up
+    f = _unreflect_f(np.sqrt(f2), xs, high)
+    return log_m, s1, f, 2.0 * (log_m + log_f)
+
+
+def _kac_evaluate(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at each x >= 0."""
+    return _with_limits(lambda v: _kac_moments(n, v), xs, n, (0.0, 0.0))
 
 
 def kac_log_variance(n: int, x: float) -> float:
     """log M(x) = log((1 - x^(2n+2))/(1 - x^2)) for the Kac family, O(1)."""
-    big = n + 1
-    x = abs(float(x))
-    if x == 0.0:
-        return 0.0
-    u = 2.0 * math.log(x)
-    if u == 0.0:
-        return math.log(big)
-    w = big * u
-    if u > 0:
-        lo = w + math.log1p(-math.exp(-w)) if w > 36.0 else math.log(math.expm1(w))
-        return lo - math.log(math.expm1(u))
-    return math.log(-math.expm1(w)) - math.log(-math.expm1(u))
+    return _over_abs(lambda xs: _kac_evaluate(n, xs)[0], x)
 
 
 def kac_density(n: int, x) -> float | np.ndarray:
     """Kac density in O(1) per point; series fallback keeps full precision near |x| = 1."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return _kac_density_scalar(n, float(arr))
-    return np.array([_kac_density_scalar(n, float(v)) for v in arr.ravel()]).reshape(arr.shape)
-
-
-def _kac_density_scalar(n: int, x: float) -> float:
-    big = n + 1
-    x = abs(x)
-    if x == 0.0:
-        return 1.0
-    if x > 1.0:
-        return _kac_density_scalar(n, 1.0 / x) / (x * x)
-    s = -math.log(x)  # x = e^{-s}, s >= 0
-    v = big * s
-    if v == 0.0:
-        return math.sqrt(n * (n + 2) / 12.0)
-    if v >= _SERIES_CUT:
-        one_m_x2 = -math.expm1(-2.0 * s)
-        one_m_x2big = -math.expm1(-2.0 * v)
-        f2 = 1.0 / one_m_x2**2 - big * big * math.exp(-2.0 * n * s) / one_m_x2big**2
-    else:
-        f2 = 0.0
-        for k, c in enumerate(_CSCH2, start=1):
-            f2 += c * s ** (2 * k - 2) * (1.0 - float(big) ** (2 * k))
-        f2 *= math.exp(2.0 * s) / 4.0
-    return math.sqrt(max(f2, 0.0))
-
-
-def _kac_phi(n: int, u: float) -> float:
-    """phi(X) = X M'(X)/M(X) at u = ln X; equals B/(M) * x at X = x^2."""
-    big = n + 1
-    if abs(big * u) < _SERIES_CUT:
-        phi = 0.5 * n
-        for k, d in enumerate(_EXPM1_INV, start=1):
-            phi += d * u ** (2 * k - 1) * (float(big) ** (2 * k) - 1.0)
-        return phi
-    w = big * u
-    term_big = big * math.exp(-w) if w > 36.0 else big / math.expm1(w)
-    term_one = math.exp(-u) if u > 36.0 else 1.0 / math.expm1(u)
-    return (big - 1.0) + term_big - term_one
+    return _over_abs(lambda xs: _kac_density(n, xs), x)
 
 
 def kac_triple(n: int, x: float) -> KacRiceTriple:
     """Closed-form KacRiceTriple for the Kac family, O(1) per point."""
     if x < 0:
         raise ParameterDomainError(f"kac_triple requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return KacRiceTriple(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
-    f = _kac_density_scalar(n, x)
-    log_m = kac_log_variance(n, x)
-    u = 2.0 * math.log(x)
-    phi = _kac_phi(n, u)
-    s1 = phi / x
-    s2 = f * f + phi * phi / (x * x)
-    log_amb = 2.0 * math.log(f) + 2.0 * log_m
-    return KacRiceTriple(float(x), log_m, s1, s2, log_amb, f)
+    return _triple(float(x), _kac_evaluate(n, np.array([float(x)])))
+
+
+# ---------------------------------------------------------------------------
+# the one dispatch: Kac closed forms or the generic table kernel
+# ---------------------------------------------------------------------------
+
+class Kernel(NamedTuple):
+    """Array kernels of one family at one degree.
+
+    ``rows`` gives (log M, B/M, f, log(A*M - B^2)) at any x >= 0.  The
+    quadrature integrands ``density`` (f) and ``reciprocal`` (f of the
+    coefficient-reversed family, which the legs beyond x = 1 integrate) skip
+    the checks and limits: they take quadrature nodes, 0 < x < inf.
+    """
+
+    rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    density: Callable[[np.ndarray], np.ndarray]
+    reciprocal: Callable[[np.ndarray], np.ndarray]
+
+
+def _table_kernel(table: CoefficientTable) -> Kernel:
+    la, recip = table.log_sq_coeff, reciprocal_table(table).log_sq_coeff
+    return Kernel(lambda xs: _evaluate(table, xs),
+                  lambda xs: _moments(la, xs)[2],
+                  lambda xs: _moments(recip, xs)[2])
+
+
+def kernel(family: PolynomialClass, n: int) -> Kernel:
+    """The evaluation kernels for ``family`` at degree ``n``.
+
+    This is the one place that picks the Kac closed forms (gamma = 0, O(1)
+    per point, no table) over the generic table kernel.
+    """
+    if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
+        density_fn = lambda xs: _kac_density(n, xs)  # Kac coefficients are palindromic
+        return Kernel(lambda xs: _kac_evaluate(n, xs), density_fn, density_fn)
+    return _table_kernel(coefficient_table(family, n))
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +485,22 @@ def expected_roots_interval(
 ) -> QuadratureResult:
     """(1/pi) * integral of f over (a, b); endpoints may be +-inf."""
     _validate_interval(a, b, tol)
-    recip = reciprocal_table(table)
-    return _integrate_legs(
-        lambda xs: _density_array(table, xs),
-        lambda xs: _density_array(recip, xs),
-        a, b, tol,
-    )
+    k = _table_kernel(table)
+    return _integrate_legs(k.density, k.reciprocal, a, b, tol)
+
+
+def expected_roots_interval_result(
+    family: PolynomialClass, n: int, a: float, b: float, tol: float = 1e-9
+) -> QuadratureResult:
+    """``expected_roots_interval`` for ``family`` at degree ``n``, through ``kernel``."""
+    _validate_interval(a, b, tol)
+    k = kernel(family, n)
+    return _integrate_legs(k.density, k.reciprocal, a, b, tol)
 
 
 def kac_expected_roots_interval(n: int, a: float, b: float, tol: float = 1e-9) -> QuadratureResult:
     """Interval root count for the Kac family via the closed-form density."""
-    _validate_interval(a, b, tol)
-    fn = lambda xs: kac_density(n, xs)  # Kac coefficients are palindromic
-    return _integrate_legs(fn, fn, a, b, tol)
+    return expected_roots_interval_result(kac(), n, a, b, tol)
 
 
 def expected_roots_real_line_result(
@@ -373,20 +513,12 @@ def expected_roots_real_line_result(
     """
     if not tol > 0:
         raise ParameterDomainError(f"tolerance must be positive, got {tol!r}")
-    if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
-        leg = kac_expected_roots_interval(n, 0.0, 1.0, tol / 4.0)
-        return QuadratureResult(4.0 * leg.value, 4.0 * leg.abs_error_estimate,
-                                leg.evaluations, leg.converged)
-    table = coefficient_table(family, n)
-    direct = lambda xs: _density_array(table, xs)
-    leg = adaptive_quadrature(lambda xs: direct(xs) / math.pi, 0.0, 1.0, tol=tol / 4.0)
+    k = kernel(family, n)
+    leg = adaptive_quadrature(lambda xs: k.density(xs) / math.pi, 0.0, 1.0, tol=tol / 4.0)
     if family.is_symmetric:
         return QuadratureResult(4.0 * leg.value, 4.0 * leg.abs_error_estimate,
                                 leg.evaluations, leg.converged)
-    recip = reciprocal_table(table)
-    other = adaptive_quadrature(
-        lambda xs: _density_array(recip, xs) / math.pi, 0.0, 1.0, tol=tol / 4.0
-    )
+    other = adaptive_quadrature(lambda xs: k.reciprocal(xs) / math.pi, 0.0, 1.0, tol=tol / 4.0)
     return QuadratureResult(
         2.0 * (leg.value + other.value),
         2.0 * (leg.abs_error_estimate + other.abs_error_estimate),

@@ -12,10 +12,12 @@ import numpy as np
 
 from .families import alpha_beta_family, coefficient_table, gamma_family
 from .jacobi import density_endpoints, derivative_recurrence_residual, log_variance_via_jacobi
-from .kacrice import density, expected_roots_interval, kac_rice_eval
+from .kacrice import _evaluate, density, expected_roots_interval
 
 _AB_GRID = ((0.0, 0.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5))
 _X_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+_GRAM_X = (0.1, 0.5, 1.0, 2.0)
+_RECURRENCE_X = (0.3, 1.0, 1.7)
 
 
 def _suite_params(level: str) -> dict:
@@ -51,31 +53,29 @@ def run_suite(level: str) -> list[tuple[str, bool, str]]:
 
 
 def _check_variance_identity(params) -> tuple[bool, str]:
-    from .kacrice import _log_m_s1_s2
-
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
-            table = coefficient_table(family, n)
-            for x in _X_GRID:
-                direct, _, _ = _log_m_s1_s2(table, x)
+            log_m = _evaluate(coefficient_table(family, n), np.array(_X_GRID))[0]
+            for x, direct in zip(_X_GRID, log_m.tolist()):
                 via_jacobi = log_variance_via_jacobi(n, alpha, beta, x)
                 worst = max(worst, abs(math.expm1(via_jacobi - direct)))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 
 def _brute_gram(log_sq: np.ndarray, x: float) -> float:
-    """log of the double sum 1/2 sum (i-j)^2 a_i^2 a_j^2 x^(2(i+j-1)), directly."""
-    n = len(log_sq) - 1
+    """log of the double sum 1/2 sum (i-j)^2 a_i^2 a_j^2 x^(2(i+j-1)), directly.
+
+    Every term is formed on its own and ``fsum`` adds them exactly rounded.
+    """
     scale = float(log_sq.max())
     a_sq = np.exp(log_sq - scale)
-    terms = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i != j:
-                terms.append((i - j) ** 2 * a_sq[i] * a_sq[j] * x ** (2 * (i + j - 1)))
-    return math.log(0.5 * math.fsum(sorted(terms))) + 2.0 * scale
+    i = np.arange(len(log_sq))
+    gap = np.subtract.outer(i, i)
+    powers = np.array([x ** (2 * (k - 1)) for k in range(2 * len(log_sq) - 1)])  # x^(2(i+j-1))
+    terms = gap * gap * a_sq[:, None] * a_sq[None, :] * powers[np.add.outer(i, i)]
+    return math.log(0.5 * math.fsum(terms[gap != 0])) + 2.0 * scale
 
 
 def _check_gram_identity(params) -> tuple[bool, str]:
@@ -85,8 +85,8 @@ def _check_gram_identity(params) -> tuple[bool, str]:
     for family in families:
         for n in params["gram_n"]:
             table = coefficient_table(family, n)
-            for x in (0.1, 0.5, 1.0, 2.0):
-                lse = kac_rice_eval(table, x).log_amb
+            log_amb = _evaluate(table, np.array(_GRAM_X))[3]
+            for x, lse in zip(_GRAM_X, log_amb.tolist()):
                 brute = _brute_gram(table.log_sq_coeff, x)
                 worst = max(worst, abs(math.expm1(lse - brute)))
     return worst < 1e-11, f"worst rel dev {worst:.3e} (tol 1e-11)"
@@ -96,8 +96,7 @@ def _check_recurrence(params) -> tuple[bool, str]:
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         for n in params["recurrence_n"]:
-            for x in (0.3, 1.0, 1.7):
-                worst = max(worst, derivative_recurrence_residual(n, alpha, beta, x))
+            worst = max(worst, float(derivative_recurrence_residual(n, alpha, beta, _RECURRENCE_X).max()))
     return worst < 1e-9, f"worst residual {worst:.3e} (tol 1e-9)"
 
 
@@ -106,10 +105,9 @@ def _check_endpoints(params) -> tuple[bool, str]:
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["recurrence_n"]:
-            table = coefficient_table(family, n)
+            at_0, at_1 = density(coefficient_table(family, n), np.array([0.0, 1.0])).tolist()
             f0, f1 = density_endpoints(n, alpha, beta)
-            worst = max(worst, abs(density(table, 0.0) / f0 - 1.0))
-            worst = max(worst, abs(density(table, 1.0) / f1 - 1.0))
+            worst = max(worst, abs(at_0 / f0 - 1.0), abs(at_1 / f1 - 1.0))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 

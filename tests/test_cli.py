@@ -1,9 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from randroot.cli import main
+from randroot import jacobi
+from randroot.cli import Table, _fmt_csv, main, render_csv
+from randroot.families import alpha_beta_family, coefficient_table, gamma_family
+from randroot.kacrice import kac_rice_eval, kac_triple
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +108,66 @@ def test_density_tiny_x_rows_are_finite(capsys):
         assert log_m == 0.0
         assert s1 == pytest.approx(2500.0 * x, rel=1e-13)
         assert s2 == pytest.approx(2500.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("cls,family,n", [
+    (("gamma", "--gamma", "1"), gamma_family(1.0), 50),
+    (("alpha-beta", "--alpha", "0.5", "--beta", "2"), alpha_beta_family(0.5, 2.0), 40),
+    (("kac",), None, 50),
+    (("kac",), None, 1),
+], ids=["gamma1", "ab", "kac50", "kac1"])
+def test_density_grid_matches_pointwise(capsys, cls, family, n):
+    # one array call over the grid against one call per point: negative x
+    # (S1 flipped), x = 0 (exact limits) and x > 1 (the reflected side)
+    code, out, _ = run_cli(capsys, "density", "--class", *cls, "--n", str(n), "--grid", "-3:3:61")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 61 and rows[30][0] == 0.0
+    table = None if family is None else coefficient_table(family, n)
+    for x, f, log_m, s1, s2 in rows:
+        t = kac_triple(n, abs(x)) if table is None else kac_rice_eval(table, abs(x))
+        if x == 0.0:
+            assert (f, log_m, s1, s2) == (t.f, t.log_m, 0.0, t.s2)
+        assert f == pytest.approx(t.f, rel=4e-15)
+        assert log_m == pytest.approx(t.log_m, rel=4e-15, abs=1e-300)
+        assert s1 == pytest.approx(math.copysign(t.s1, x), rel=4e-15)
+        assert s2 == pytest.approx(t.s2, rel=4e-15)
+    la = None if table is None else table.log_sq_coeff
+    f0 = 1.0 if table is None else math.exp(0.5 * (la[1] - la[0]))
+    assert rows[30][1:] == [f0, 0.0 if table is None else la[0], 0.0, f0 * f0]
+
+
+def test_render_csv_fast_path_matches_fmt_csv():
+    row = (1.5, np.float64(2.5), 3, np.int64(-4), True, np.bool_(False), None, math.nan,
+           math.inf, -math.inf, -0.0, 0.1, 1e-300, 5e-324, np.float64(math.nan), "txt")
+    cols = tuple(f"c{i}" for i in range(len(row)))
+    want = ",".join(cols) + "\n" + ",".join(_fmt_csv(v) for v in row) + "\n"
+    assert render_csv([Table("t", cols, [row])]) == want
+    assert want.split("\n")[1].startswith("1.5,2.5,3,-4,true,false,,nan,inf,-inf,-0,")
+
+
+def test_bounds_runs_one_eigensolve(capsys, monkeypatch):
+    calls = {"eig": 0, "roots": 0}
+    eig, roots = jacobi.eigvalsh_tridiagonal, jacobi.jacobi_roots
+
+    def counted_eig(*args, **kwargs):
+        calls["eig"] += 1
+        return eig(*args, **kwargs)
+
+    def counted_roots(*args, **kwargs):
+        calls["roots"] += 1
+        return roots(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "eigvalsh_tridiagonal", counted_eig)
+    monkeypatch.setattr(jacobi, "jacobi_roots", counted_roots)
+    for cls in (("legendre",), ("alpha-beta", "--alpha", "0.5", "--beta", "2")):
+        calls.update(eig=0, roots=0)
+        code, out, _ = run_cli(capsys, "bounds", "--class", *cls, "--n", "40")
+        assert code == 0
+        assert calls == {"eig": 1, "roots": 1}
+        a, b = (0.0, 0.0) if len(cls) == 1 else (0.5, 2.0)
+        s_max = out.strip().split("\n")[1].split(",")[5]
+        assert s_max == f"{float(roots(40, a, b).roots[-1]):.17g}"
 
 
 def test_density_kac_route(capsys):

@@ -7,6 +7,7 @@ import pytest
 from randroot.errors import ParameterDomainError
 from randroot.families import alpha_beta_family, coefficient_table
 from randroot.jacobi import (
+    _value_and_derivative,
     density_endpoints,
     density_via_roots,
     derivative_recurrence_residual,
@@ -92,6 +93,19 @@ def test_derivative_matches_finite_difference():
 # ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,alpha,beta", [(1, 0.3, -0.5), (5, 0.0, 0.0), (12, 0.5, 2.0), (40, -0.9, -0.5),
+                                         (200, 1.0, 0.0)])
+def test_fused_derivative_matches_jacobi_derivative(n, alpha, beta):
+    # the Newton polish takes J_n' from J_n and J_(n-1) of one recurrence;
+    # its roots cannot show a wrong J_n' (the step is about one ulp), so the
+    # identity is checked here, away from the roots
+    xs = np.linspace(-0.95, 0.95, 37)
+    value, deriv = _value_and_derivative(n, alpha, beta, xs)
+    assert np.array_equal(value, jacobi_eval(n, alpha, beta, xs))
+    want = jacobi_derivative(n, alpha, beta, xs)
+    np.testing.assert_allclose(deriv, want, rtol=1e-11, atol=0)
+
 
 def test_roots_trivial_and_legendre():
     rs = jacobi_roots(1, 0.7, 0.7)
@@ -205,6 +219,13 @@ def test_root_bounds_pinned_values():
     assert b.upper == pytest.approx(5.277917, abs=1e-6)
     assert b.method == "jacobi_root" and b.note == ""
     assert root_bounds(4, 1.0, 0.0).note != ""
+
+
+@pytest.mark.parametrize("n,alpha,beta", [(1, 0.3, 0.3), (2, 0.0, 0.0), (25, 0.0, 0.0),
+                                         (400, 0.5, 2.0), (50, -0.9, -0.9), (60, 1.0, 0.0)])
+def test_root_bounds_carries_the_largest_root(n, alpha, beta):
+    assert root_bounds(n, alpha, beta).s_max == float(jacobi_roots(n, alpha, beta).roots[-1])
+    assert ultraspherical_bounds(n, alpha).s_max is None
 
 
 def test_ultraspherical_bounds_pinned_values():

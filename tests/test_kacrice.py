@@ -24,6 +24,7 @@ from randroot.kacrice import (
     kac_log_variance,
     kac_rice_eval,
     kac_triple,
+    kernel,
     relation_residuals,
 )
 from randroot.quadrature import adaptive_quadrature
@@ -247,6 +248,39 @@ def test_eval_requires_nonnegative_x():
         kac_rice_eval(table, -0.5)
 
 
+@pytest.mark.parametrize("family", [gamma_family(1.0), alpha_beta_family(0.5, 2.0), kac()],
+                         ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [1, 6])
+def test_density_limits_at_infinity_and_nan(family, n):
+    # f(x) ~ (a_(n-1)/a_n)/x^2 -> 0; A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4) is
+    # constant only at n = 1.  Any numpy warning here fails the suite.
+    table = coefficient_table(family, n)
+    la = table.log_sq_coeff
+    assert density(table, math.inf) == 0.0 and density(table, -math.inf) == 0.0
+    got = density(table, np.array([-math.inf, 0.5, math.inf]))
+    assert got[0] == got[2] == 0.0 and got[1] == density(table, 0.5)
+    t = kac_rice_eval(table, math.inf)
+    assert (t.f, t.s1, t.s2, t.log_m) == (0.0, 0.0, 0.0, math.inf)
+    assert t.log_amb == (la[0] + la[1] if n == 1 else math.inf)
+    for bad in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ParameterDomainError):
+            density(table, bad)
+    with pytest.raises(ParameterDomainError):
+        kac_rice_eval(table, math.nan)
+
+
+@pytest.mark.parametrize("n", [1, 6, 10**6])
+def test_kac_closed_forms_at_infinity_and_nan(n):
+    assert kac_density(n, math.inf) == 0.0 and kac_density(n, -math.inf) == 0.0
+    assert kac_log_variance(n, math.inf) == math.inf
+    t = kac_triple(n, math.inf)
+    assert (t.f, t.s1, t.s2, t.log_m) == (0.0, 0.0, 0.0, math.inf)
+    assert t.log_amb == (0.0 if n == 1 else math.inf)
+    for fn in (kac_density, kac_log_variance, kac_triple):
+        with pytest.raises(ParameterDomainError):
+            fn(n, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # derivative relations (finite-difference oracles)
 # ---------------------------------------------------------------------------
@@ -312,6 +346,45 @@ def test_kac_log_variance_closed_form():
     for x in (0.0, 0.4, 1.0, 2.2):
         want = math.log(sum(x ** (2 * i) for i in range(n + 1)))
         assert kac_log_variance(n, x) == pytest.approx(want, rel=1e-13)
+
+
+def mp_kac(n, x, dps=60):
+    """(M, A, B) of the Kac family from its closed forms at ``dps`` digits."""
+    mp.mp.dps = dps
+    x = mp.mpf(x)
+    big = n + 1
+    if x == 1:
+        return mp.mpf(big), mp.mpf(n * big * (2 * n + 1)) / 6, mp.mpf(n * big) / 2
+    xx = x * x
+    m = (1 - xx**big) / (1 - xx)
+    phi = xx / (1 - xx) - big * xx**big / (1 - xx**big)  # x B / M
+    f2 = 1 / (xx - 1) ** 2 - big**2 * xx**n / (xx**big - 1) ** 2
+    b = phi * m / x
+    return m, (f2 * m * m + b * b) / m, b
+
+
+@pytest.mark.parametrize("n", [1, 50, 10**6])
+def test_kac_array_closed_forms_against_mpmath(n):
+    # (n+1)|ln x| = v on both sides of x = 1 and of the series cut at v = 1/2,
+    # plus x = 1, x -> 0 and x -> inf; n <= 50 against the direct sums
+    big = n + 1
+    xs = [math.exp(sign * v / big) for v in (1e-3, 0.2, 0.4999, 0.5001, 1.0, 3.0, 40.0)
+          for sign in (-1, 1)]
+    xs = np.array(xs + [1.0, 1e-300, 1e-8, 0.3, 2.5, 1e8, 1e150])
+    log_m, s1, f, _ = kernel(kac(), n).rows(xs)
+    assert np.array_equal(f, kac_density(n, xs))
+    for i, x in enumerate(xs.tolist()):
+        if n <= 50:  # A*M - B^2 cancels ~4 log10(x) digits for x > 1
+            m, a, b = mp_triple(np.zeros(n + 1), x, dps=60 + int(4 * abs(math.log10(x))))
+        else:
+            m, a, b = mp_kac(n, x)
+        assert f[i] == pytest.approx(float(mp.sqrt(a * m - b * b) / m), rel=1e-14)
+        assert s1[i] == pytest.approx(float(b / m), rel=1e-14)
+        # log M to 1e-14 of itself, and M itself to 1e-15
+        assert log_m[i] == pytest.approx(float(mp.log(m)), rel=1e-14, abs=1e-15)
+        t = kac_triple(n, x)
+        assert (t.log_m, t.s1, t.f) == (log_m[i], s1[i], f[i])
+        assert kac_log_variance(n, x) == log_m[i]
 
 
 # ---------------------------------------------------------------------------
