@@ -282,6 +282,8 @@ def _run_scaling(family: PolynomialClass, n_values: list[int], tol: float) -> tu
 # ---------------------------------------------------------------------------
 
 def _fmt_csv(value) -> str:
+    if type(value) is float:  # the bulk of every table
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -303,16 +305,11 @@ def _json_safe(value):
     return value
 
 
-def _csv_cell(value) -> str:
-    """``_fmt_csv``, with Python floats, the bulk of every table, formatted directly."""
-    return format(value, ".17g") if type(value) is float else _fmt_csv(value)
-
-
 def render_csv(tables: list[Table]) -> str:
     blocks = []
     for table in tables:
         lines = [",".join(table.columns)]
-        lines.extend(",".join(map(_csv_cell, row)) for row in table.rows)
+        lines.extend(",".join(map(_fmt_csv, row)) for row in table.rows)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

@@ -125,15 +125,18 @@ class CoefficientTable:
 
 
 def _log_sq_array(family: PolynomialClass, n: int) -> np.ndarray:
+    # Every gammaln argument is built from i and j = n - i alone, and the
+    # i-dependent terms are added first, so swapping i <-> j (with alpha <->
+    # beta) swaps the operands of each sum: the reversal contract holds
+    # bit-for-bit for any alpha, beta.
     i = np.arange(n + 1, dtype=float)
+    j = i[::-1]
     if family.kind is FamilyKind.GAMMA:
-        # log C(n,i) with the two i-dependent terms added first, so the value
-        # is bit-identical under i <-> n-i (reversal contract).
-        log_binom = gammaln(n + 1.0) - (gammaln(i + 1.0) + gammaln(n - i + 1.0))
+        log_binom = gammaln(n + 1.0) - (gammaln(i + 1.0) + gammaln(j + 1.0))
         return 2.0 * family.gamma * log_binom
     a, b = family.alpha, family.beta
-    left = gammaln(n + a + 1.0) - (gammaln(n - i + 1.0) + gammaln(a + i + 1.0))
-    right = gammaln(n + b + 1.0) - (gammaln(i + 1.0) + gammaln(n + b - i + 1.0))
+    left = gammaln(n + a + 1.0) - (gammaln(j + 1.0) + gammaln(a + i + 1.0))
+    right = gammaln(n + b + 1.0) - (gammaln(i + 1.0) + gammaln(b + j + 1.0))
     return left + right
 
 

@@ -32,11 +32,13 @@ picks these closed forms over the generic kernel.
 Intervals reaching past x = 1 are always mapped back onto (0, 1) through the
 substitution u = 1/x, whose integrand is the density of the reciprocal
 (coefficient-reversed) family; infinite endpoints are never integrated
-improperly.
+improperly.  The full line is the interval (-inf, inf): every root count goes
+through ``_integrate_legs``, which integrates each distinct leg once.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -231,12 +233,6 @@ def kac_rice_eval(table: CoefficientTable, x: float) -> KacRiceTriple:
     return _triple(float(x), _evaluate(table, np.array([float(x)])))
 
 
-def _log_m_s1_s2(table: CoefficientTable, x: float) -> tuple[float, float, float]:
-    """(log M, B/M, A/M) at x >= 0."""
-    t = kac_rice_eval(table, x)
-    return t.log_m, t.s1, t.s2
-
-
 def _over_abs(fn, x):
     """``fn`` on |x| as a flat array, reshaped like ``x``; a float for a scalar."""
     arr = np.asarray(x, dtype=float)
@@ -411,7 +407,10 @@ class Kernel(NamedTuple):
 
 
 def _table_kernel(table: CoefficientTable) -> Kernel:
-    la, recip = table.log_sq_coeff, reciprocal_table(table).log_sq_coeff
+    la = table.log_sq_coeff
+    # a symmetric table is its own reversal, and its reversed legs fold onto
+    # the direct ones (see ``_unit_legs``)
+    recip = la if table.family.is_symmetric else reciprocal_table(table).log_sq_coeff
     return Kernel(lambda xs: _evaluate(table, xs),
                   lambda xs: _moments(la, xs)[2],
                   lambda xs: _moments(recip, xs)[2])
@@ -443,33 +442,39 @@ def _positive_segments(a: float, b: float) -> list[tuple[float, float]]:
     return [(lo, hi) for lo, hi in segments if hi > lo]
 
 
-def _unit_legs(a: float, b: float) -> list[tuple[float, float, bool]]:
-    """Decompose (a, b) into legs (lo, hi, reversed) with 0 <= lo < hi <= 1.
+def _unit_legs(a: float, b: float, symmetric: bool) -> Counter[tuple[float, float, bool]]:
+    """Decompose (a, b) into legs (lo, hi, reversed) with 0 <= lo < hi <= 1, counted.
 
     A reversed leg integrates the reciprocal family's density over (lo, hi),
-    which equals the original integral over (1/hi, 1/lo).
+    which equals the original integral over (1/hi, 1/lo).  For a symmetric
+    family the reciprocal density is the density itself, so a reversed leg is
+    the direct one.  Each distinct leg appears once, with its multiplicity:
+    the full line (-inf, inf) is (0, 1) four times for a symmetric family.
     """
-    legs = []
+    legs: Counter[tuple[float, float, bool]] = Counter()
     for lo, hi in _positive_segments(a, b):
         if lo < 1.0:
-            legs.append((lo, min(hi, 1.0), False))
+            legs[lo, min(hi, 1.0), False] += 1
         if hi > 1.0:
             inv_hi = 0.0 if math.isinf(hi) else 1.0 / hi
-            legs.append((inv_hi, 1.0 / max(lo, 1.0), True))
+            legs[inv_hi, 1.0 / max(lo, 1.0), not symmetric] += 1
     return legs
 
 
-def _integrate_legs(direct, reciprocal, a, b, tol) -> QuadratureResult:
-    legs = _unit_legs(a, b)
-    if not legs:
-        return QuadratureResult(0.0, 0.0, 0, True)
-    per_leg = tol / len(legs)
+def _integrate_legs(k: Kernel, symmetric: bool, a: float, b: float, tol: float) -> QuadratureResult:
+    """(1/pi) * integral of f over (a, b): each distinct leg once, scaled by its multiplicity.
+
+    Every leg gets ``tol`` over the total multiplicity, so the scaled error
+    estimates still add up to at most ``tol``.
+    """
+    legs = _unit_legs(a, b, symmetric)
+    per_leg = tol / sum(legs.values())
     total = QuadratureResult(0.0, 0.0, 0, True)
-    for lo, hi, use_reciprocal in legs:
-        integrand = reciprocal if use_reciprocal else direct
-        total = total + adaptive_quadrature(
-            lambda xs, g=integrand: g(xs) / math.pi, lo, hi, tol=per_leg
-        )
+    for (lo, hi, use_reciprocal), count in legs.items():
+        integrand = k.reciprocal if use_reciprocal else k.density
+        leg = adaptive_quadrature(lambda xs, g=integrand: g(xs) / math.pi, lo, hi, tol=per_leg)
+        total = total + QuadratureResult(count * leg.value, count * leg.abs_error_estimate,
+                                         leg.evaluations, leg.converged)
     return total
 
 
@@ -485,8 +490,7 @@ def expected_roots_interval(
 ) -> QuadratureResult:
     """(1/pi) * integral of f over (a, b); endpoints may be +-inf."""
     _validate_interval(a, b, tol)
-    k = _table_kernel(table)
-    return _integrate_legs(k.density, k.reciprocal, a, b, tol)
+    return _integrate_legs(_table_kernel(table), table.family.is_symmetric, a, b, tol)
 
 
 def expected_roots_interval_result(
@@ -494,8 +498,7 @@ def expected_roots_interval_result(
 ) -> QuadratureResult:
     """``expected_roots_interval`` for ``family`` at degree ``n``, through ``kernel``."""
     _validate_interval(a, b, tol)
-    k = kernel(family, n)
-    return _integrate_legs(k.density, k.reciprocal, a, b, tol)
+    return _integrate_legs(kernel(family, n), family.is_symmetric, a, b, tol)
 
 
 def kac_expected_roots_interval(n: int, a: float, b: float, tol: float = 1e-9) -> QuadratureResult:
@@ -506,25 +509,12 @@ def kac_expected_roots_interval(n: int, a: float, b: float, tol: float = 1e-9) -
 def expected_roots_real_line_result(
     family: PolynomialClass, n: int, tol: float = 1e-9
 ) -> QuadratureResult:
-    """Full-line expected root count as a QuadratureResult.
+    """Full-line expected root count: the interval (-inf, inf).
 
-    Symmetric families use 4 * E(0, 1); otherwise the count is
-    2 * (E(0, 1) + E_reciprocal(0, 1)), the reciprocal leg covering (1, inf).
+    That is 4 * E(0, 1) for a symmetric family and 2 * (E(0, 1) +
+    E_reciprocal(0, 1)) otherwise, the reciprocal leg covering (1, inf).
     """
-    if not tol > 0:
-        raise ParameterDomainError(f"tolerance must be positive, got {tol!r}")
-    k = kernel(family, n)
-    leg = adaptive_quadrature(lambda xs: k.density(xs) / math.pi, 0.0, 1.0, tol=tol / 4.0)
-    if family.is_symmetric:
-        return QuadratureResult(4.0 * leg.value, 4.0 * leg.abs_error_estimate,
-                                leg.evaluations, leg.converged)
-    other = adaptive_quadrature(lambda xs: k.reciprocal(xs) / math.pi, 0.0, 1.0, tol=tol / 4.0)
-    return QuadratureResult(
-        2.0 * (leg.value + other.value),
-        2.0 * (leg.abs_error_estimate + other.abs_error_estimate),
-        leg.evaluations + other.evaluations,
-        leg.converged and other.converged,
-    )
+    return expected_roots_interval_result(family, n, -math.inf, math.inf, tol)
 
 
 def expected_roots_real_line(family: PolynomialClass, n: int, tol: float = 1e-9) -> float:
@@ -556,18 +546,13 @@ def relation_residuals(table: CoefficientTable, x: float, h: float | None = None
         raise ParameterDomainError(f"relation_residuals requires x > 0, got {x!r}")
     if h is None:
         h = max(1e-6, 1e-8 * x)
-    log_m0, s1_0, s2_0 = _log_m_s1_s2(table, x)
-
-    def scaled(y: float) -> tuple[float, float]:
-        # (M(y)/M(x), y * M'(y)/M(x)); M' = 2B so y*M'(y) = 2y*S1(y)*M(y)
-        log_m, s1, _ = _log_m_s1_s2(table, y)
-        ratio = math.exp(log_m - log_m0)
-        return ratio, 2.0 * y * s1 * ratio
-
-    m_plus, g_plus = scaled(x + h)
-    m_minus, g_minus = scaled(x - h)
-    fd_mprime = (m_plus - m_minus) / (2.0 * h)       # M'(x)/M(x)
-    fd_xmprime = (g_plus - g_minus) / (2.0 * h)      # (x M'(x))'/M(x)
-    r1 = abs(s1_0 - 0.5 * fd_mprime)
-    r2 = abs(s2_0 - fd_xmprime / (4.0 * x))
-    return r1, r2
+    ys = np.array([x - h, x, x + h])
+    log_m, s1, f, _ = _evaluate(table, ys)
+    # M(y)/M(x) and y * M'(y)/M(x); M' = 2B so y*M'(y) = 2y*S1(y)*M(y)
+    ratio = np.exp(log_m - log_m[1])
+    g = 2.0 * ys * s1 * ratio
+    fd_mprime = (ratio[2] - ratio[0]) / (2.0 * h)       # M'(x)/M(x)
+    fd_xmprime = (g[2] - g[0]) / (2.0 * h)              # (x M'(x))'/M(x)
+    r1 = abs(s1[1] - 0.5 * fd_mprime)
+    r2 = abs(f[1] * f[1] + s1[1] * s1[1] - fd_xmprime / (4.0 * x))
+    return float(r1), float(r2)

@@ -21,14 +21,13 @@ from randroot.families import (
     gamma_family,
     kac,
 )
-from randroot.kacrice import kac_rice_eval, _log_m_s1_s2
+from randroot.kacrice import kac_rice_eval
 
 
 def exact_log_variance(gamma, n, x):
     """Log-sum-exp over the full coefficient table (no convolution needed)."""
     table = coefficient_table(gamma_family(gamma), n)
-    log_m, _, _ = _log_m_s1_s2(table, x)
-    return log_m
+    return kac_rice_eval(table, x).log_m
 
 
 # ---------------------------------------------------------------------------

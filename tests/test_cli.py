@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from randroot import jacobi
-from randroot.cli import Table, _fmt_csv, main, render_csv
+from randroot.cli import Table, main, render_csv
 from randroot.families import alpha_beta_family, coefficient_table, gamma_family
 from randroot.kacrice import kac_rice_eval, kac_triple
 
@@ -141,9 +141,9 @@ def test_render_csv_fast_path_matches_fmt_csv():
     row = (1.5, np.float64(2.5), 3, np.int64(-4), True, np.bool_(False), None, math.nan,
            math.inf, -math.inf, -0.0, 0.1, 1e-300, 5e-324, np.float64(math.nan), "txt")
     cols = tuple(f"c{i}" for i in range(len(row)))
-    want = ",".join(cols) + "\n" + ",".join(_fmt_csv(v) for v in row) + "\n"
-    assert render_csv([Table("t", cols, [row])]) == want
-    assert want.split("\n")[1].startswith("1.5,2.5,3,-4,true,false,,nan,inf,-inf,-0,")
+    want = ("1.5,2.5,3,-4,true,false,,nan,inf,-inf,-0,0.10000000000000001,1e-300,"
+            "4.9406564584124654e-324,nan,txt")
+    assert render_csv([Table("t", cols, [row])]) == ",".join(cols) + "\n" + want + "\n"
 
 
 def test_bounds_runs_one_eigensolve(capsys, monkeypatch):
@@ -264,6 +264,22 @@ def test_verify_fast(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 7
     assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_reciprocity_catches_a_wrong_reversed_table(capsys, monkeypatch):
+    import randroot.kacrice as kr
+    from randroot.families import CoefficientTable, reciprocal_table
+
+    def perturbed(table):
+        rev = reciprocal_table(table)
+        log_sq = rev.log_sq_coeff.copy()
+        log_sq[1] += 0.05
+        return CoefficientTable(rev.family, rev.n, log_sq)
+
+    monkeypatch.setattr(kr, "reciprocal_table", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--level", "fast")
+    assert code == 3
+    assert "FAIL quadrature_reciprocity" in out
 
 
 def test_validation_errors_exit_two(capsys):

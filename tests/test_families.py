@@ -113,7 +113,11 @@ def test_reciprocal_class_pinned_values():
     assert reciprocal_class(alpha_beta_family(0.5, 0.5)) == alpha_beta_family(0.5, 0.5)
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label())
+# non-dyadic alpha/beta: (n - i) + 1 and alpha + i + 1 round differently
+NON_DYADIC = [alpha_beta_family(0.3, -0.9), alpha_beta_family(0.3, 0.3)]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + NON_DYADIC, ids=lambda f: f.label())
 @pytest.mark.parametrize("n", [1, 3, 17, 64, 100])
 def test_reversal_contract_bit_for_bit(family, n):
     table = coefficient_table(family, n)

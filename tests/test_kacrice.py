@@ -17,6 +17,7 @@ from randroot.kacrice import (
     density,
     expected_internal_equilibria,
     expected_roots_interval,
+    expected_roots_interval_result,
     expected_roots_real_line,
     expected_roots_real_line_result,
     kac_density,
@@ -418,11 +419,24 @@ def test_interval_full_line_proxy_degree_one():
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_interval_full_line_elliptic():
+def test_interval_full_line_elliptic(monkeypatch):
+    import randroot.kacrice as kr
+
+    calls = []
+    monkeypatch.setattr(kr, "adaptive_quadrature",
+                        lambda f, a, b, **kw: calls.append((a, b)) or adaptive_quadrature(f, a, b, **kw))
     table = coefficient_table(elliptic(), 100)
     res = expected_roots_interval(table, -math.inf, math.inf, tol=1e-9)
     assert res.converged
     assert res.value == pytest.approx(10.0, abs=2e-9)
+    # each distinct leg is integrated once: a symmetric family's reversed legs
+    # are its direct ones, so the full line and (-1, 1) are one leg each
+    expected_roots_interval(table, -1.0, 1.0, tol=1e-9)
+    expected_roots_real_line_result(gamma_family(1.0), 20)
+    assert calls == [(0.0, 1.0)] * 3
+    calls.clear()
+    expected_roots_real_line_result(alpha_beta_family(0.5, 2.0), 20)
+    assert calls == [(0.0, 1.0)] * 2
 
 
 def test_interval_composition_and_symmetry():
@@ -454,6 +468,11 @@ def test_real_line_result_carries_quadrature_metadata():
     assert res.evaluations > 0
     assert res.abs_error_estimate <= 1e-9
     assert res.value == pytest.approx(5.0, abs=1e-8)
+    # the full line is the interval (-inf, inf), value, error and evaluations alike
+    for family, n in ((elliptic(), 25), (gamma_family(1.0), 25), (kac(), 1000),
+                      (alpha_beta_family(0.5, 2.0), 25)):
+        line = expected_roots_real_line_result(family, n, tol=1e-9)
+        assert line == expected_roots_interval_result(family, n, -math.inf, math.inf, tol=1e-9)
 
 
 def test_real_line_raises_on_non_convergence(monkeypatch):
