@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -196,18 +195,6 @@ def _parse_n_list(raw: str) -> list[int]:
     return values
 
 
-def _worker_threads() -> int:
-    raw = os.environ.get("RANDROOT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParameterDomainError(f"RANDROOT_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ParameterDomainError("RANDROOT_THREADS must be >= 0")
-    auto = os.cpu_count() or 1
-    return auto if cap == 0 else min(cap, auto)
-
-
 # ---------------------------------------------------------------------------
 # subcommand execution
 # ---------------------------------------------------------------------------
@@ -248,7 +235,7 @@ def _run_bounds(family: PolynomialClass, n: int) -> tuple[list[Table], dict, int
 
 
 def _run_mc(family: PolynomialClass, n: int, trials: int, seed: int) -> tuple[list[Table], dict, int]:
-    summary = mc_expected_roots(family, n, trials, seed, threads=_worker_threads())
+    summary = mc_expected_roots(family, n, trials, seed)
     summary_rows = [(summary.trials, summary.mean, summary.std_error,
                      summary.parity_repairs, summary.seed)]
     hist_rows = [(k, summary.histogram[k]) for k in sorted(summary.histogram)]
@@ -260,18 +247,20 @@ def _run_mc(family: PolynomialClass, n: int, trials: int, seed: int) -> tuple[li
 
 
 def _run_scaling(family: PolynomialClass, n_values: list[int], tol: float) -> tuple[list[Table], dict, int]:
-    columns = ("n", "en", "leading_order", "ratio")
+    def per_n(pairs) -> Table:
+        rows = []
+        for n, en in pairs:
+            lead = leading_order(family, n)
+            rows.append((n, en, lead, en / lead))
+        return Table("per_n", ("n", "en", "leading_order", "ratio"), rows)
+
     try:
         fit = scaling_fit(family, n_values, tol)
     except ScalingFitError as exc:
-        rows = [(n, en, leading_order(family, n), en / leading_order(family, n))
-                for n, en in exc.rows]
-        return [Table("per_n", columns, rows)], {"error": str(exc)}, 3
-    rows = [(n, en, leading_order(family, n), en / leading_order(family, n))
-            for n, en in zip(fit.n_values, fit.en_values)]
+        return [per_n(exc.rows)], {"error": str(exc)}, 3
     fit_rows = [(fit.slope, fit.intercept, fit.r_squared, fit.max_rel_dev_from_leading)]
     tables = [
-        Table("per_n", columns, rows),
+        per_n(zip(fit.n_values, fit.en_values)),
         Table("fit", ("slope", "intercept", "r_squared", "max_rel_dev"), fit_rows),
     ]
     return tables, {}, 0

@@ -65,7 +65,6 @@ __all__ = [
     "expected_roots_real_line_result",
     "expected_internal_equilibria",
     "relation_residuals",
-    "kac_log_variance",
     "kac_density",
     "kac_triple",
     "Kernel",
@@ -324,8 +323,9 @@ def _unreflect_f(f: np.ndarray, xs: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 
 def _kac_density(n: int, xs: np.ndarray) -> np.ndarray:
-    """Kac density at each x >= 0 of ``xs``, x = inf included; O(1) per point."""
-    lx = np.log(xs)
+    """Kac density at each x >= 0 of ``xs``, x = 0 and inf included; O(1) per point."""
+    with np.errstate(divide="ignore"):  # x = 0: s = inf, which _kac_f2 maps to f = 1
+        lx = np.log(xs)
     s = np.abs(lx)
     return _unreflect_f(np.sqrt(_kac_f2(n, s, _kac_terms(n, s))), xs, lx > 0.0)
 
@@ -369,11 +369,6 @@ def _kac_moments(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
 def _kac_evaluate(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at each x >= 0."""
     return _with_limits(lambda v: _kac_moments(n, v), xs, n, (0.0, 0.0))
-
-
-def kac_log_variance(n: int, x: float) -> float:
-    """log M(x) = log((1 - x^(2n+2))/(1 - x^2)) for the Kac family, O(1)."""
-    return _over_abs(lambda xs: _kac_evaluate(n, xs)[0], x)
 
 
 def kac_density(n: int, x) -> float | np.ndarray:

@@ -18,6 +18,8 @@ from .errors import NumericError
 
 __all__ = ["QuadratureResult", "adaptive_quadrature"]
 
+MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
+
 # Kronrod-15 nodes on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
 _XGK = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -73,7 +75,6 @@ def adaptive_quadrature(
     b: float,
     tol: float = 1e-9,
     max_depth: int = 60,
-    max_evaluations: int = 2_000_000,
 ) -> QuadratureResult:
     """Integrate the vectorized ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -99,7 +100,7 @@ def adaptive_quadrature(
         if total_err <= tol:
             converged = True
             break
-        if not heap or evaluations + 30 > max_evaluations:
+        if not heap or evaluations + 30 > MAX_EVALUATIONS:
             converged = False
             break
         item = heapq.heappop(heap)

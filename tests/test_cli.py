@@ -215,13 +215,14 @@ def test_mc_output_and_determinism(capsys):
     assert sum(freqs) == 300
 
 
-def test_mc_respects_thread_env(capsys, monkeypatch):
+def test_mc_ignores_thread_env(capsys, monkeypatch):
     args = ("mc", "--class", "elliptic", "--n", "6", "--trials", "120", "--seed", "5")
-    monkeypatch.setenv("RANDROOT_THREADS", "1")
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("RANDROOT_THREADS", "0")  # auto
-    _, auto, _ = run_cli(capsys, *args)
-    assert serial == auto
+    monkeypatch.delenv("RANDROOT_THREADS", raising=False)
+    code_unset, unset, _ = run_cli(capsys, *args)
+    monkeypatch.setenv("RANDROOT_THREADS", "not-a-number")
+    code_set, with_env, err = run_cli(capsys, *args)
+    assert code_unset == code_set == 0
+    assert with_env == unset and err == ""
 
 
 def test_json_round_trip(capsys):
@@ -250,6 +251,30 @@ def test_scaling_output(capsys):
     fit = blocks[1].split("\n")
     assert fit[0] == "slope,intercept,r_squared,max_rel_dev"
     assert abs(float(fit[1].split(",")[0]) - 0.5) < 1e-6
+
+
+def test_scaling_failure_keeps_completed_rows(capsys, monkeypatch):
+    from randroot import asymptotic
+    from randroot.errors import QuadratureError
+
+    complete = asymptotic.expected_roots_real_line
+
+    def fails_from_100(family, n, tol):
+        if n >= 100:
+            raise QuadratureError("no convergence")
+        return complete(family, n, tol)
+
+    monkeypatch.setattr(asymptotic, "expected_roots_real_line", fails_from_100)
+    code, out, _ = run_cli(
+        capsys, "scaling", "--class", "elliptic", "--n-list", "16,25,100,400"
+    )
+    assert code == 3
+    header, *rows = out.strip().split("\n")  # no fit block
+    assert header == "n,en,leading_order,ratio"
+    assert [row.split(",")[0] for row in rows] == ["16", "25"]
+    for row in rows:
+        n, en, lead, ratio = map(float, row.split(","))
+        assert lead == math.sqrt(n) and ratio == en / lead
 
 
 def test_scaling_rejects_short_lists(capsys):

@@ -22,7 +22,6 @@ from randroot.kacrice import (
     expected_roots_real_line_result,
     kac_density,
     kac_expected_roots_interval,
-    kac_log_variance,
     kac_rice_eval,
     kac_triple,
     kernel,
@@ -273,11 +272,13 @@ def test_density_limits_at_infinity_and_nan(family, n):
 @pytest.mark.parametrize("n", [1, 6, 10**6])
 def test_kac_closed_forms_at_infinity_and_nan(n):
     assert kac_density(n, math.inf) == 0.0 and kac_density(n, -math.inf) == 0.0
-    assert kac_log_variance(n, math.inf) == math.inf
+    assert kac_density(n, 0.0) == 1.0  # f(0) = a_1/a_0
+    got = kac_density(n, np.array([0.0, 1.0, math.inf]))
+    assert got[0] == 1.0 and got[1] == kac_density(n, 1.0) and got[2] == 0.0
     t = kac_triple(n, math.inf)
     assert (t.f, t.s1, t.s2, t.log_m) == (0.0, 0.0, 0.0, math.inf)
     assert t.log_amb == (0.0 if n == 1 else math.inf)
-    for fn in (kac_density, kac_log_variance, kac_triple):
+    for fn in (kac_density, kac_triple):
         with pytest.raises(ParameterDomainError):
             fn(n, math.nan)
 
@@ -346,7 +347,7 @@ def test_kac_log_variance_closed_form():
     n = 17
     for x in (0.0, 0.4, 1.0, 2.2):
         want = math.log(sum(x ** (2 * i) for i in range(n + 1)))
-        assert kac_log_variance(n, x) == pytest.approx(want, rel=1e-13)
+        assert kac_triple(n, x).log_m == pytest.approx(want, rel=1e-13)
 
 
 def mp_kac(n, x, dps=60):
@@ -385,7 +386,6 @@ def test_kac_array_closed_forms_against_mpmath(n):
         assert log_m[i] == pytest.approx(float(mp.log(m)), rel=1e-14, abs=1e-15)
         t = kac_triple(n, x)
         assert (t.log_m, t.s1, t.f) == (log_m[i], s1[i], f[i])
-        assert kac_log_variance(n, x) == log_m[i]
 
 
 # ---------------------------------------------------------------------------
