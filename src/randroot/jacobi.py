@@ -10,8 +10,10 @@ the density as a positive root sum, f^2 = sum_k r_k/(x^2 + r_k)^2, and the
 finite-n bracket sqrt(n)*(1-s_max)/(1+s_max) <= E N <= sqrt(n)*(1+s_max)/(1-s_max).
 
 Polynomials are evaluated by the standard three-term recurrence (the explicit
-binomial sum cancels badly); roots come from the symmetric tridiagonal
-recurrence matrix (Golub-Welsch) refined by one Newton step.
+binomial sum cancels badly).  Roots are eigenvalues of the symmetric
+tridiagonal recurrence matrix, each refined by one Newton step:
+`jacobi_roots` takes the full Golub-Welsch set, O(n^2); `root_bounds` needs
+only s_max and takes the one selected top eigenvalue by bisection, O(n).
 """
 from __future__ import annotations
 
@@ -47,15 +49,22 @@ def _check_ab(alpha: float, beta: float) -> None:
         raise ParameterDomainError(f"need alpha, beta > -1, got ({alpha!r}, {beta!r})")
 
 
-def _recurrence(n: int, alpha: float, beta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_(n-1), J_n) at x by the three-term recurrence, n >= 1."""
+def _recurrence(n: int, alpha: float, beta: float, x):
+    """(J_(n-1), J_n) at x by the three-term recurrence, n >= 1; float or array x.
+
+    The integer parts of each coefficient are summed before alpha and beta are
+    added, so (k - 1) + alpha keeps its precision as alpha -> -1.
+    """
     apb = alpha + beta
-    p_prev = np.ones_like(x, dtype=float)
+    a2_b2 = (alpha - beta) * apb
+    p_prev = 1.0 if isinstance(x, float) else np.ones_like(x, dtype=float)
     p_cur = 0.5 * ((apb + 2.0) * x + (alpha - beta))
     for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
-        c2 = (2.0 * k + apb - 1.0) * ((2.0 * k + apb) * (2.0 * k + apb - 2.0) * x + alpha * alpha - beta * beta)
-        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
+        s_k = 2 * k + apb
+        s_km2 = (2 * k - 2) + apb
+        c1 = 2.0 * k * (k + apb) * s_km2
+        c2 = ((2 * k - 1) + apb) * (s_k * s_km2 * x + a2_b2)
+        c3 = 2.0 * ((k - 1) + alpha) * ((k - 1) + beta) * s_k
         p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
     return p_prev, p_cur
 
@@ -70,8 +79,8 @@ def jacobi_eval(n: int, alpha: float, beta: float, x):
     return float(p) if x.ndim == 0 else p
 
 
-def _value_and_derivative(n: int, alpha: float, beta: float, x: np.ndarray):
-    """(J_n, J_n') at |x| < 1 from one recurrence, n >= 1, through
+def _value_and_derivative(n: int, alpha: float, beta: float, x):
+    """(J_n, J_n') at |x| < 1 from one recurrence, n >= 1, float or array x, through
 
     (2n+a+b)(1-x^2) J_n' = n[(a-b) - (2n+a+b)x] J_n + 2(n+a)(n+b) J_(n-1).
     """
@@ -124,19 +133,23 @@ class JacobiRootSet:
     r: np.ndarray
 
 
-def jacobi_roots(n: int, alpha: float, beta: float) -> JacobiRootSet:
-    """Roots as eigenvalues of the recurrence matrix, plus one Newton polish."""
+def _matrix_eigenvalues(n: int, alpha: float, beta: float, **select) -> np.ndarray:
+    """Eigenvalues of the recurrence matrix: all n, or those `select` picks."""
     _check_ab(alpha, beta)
     if n < 1:
         raise ParameterDomainError(f"degree must be >= 1, got {n}")
     diag, off = _recurrence_matrix(n, alpha, beta)
     try:
-        s = diag if n == 1 else eigvalsh_tridiagonal(diag, off)
+        return diag if n == 1 else eigvalsh_tridiagonal(diag, off, **select)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exceptional
         raise NumericError(
             f"tridiagonal eigensolver failed for n={n}, alpha={alpha}, beta={beta}: {exc}"
         ) from exc
-    s = np.sort(np.asarray(s, dtype=float))
+
+
+def jacobi_roots(n: int, alpha: float, beta: float) -> JacobiRootSet:
+    """Roots as eigenvalues of the recurrence matrix, plus one Newton polish."""
+    s = np.sort(np.asarray(_matrix_eigenvalues(n, alpha, beta), dtype=float))
     value, deriv = _value_and_derivative(n, alpha, beta, s)
     step = np.where(deriv != 0.0, value / np.where(deriv == 0.0, 1.0, deriv), 0.0)
     s = s - step
@@ -169,10 +182,13 @@ def log_variance_via_jacobi(n: int, alpha: float, beta: float, x: float) -> floa
     p_prev, p_cur = 1.0, 0.5 * ((apb + 2.0) * arg + (alpha - beta))
     if n == 0:
         p_cur = 1.0
+    a2_b2 = (alpha - beta) * apb
     for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
-        c2 = (2.0 * k + apb - 1.0) * ((2.0 * k + apb) * (2.0 * k + apb - 2.0) * arg + alpha * alpha - beta * beta)
-        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
+        s_k = 2 * k + apb
+        s_km2 = (2 * k - 2) + apb
+        c1 = 2.0 * k * (k + apb) * s_km2
+        c2 = ((2 * k - 1) + apb) * (s_k * s_km2 * arg + a2_b2)
+        c3 = 2.0 * ((k - 1) + alpha) * ((k - 1) + beta) * s_k
         p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
         mag = abs(p_cur)
         if mag > 1e120:
@@ -209,8 +225,18 @@ class BoundsReport:
 
 
 def root_bounds(n: int, alpha: float, beta: float) -> BoundsReport:
-    """Bracket from the largest Jacobi root s_max."""
-    s_max = float(jacobi_roots(n, alpha, beta).roots[-1])
+    """Bracket from the largest Jacobi root s_max alone, in O(n).
+
+    s_max is the top eigenvalue of the recurrence matrix, found by bisection,
+    then polished by one Newton step.
+    """
+    s_max = float(_matrix_eigenvalues(n, alpha, beta, select="i", select_range=(n - 1, n - 1))[-1])
+    if -1.0 < s_max < 1.0:  # a wild eigenvalue is rejected, never polished into range
+        value, deriv = _value_and_derivative(n, alpha, beta, s_max)
+        if deriv != 0.0:
+            s_max -= value / deriv
+    if not -1.0 < s_max < 1.0:
+        raise NumericError(f"largest root {s_max!r} outside (-1, 1) for n={n}, alpha={alpha}, beta={beta}")
     sqrt_n = math.sqrt(n)
     note = "" if alpha == beta else _ASYMMETRY_NOTE
     return BoundsReport(

@@ -147,11 +147,11 @@ def test_render_csv_fast_path_matches_fmt_csv():
 
 
 def test_bounds_runs_one_eigensolve(capsys, monkeypatch):
-    calls = {"eig": 0, "roots": 0}
+    calls = {"eig": [], "roots": 0}
     eig, roots = jacobi.eigvalsh_tridiagonal, jacobi.jacobi_roots
 
     def counted_eig(*args, **kwargs):
-        calls["eig"] += 1
+        calls["eig"].append(kwargs.get("select"))
         return eig(*args, **kwargs)
 
     def counted_roots(*args, **kwargs):
@@ -161,13 +161,22 @@ def test_bounds_runs_one_eigensolve(capsys, monkeypatch):
     monkeypatch.setattr(jacobi, "eigvalsh_tridiagonal", counted_eig)
     monkeypatch.setattr(jacobi, "jacobi_roots", counted_roots)
     for cls in (("legendre",), ("alpha-beta", "--alpha", "0.5", "--beta", "2")):
-        calls.update(eig=0, roots=0)
+        calls.update(eig=[], roots=0)
         code, out, _ = run_cli(capsys, "bounds", "--class", *cls, "--n", "40")
         assert code == 0
-        assert calls == {"eig": 1, "roots": 1}
+        assert calls == {"eig": ["i"], "roots": 0}
         a, b = (0.0, 0.0) if len(cls) == 1 else (0.5, 2.0)
         s_max = out.strip().split("\n")[1].split(",")[5]
-        assert s_max == f"{float(roots(40, a, b).roots[-1]):.17g}"
+        assert s_max == f"{jacobi.root_bounds(40, a, b).s_max:.17g}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_bounds_wild_eigenvalue_exits_three(capsys, monkeypatch, bad):
+    monkeypatch.setattr(jacobi, "eigvalsh_tridiagonal", lambda *args, **kwargs: np.array([bad]))
+    code, out, err = run_cli(capsys, "bounds", "--class", "legendre", "--n", "40")
+    assert code == 3
+    assert out == ""
+    assert "largest root" in err
 
 
 def test_density_kac_route(capsys):

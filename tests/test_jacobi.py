@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from randroot.errors import ParameterDomainError
+from randroot import jacobi
+from randroot.errors import NumericError, ParameterDomainError
 from randroot.families import alpha_beta_family, coefficient_table
 from randroot.jacobi import (
     _value_and_derivative,
@@ -38,6 +39,30 @@ def jacobi_sum_mp(n, alpha, beta, x, dps=60):
         c2 = mp.gamma(n + b + 1) / (mp.gamma(i + 1) * mp.gamma(n + b - i + 1))
         total += c1 * c2 * ((x - 1) / 2) ** i * ((x + 1) / 2) ** (n - i)
     return total
+
+
+def root_near_mp(n, alpha, beta, guess):
+    """The root of J_n^(alpha,beta) next to `guess`, to 50 digits: secant steps
+    on the textbook three-term recurrence run in 50-digit arithmetic."""
+    with mp.workdps(50):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+
+        def value(x):
+            p_prev, p = mp.mpf(1), ((a + b + 2) * x + (a - b)) / 2
+            for k in range(2, n + 1):
+                c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
+                c2 = (2 * k + a + b - 1) * ((2 * k + a + b) * (2 * k + a + b - 2) * x + a * a - b * b)
+                c3 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
+                p_prev, p = p, (c2 * p - c3 * p_prev) / c1
+            return p
+
+        h = mp.mpf(2) ** -60
+        return mp.findroot(value, (mp.mpf(guess) - h, mp.mpf(guess) + h), solver="secant")
+
+
+def ulps_from(got, exact):
+    with mp.workdps(50):
+        return float(abs(mp.mpf(got) - exact)) / math.ulp(got)
 
 
 def bisect_roots(n, alpha, beta, samples=20001):
@@ -222,10 +247,29 @@ def test_root_bounds_pinned_values():
 
 
 @pytest.mark.parametrize("n,alpha,beta", [(1, 0.3, 0.3), (2, 0.0, 0.0), (25, 0.0, 0.0),
-                                         (400, 0.5, 2.0), (50, -0.9, -0.9), (60, 1.0, 0.0)])
+                                         (400, 0.5, 2.0), (50, -0.9, -0.9), (60, 1.0, 0.0),
+                                         (1000, 0.0, 0.0), (1000, -0.999, 0.0), (300, 5.0, 5.0),
+                                         (100, -0.999, -0.999), (1000, -0.999, -0.999),
+                                         (400, -0.9999, 2.0)])
 def test_root_bounds_carries_the_largest_root(n, alpha, beta):
-    assert root_bounds(n, alpha, beta).s_max == float(jacobi_roots(n, alpha, beta).roots[-1])
+    # root_bounds solves for s_max alone and jacobi_roots for all n roots; the
+    # two polished values may differ in the last bit, and both must be right.
+    # Near alpha = -1 a recurrence that forms (k + alpha) - 1 in floats loses
+    # the digits of 1 + alpha and misses the root by hundreds of ulps.
+    s_max = root_bounds(n, alpha, beta).s_max
+    full = float(jacobi_roots(n, alpha, beta).roots[-1])
+    assert abs(s_max - full) <= 2 * math.ulp(full)
+    exact = root_near_mp(n, alpha, beta, s_max)
+    assert ulps_from(s_max, exact) <= 2
+    assert ulps_from(full, exact) <= 2
     assert ultraspherical_bounds(n, alpha).s_max is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_root_bounds_rejects_a_wild_eigenvalue(monkeypatch, bad):
+    monkeypatch.setattr(jacobi, "eigvalsh_tridiagonal", lambda *args, **kwargs: np.array([bad]))
+    with pytest.raises(NumericError):
+        root_bounds(40, 0.0, 0.0)
 
 
 def test_ultraspherical_bounds_pinned_values():
