@@ -9,10 +9,13 @@ xi_i i.i.d. standard normal:
 * alpha/beta family:  a_i^2 = C(n+alpha, n-i) * C(n+beta, i) with
   alpha, beta > -1, generalized binomials via the gamma function.
 
-All coefficient work happens on log(a_i^2); C(n, n/2)^(2*gamma) overflows a
-double near n ~ 1030/gamma, log-gamma does not.  A table is just these n+1
-logs: the density evaluation (see kacrice) needs nothing else, so building a
-table is O(n).
+All coefficient work happens in log scale; C(n, n/2)^(2*gamma) overflows a
+double near n ~ 1030/gamma, its log does not.  A table holds two O(n) arrays:
+the n+1 logs log(a_i^2), from log-gamma, and the n neighbour log-ratios
+r_i = log(a_(i+1)^2 / a_i^2).  Each ratio is rational in i, so r_i is exact
+to a few ulps, while log-gamma differences near n log n carry an absolute
+error that grows with n.  The density evaluation (see kacrice) sums its
+weights from the ratios and reads log(a_i^2) only to place log M.
 """
 from __future__ import annotations
 
@@ -115,13 +118,16 @@ def legendre() -> PolynomialClass:
 class CoefficientTable:
     """Degree ``n`` plus log-scale squared coefficients.
 
-    ``log_sq_coeff[i] = log(a_i^2)`` (length n+1, all finite).  The array is
-    read-only; tables are safe to share across threads.
+    ``log_sq_coeff[i] = log(a_i^2)`` (length n+1, all finite) and
+    ``log_ratio[i] = log(a_(i+1)^2 / a_i^2)`` (length n, non-increasing since
+    log a_i^2 is concave in i).  The arrays are read-only; tables are safe to
+    share across threads.
     """
 
     family: PolynomialClass
     n: int
     log_sq_coeff: np.ndarray
+    log_ratio: np.ndarray
 
 
 def _log_sq_array(family: PolynomialClass, n: int) -> np.ndarray:
@@ -138,6 +144,27 @@ def _log_sq_array(family: PolynomialClass, n: int) -> np.ndarray:
     left = gammaln(n + a + 1.0) - (gammaln(j + 1.0) + gammaln(a + i + 1.0))
     right = gammaln(n + b + 1.0) - (gammaln(i + 1.0) + gammaln(b + j + 1.0))
     return left + right
+
+
+def _log_ratio_array(family: PolynomialClass, n: int) -> np.ndarray:
+    # a_(i+1)^2 / a_i^2 = num/den with
+    #   gamma:      ((n-i) / (i+1))^(2 gamma)
+    #   alpha/beta: (n-i)(n+beta-i) / ((alpha+i+1)(i+1)),
+    # the integer parts summed before alpha, beta are added.  The larger of
+    # num, den is divided by the smaller and the sign set after the log, so
+    # swapping them (the reversal i <-> n-1-i with alpha <-> beta) negates an
+    # entry bit for bit.
+    low = np.arange(1.0, n + 1.0)  # i + 1
+    up = low[::-1]                 # n - i
+    if family.kind is FamilyKind.GAMMA:
+        num, den, power = up, low, 2.0 * family.gamma
+    else:
+        num, den, power = up * (up + family.beta), (low + family.alpha) * low, 1.0
+    size = np.log(np.maximum(num, den) / np.minimum(num, den))
+    if power != 1.0:
+        size *= power
+    # num - den is correctly rounded, so it has the sign of the exact difference
+    return np.copysign(size, num - den, out=size)
 
 
 def log_sq_coeff(family: PolynomialClass, n: int, i: int) -> float:
@@ -164,9 +191,14 @@ def coefficient_table(
     keyword.
     """
     _check_degree(n)
-    log_sq = _log_sq_array(family, n)
+    return _frozen_table(family, n, _log_sq_array(family, n), _log_ratio_array(family, n))
+
+
+def _frozen_table(family: PolynomialClass, n: int, log_sq: np.ndarray,
+                  log_ratio: np.ndarray) -> CoefficientTable:
     log_sq.flags.writeable = False
-    return CoefficientTable(family, int(n), log_sq)
+    log_ratio.flags.writeable = False
+    return CoefficientTable(family, int(n), log_sq, log_ratio)
 
 
 def reciprocal_class(family: PolynomialClass) -> PolynomialClass:
@@ -175,7 +207,9 @@ def reciprocal_class(family: PolynomialClass) -> PolynomialClass:
     Encodes the x -> 1/x substitution: the gamma family maps to itself,
     alpha/beta swaps its parameters.  Contract (tested bit-for-bit):
     coefficient_table(reciprocal_class(c), n).log_sq_coeff[i]
-    == coefficient_table(c, n).log_sq_coeff[n-i].
+    == coefficient_table(c, n).log_sq_coeff[n-i], and
+    coefficient_table(reciprocal_class(c), n).log_ratio[i]
+    == -coefficient_table(c, n).log_ratio[n-1-i].
     """
     if family.kind is FamilyKind.GAMMA:
         return family
@@ -184,9 +218,8 @@ def reciprocal_class(family: PolynomialClass) -> PolynomialClass:
 
 def reciprocal_table(table: CoefficientTable) -> CoefficientTable:
     """Reverse a table in place of rebuilding it (the reversal contract above)."""
-    log_sq = table.log_sq_coeff[::-1].copy()
-    log_sq.flags.writeable = False
-    return CoefficientTable(reciprocal_class(table.family), table.n, log_sq)
+    return _frozen_table(reciprocal_class(table.family), table.n,
+                         table.log_sq_coeff[::-1].copy(), -table.log_ratio[::-1])
 
 
 def equilibrium_fraction(x: float) -> float:

@@ -12,12 +12,15 @@ subtraction.  With the weights p_x(i) = a_i^2 x^(2i) / M (Edelman & Kostlan),
 
     A*M - B^2 = M^2 Var_p(i) / x^2,   so   f(x) = sqrt(Var_p(i)) / x,
 
-and the variance is taken as the centred two-pass sum sum_i p_i (i - mu)^2,
-whose terms are all non-negative; near x = 1 this keeps the ~log10(n) digits
-that S2 - S1^2 would lose.  One log-sum-exp pass over the n+1 log-scale
-coefficients per point gives log M, the mean and the variance.  Points whose
-weights peak at i = 0 (or i = n) are rescaled by x^2 so that f stays exact
-down to x = 5e-324, where the variance itself would underflow.
+and the variance is taken about the index i* where the weights peak, never
+as S2 - S1^2 about 0, which near x = 1 would lose ~log10(n) digits.  log a_i^2
+is concave, so the weights are log-concave in i: a binary search on the
+table's neighbour log-ratios r_i = log(a_(i+1)^2 / a_i^2) finds i*, the
+log-weights are partial sums of r_i + 2 ln x walking out from it, and only
+the window where they stay above e^-(40 + 3 ln(n+1)) is summed, O(sqrt(n))
+terms per point.  Points so close to 0 (or inf) that the weights next to the
+peak at i = 0 (or i = n) underflow are rescaled by x^2, so that f stays
+exact down to x = 5e-324.
 
 The Kac family (gamma = 0) has closed forms: M(x) = (1 - x^(2n+2))/(1 - x^2)
 and, with X = x^2 and phi(X) = X M'(X)/M(X),
@@ -40,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,86 +93,252 @@ class KacRiceTriple:
 
 
 # ---------------------------------------------------------------------------
-# generic evaluation: one weights pass per point
+# generic evaluation: a window of weights around each point's peak
 # ---------------------------------------------------------------------------
 
-_LOG_TINY = -700.0  # weights below e^-700 (< 1e-304 of the peak) count as 0
+_LOG_TINY = -700.0  # log-weights are clamped here: e^-700 < 1e-304 of the peak
+_WHOLE_TABLE_N = 128  # up to this degree walks reach both table ends: no width estimate
+_EDGE_LOG = 600.0  # below e^-600 next to an end peak, Var is rescaled by x^2
+
+
+class _Ratios(NamedTuple):
+    """A coefficient table laid out for the window kernel.
+
+    ``right`` is r_0 .. r_(n-1) (r_i = log(a_(i+1)^2 / a_i^2)) between +inf
+    and -inf, and ``left`` is -``right``: a walk from a peak that steps past
+    either end of the table gathers an infinity and gets weight 0.  A window
+    ends where the log-weights fall below -``cut``.
+    """
+
+    la: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    cut: float
+
+
+def _ratios(table: CoefficientTable) -> _Ratios:
+    right = np.concatenate(([math.inf], table.log_ratio, [-math.inf]))
+    return _Ratios(table.log_sq_coeff, right, -right, 40.0 + 3.0 * math.log(table.n + 1.0))
 
 
 def _exp_weights(t: np.ndarray) -> np.ndarray:
-    """exp(t), with entries below ``_LOG_TINY`` set to 0.
+    """exp(t) in place, with t clamped at ``_LOG_TINY`` first.
 
-    Skipping them also keeps numpy's exp off its slow path near underflow,
-    which is several times slower per element.
+    A clamped weight, e^-700 < 1e-304 of the peak, is as good as 0, and the
+    clamp keeps numpy's exp off its slow path near underflow, which is several
+    times slower per element.
     """
-    return np.exp(t, where=t > _LOG_TINY, out=np.zeros_like(t))
+    return np.exp(np.maximum(t, _LOG_TINY, out=t), out=t)
 
 
-def _edge_moments(la: np.ndarray, x: np.ndarray, lx: np.ndarray):
-    """(log M, B/M, f^2) at points whose weights peak at index 0.
+def _half_width(c: _Ratios, peak: np.ndarray, whole: int) -> int:
+    """A first guess at the window half-width h for the points peaking at ``peak``.
 
-    With v_i = a_i^2 x^(2i-2) / a_0^2 for i >= 1 and V = sum v_i, M = a_0^2 (1 + x^2 V)
+    Near its peak i* the log-weight falls like -k m^2 / 2, k = r_(i*-1) - r_(i*),
+    so it reaches -cut about sqrt(2 cut / k) indices out; the flattest peak
+    of the call sets h, and ``_wider`` corrects a guess that falls short.
+    No window needs more than ``whole`` steps, which reach both table ends
+    from every peak; small tables take that many.
+    """
+    n = len(c.right) - 2
+    if n <= _WHOLE_TABLE_N:
+        return whole
+    at = np.clip(peak, 1, n - 1)
+    k = float((c.right[at] - c.right[at + 1]).min())
+    if k * whole * whole <= 2.0 * c.cut:
+        return whole
+    return min(whole, int(math.sqrt(2.0 * c.cut / k)) + 2)
+
+
+@lru_cache(maxsize=32)
+def _steps(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step counts q = 1..h, and the columns (1, q, q^2) that sum a walk's moments."""
+    q = np.arange(1, h + 1)
+    powers = np.stack((np.ones(h), q, q * q), axis=1).astype(float)
+    q.flags.writeable = powers.flags.writeable = False
+    return q, powers
+
+
+def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, low, high, h: int) -> np.ndarray:
+    """Log-weights 1..h steps right (first p rows) and left (last p rows) of each peak.
+
+    t_i = log(a_i^2 x^(2i)) changes by d_i = r_i + 2 ln x from i to i+1, so
+    t_(i*+q) - t_(i*) is a sum of d walking out from the peak i*: each partial
+    sum stays near the terms it adds, and no large numbers cancel.  On the
+    rows ``_edge_moments`` serves (mask ``low``: peak at index 0; None when
+    there are none) the first step right is r_0 alone, which gives
+    log v_q = log(a_q^2 x^(2q-2) / a_0^2); those peaking at n (``high``) take
+    the mirror image on the left.
+    """
+    p = len(peak)
+    q = _steps(h)[0]
+    g = np.empty((2 * p, h))
+    c.right.take(peak[:, None] + q, mode="clip", out=g[:p])       # r_(i*+q-1)
+    c.left.take((peak + 1)[:, None] - q, mode="clip", out=g[p:])  # -r_(i*-q)
+    g[:p] += d0[:, None]
+    g[p:] -= d0[:, None]
+    if low is not None:
+        g[:p][low, 0] = c.right[1]
+    if high is not None:
+        g[p:][high, 0] = c.left[-2]
+    return np.cumsum(g, axis=1, out=g)
+
+
+def _wider(c: _Ratios, u: np.ndarray, low, high, h: int, whole: int) -> int:
+    """``h`` if every walk of ``u`` ends at or below -cut, else a half-width that does.
+
+    Each end is taken against its row's largest term: the peak, or v_1 on an
+    edge row.  A walk is concave, so past its end it falls at least as fast
+    as over its last step, which bounds the steps still needed.
+    """
+    ends = u[:, -1] + c.cut
+    p = len(u) // 2
+    if low is not None:
+        ends[:p][low] -= u[:p][low, 0]
+    if high is not None:
+        ends[p:][high] -= u[p:][high, 0]
+    short = ends > 0.0
+    if not short.any():
+        return h
+    fall = u[short, -2] - u[short, -1]
+    if not (fall > 0.0).all():
+        return whole
+    return min(whole, h + int(np.ceil((ends[short] / fall).max())) + 1)
+
+
+def _window(c: _Ratios, peak: np.ndarray, d0: np.ndarray, low, high, lo: int,
+            hi: int) -> tuple[int, np.ndarray]:
+    """The half-width h and the walks of ``_walks`` whose ends all reach -cut.
+
+    ``lo`` and ``hi`` are the lowest and highest peak.
+    """
+    whole = max(len(c.right) - 2 - lo, hi, 1)
+    h = _half_width(c, peak, whole)
+    while True:
+        u = _walks(c, peak, d0, low, high, h)
+        wider = h if h >= whole else _wider(c, u, low, high, h, whole)
+        if wider == h:
+            return h, u
+        h = wider
+
+
+_SIGNS = np.array([1.0, -1.0, 1.0])  # a left walk's offsets are -q
+
+
+def _centred(u: np.ndarray, powers: np.ndarray):
+    """(weight total - 1, mean offset, variance) of the window around each peak.
+
+    The weights are 1 at the peak and e^u on the walks of ``_walks``.  Taken
+    about the peak, E[o^2] - mean^2 loses at most about two bits: the weights
+    are unimodal with their mode at offset 0, so mean^2 <= 3 Var.
+    """
+    p = len(u) // 2
+    sums = _exp_weights(u) @ powers
+    s = sums[:p] + sums[p:] * _SIGNS
+    total = 1.0 + s[:, 0]
+    mean = s[:, 1] / total
+    return s[:, 0], mean, s[:, 2] / total - mean * mean
+
+
+def _edge_moments(v: np.ndarray, j: np.ndarray, x: np.ndarray):
+    """(log(M / a_0^2), B/M, f^2) at points whose weights peak at index 0.
+
+    With v_j = a_j^2 x^(2j-2) / a_0^2 for j >= 1 and V = sum v_j, M = a_0^2 (1 + x^2 V)
     and f^2 = Var/x^2 is a sum of non-negative terms in v alone, so nothing
     underflows as x -> 0: f^2 tends to v_1 = a_1^2/a_0^2.
     """
-    j = np.arange(1, len(la), dtype=float)
     x2 = x * x
-    v = _exp_weights(np.multiply.outer(2.0 * lx, j - 1.0) + (la[1:] - la[0]))
     x2v = x2 * v.sum(axis=1)
     w = 1.0 + x2v
     s = v @ j
     mu = x2 * s / w
     f2 = (x2 * (s / w) ** 2 + np.einsum("ij,ij->i", v, (j - mu[:, None]) ** 2)) / w
-    return la[0] + np.log1p(x2v), x * s / w, f2
+    return np.log1p(x2v), x * s / w, f2
 
 
-def _moments(la: np.ndarray, xs: np.ndarray):
-    """(log M, B/M, f, log f) at each finite x > 0 of the 1-d array ``xs``.
+def _log_sq_at(c: _Ratios, peak: np.ndarray, lo: int, hi: int):
+    """log(a_i^2) at each index of ``peak``, all of them in lo..hi.
 
-    Weights p_i = a_i^2 x^(2i) / M give M by log-sum-exp, the mean mu = x B/M
-    and the centred variance Var = sum p_i (i - mu)^2 = x^2 (A*M - B^2)/M^2, so
-    f = sqrt(Var)/x.  Points whose weights peak at index 0 (or n, through the
-    reversed coefficients at 1/x) go through ``_edge_moments``, where Var
+    ``log_sq_coeff`` is read at one index per call, the lowest peak, and the
+    others add a cumulative sum of the exact ratios from there, so log M
+    differences within one call carry no table noise.  (For the gamma family
+    and alpha = 0, log a_0^2 = 0 exactly, so log M near x = 0 keeps its
+    relative precision.)
+    """
+    if lo == hi:
+        return c.la[lo]
+    steps = np.zeros(hi - lo + 1)
+    np.cumsum(c.right[lo + 1:hi + 1], out=steps[1:])  # r_lo .. r_(hi-1)
+    return c.la[lo] + steps[peak - lo]
+
+
+def _rows_where(mask: np.ndarray):
+    """``mask``, or None when it selects no row."""
+    return mask if mask.any() else None
+
+
+def _moments(c: _Ratios, xs: np.ndarray, rows: bool = True):
+    """(log M, B/M, f, log f) at each finite x > 0 of the 1-d array ``xs``; f unless ``rows``.
+
+    Weights p_i = a_i^2 x^(2i) / M give M, the mean mu = x B/M and the
+    variance Var = sum p_i (i - mu)^2 = x^2 (A*M - B^2)/M^2, so f = sqrt(Var)/x.
+    log a_i^2 is concave, so r is non-increasing: the weights of each point
+    peak at the index i* that a binary search on r finds, and fall at least
+    geometrically on either side.  Only the window where they stay above
+    e^-cut (cut = 40 + 3 ln(n+1)) is summed, O(sqrt(n)) terms, and the mass
+    dropped beyond it is below e^-cut times a factor polynomial in n.
+    Points so close to 0 (or inf) that the weight next to the peak at index 0
+    (or n) is below e^-``_EDGE_LOG`` go through ``_edge_moments``, where Var
     would underflow.
     """
-    n = len(la) - 1
-    i = np.arange(n + 1, dtype=float)
+    n = len(c.right) - 2
     lx = np.log(xs)
-    t = np.multiply.outer(2.0 * lx, i)
-    t += la
-    peak = t.max(axis=1)
-    t -= peak[:, None]
-    low, high = t[:, 0] == 0.0, t[:, n] == 0.0
-    edge = low | high
-    w = _exp_weights(t)
-    total = w.sum(axis=1)
-    log_m = peak + np.log(total)
-    mu = (w @ i) / total
-    s1 = mu / xs
-    var = np.einsum("ij,ij->i", w, np.square(np.subtract(i, mu[:, None], out=t), out=t)) / total
-    if not np.count_nonzero(edge):
-        return log_m, s1, np.sqrt(var) / xs, 0.5 * np.log(var) - lx
-    f, log_f = np.empty(len(xs)), np.empty(len(xs))
+    d0 = 2.0 * lx
+    peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
+    lo, hi = int(peak.min()), int(peak.max())
+    # the neighbour's log-weight is r_0 + 2 ln x at peak 0, -(r_(n-1) + 2 ln x) at peak n
+    low = _rows_where(d0 < -_EDGE_LOG - c.right[1]) if lo == 0 else None
+    high = _rows_where(d0 > _EDGE_LOG - c.right[-2]) if hi == n else None
+    h, u = _window(c, peak, d0, low, high, lo, hi)
+    powers = _steps(h)[1]
+    if low is None and high is None:
+        s0, mean, var = _centred(u, powers)
+        f = np.sqrt(var) / xs
+        if not rows:
+            return f
+        log_m = _log_sq_at(c, peak, lo, hi) + peak * d0 + np.log1p(s0)
+        return log_m, (peak + mean) / xs, f, 0.5 * np.log(var) - lx
+    m = p = len(xs)
+    log_rel, s1, f, log_f = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    edge = low if high is None else high if low is None else low | high
     inner = ~edge
-    f[inner] = np.sqrt(var[inner]) / xs[inner]
-    log_f[inner] = 0.5 * np.log(var[inner]) - lx[inner]
-    if low.any():
-        log_m[low], s1[low], f2 = _edge_moments(la, xs[low], lx[low])
+    if inner.any():
+        xi = xs[inner]
+        s0, mean, var = _centred(u[np.concatenate((inner, inner))], powers)
+        log_rel[inner] = peak[inner] * d0[inner] + np.log1p(s0)
+        s1[inner] = (peak[inner] + mean) / xi
+        f[inner] = np.sqrt(var) / xi
+        log_f[inner] = 0.5 * np.log(var) - lx[inner]
+    j = powers[:, 1]
+    if low is not None:
+        log_rel[low], s1[low], f2 = _edge_moments(_exp_weights(u[:p][low]), j, xs[low])
         f[low] = np.sqrt(f2)
         log_f[low] = 0.5 * np.log(f2)
-    high &= ~low
-    if high.any():
+    if high is not None:
         xh, lxh = xs[high], lx[high]
-        log_mr, s1r, f2 = _edge_moments(la[::-1], 1.0 / xh, -lxh)
-        log_m[high] = log_mr + 2.0 * n * lxh
+        log_mr, s1r, f2 = _edge_moments(_exp_weights(u[p:][high]), j, 1.0 / xh)
+        log_rel[high] = log_mr + 2.0 * n * lxh
         s1[high] = (n - s1r / xh) / xh  # mean n - mu_reversed
         f[high] = np.sqrt(f2) / xh / xh
         log_f[high] = 0.5 * np.log(f2) - 2.0 * lxh
-    return log_m, s1, f, log_f
+    if not rows:
+        return f
+    return _log_sq_at(c, peak, lo, hi) + log_rel, s1, f, log_f
 
 
-def _with_limits(moments, xs: np.ndarray, n: int, la_ends) -> tuple[np.ndarray, ...]:
-    """Rows (log M, B/M, f, log(A*M - B^2)) at each x >= 0 of ``xs``.
+def _with_limits(moments, xs: np.ndarray, n: int, la_ends,
+                 rows: bool = True) -> tuple[np.ndarray, ...]:
+    """Rows (log M, B/M, f, log(A*M - B^2)) at each x >= 0 of ``xs``; (f,) unless ``rows``.
 
     ``moments`` gives the rows at finite x > 0; x = 0 takes the exact limits
     and x = inf the x -> inf ones (f ~ (a_(n-1)/a_n)/x^2 -> 0), both from
@@ -185,10 +355,14 @@ def _with_limits(moments, xs: np.ndarray, n: int, la_ends) -> tuple[np.ndarray, 
         raise ParameterDomainError(f"density needs x >= 0, got {xs[bad][0]!r}")
     la0, la1 = la_ends
     half_gap = 0.5 * (la1 - la0)
-    out = np.empty((4, len(xs)))
-    out[:, zero] = np.array([[la0], [0.0], [math.exp(half_gap)], [2.0 * (la0 + half_gap)]])
+    at_zero = np.array([[la0], [0.0], [math.exp(half_gap)], [2.0 * (la0 + half_gap)]])
     # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
-    out[:, infinite] = np.array([[math.inf], [0.0], [0.0], [la0 + la1 if n == 1 else math.inf]])
+    at_inf = np.array([[math.inf], [0.0], [0.0], [la0 + la1 if n == 1 else math.inf]])
+    if not rows:
+        at_zero, at_inf = at_zero[2:3], at_inf[2:3]
+    out = np.empty((len(at_zero), len(xs)))
+    out[:, zero] = at_zero
+    out[:, infinite] = at_inf
     if inside.any():
         out[:, inside] = moments(xs[inside])
     return tuple(out)
@@ -197,22 +371,25 @@ def _with_limits(moments, xs: np.ndarray, n: int, la_ends) -> tuple[np.ndarray, 
 _BLOCK = 1 << 13  # points x coefficients per weights array; 15-point panels stay whole
 
 
-def _evaluate(table: CoefficientTable, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+def _evaluate(table: CoefficientTable, xs: np.ndarray, rows: bool = True) -> tuple[np.ndarray, ...]:
     """Rows (log M, B/M, f, log(A*M - B^2)) of the generic kernel at each x >= 0.
 
-    Long grids go through ``_moments`` in blocks, so memory stays O(n) however
-    many points are asked for.
+    With ``rows`` False the tuple holds the f row alone.  Long grids go through
+    ``_moments`` in blocks, so memory stays O(n) however many points are asked
+    for.
     """
-    la = table.log_sq_coeff
-    step = max(16, _BLOCK // len(la))
+    c = _ratios(table)
+    step = max(16, _BLOCK // len(c.la))
 
-    def rows(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    def block(v: np.ndarray) -> tuple[np.ndarray, ...]:
         if len(v) > step:
-            return tuple(np.concatenate([rows(v[i:i + step]) for i in range(0, len(v), step)], axis=1))
-        log_m, s1, f, log_f = _moments(la, v)
+            return tuple(np.concatenate([block(v[i:i + step]) for i in range(0, len(v), step)], axis=1))
+        if not rows:
+            return (_moments(c, v, rows=False),)
+        log_m, s1, f, log_f = _moments(c, v)
         return log_m, s1, f, 2.0 * (log_m + log_f)
 
-    return _with_limits(rows, xs, table.n, (la[0], la[1]))
+    return _with_limits(block, xs, table.n, (c.la[0], c.la[1]), rows)
 
 
 def _triple(x: float, rows: tuple[np.ndarray, ...]) -> KacRiceTriple:
@@ -247,7 +424,7 @@ def density(table: CoefficientTable, x):
 
     f(+-inf) = 0, its limit; NaN raises ``ParameterDomainError``.
     """
-    return _over_abs(lambda xs: _evaluate(table, xs)[2], x)
+    return _over_abs(lambda xs: _evaluate(table, xs, rows=False)[0], x)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +579,13 @@ class Kernel(NamedTuple):
 
 
 def _table_kernel(table: CoefficientTable) -> Kernel:
-    la = table.log_sq_coeff
+    c = _ratios(table)
     # a symmetric table is its own reversal, and its reversed legs fold onto
     # the direct ones (see ``_unit_legs``)
-    recip = la if table.family.is_symmetric else reciprocal_table(table).log_sq_coeff
+    recip = c if table.family.is_symmetric else _ratios(reciprocal_table(table))
     return Kernel(lambda xs: _evaluate(table, xs),
-                  lambda xs: _moments(la, xs)[2],
-                  lambda xs: _moments(recip, xs)[2])
+                  lambda xs: _moments(c, xs, rows=False),
+                  lambda xs: _moments(recip, xs, rows=False))
 
 
 def kernel(family: PolynomialClass, n: int) -> Kernel:

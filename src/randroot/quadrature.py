@@ -19,6 +19,7 @@ from .errors import NumericError
 __all__ = ["QuadratureResult", "adaptive_quadrature"]
 
 MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
+_EPS = float(np.finfo(float).eps)
 
 # Kronrod-15 nodes on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
 _XGK = np.array([
@@ -94,10 +95,22 @@ def adaptive_quadrature(
     # heap entries: (-err, insertion seq for deterministic ties, depth, a, b, value, err)
     heap = [(-err, seq, 0, a, b, value, err)]
     exhausted: list[tuple] = []  # panels at max depth, no longer splittable
+    # The stop test is the panel errors summed in heap order, then exhausted
+    # order.  A running total stands in for that O(panels) sum: after k
+    # additions of terms whose magnitudes add up to ``moved`` it is within
+    # k*eps*moved of the exact sum, and the ordered sum of p panels within
+    # p*eps*sum, so only a running total closer to tol than twice that is
+    # settled by the ordered sum, and every result stays bit-identical.
+    running, moved, additions = err, err, 0
 
     while True:
-        total_err = sum(item[6] for item in heap) + sum(item[6] for item in exhausted)
-        if total_err <= tol:
+        count = len(heap) + len(exhausted)
+        slack = 2.0 * _EPS * (additions * moved + count * max(running, tol))
+        if abs(running - tol) > slack:
+            done = running <= tol
+        else:
+            done = sum(item[6] for item in heap) + sum(item[6] for item in exhausted) <= tol
+        if done:
             converged = True
             break
         if not heap or evaluations + 30 > MAX_EVALUATIONS:
@@ -109,11 +122,16 @@ def adaptive_quadrature(
         if depth >= max_depth or mid <= pa or mid >= pb:
             exhausted.append(item)  # not splittable; keep its contribution
             continue
+        running -= item[6]
+        moved += item[6]
         for lo, hi in ((pa, mid), (mid, pb)):
             v, e = _panel(f, lo, hi)
             evaluations += 15
             seq += 1
             heapq.heappush(heap, (-e, seq, depth + 1, lo, hi, v, e))
+            running += e
+            moved += e
+        additions += 3
 
     panels = sorted(heap + exhausted, key=lambda item: item[3])
     value = float(sum(item[5] for item in panels))

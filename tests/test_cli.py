@@ -305,10 +305,14 @@ def test_verify_reciprocity_catches_a_wrong_reversed_table(capsys, monkeypatch):
     from randroot.families import CoefficientTable, reciprocal_table
 
     def perturbed(table):
+        # a_1^2 scaled by e^0.05 consistently: in log a_1^2 and in the ratios
+        # on either side of it
         rev = reciprocal_table(table)
-        log_sq = rev.log_sq_coeff.copy()
+        log_sq, log_ratio = rev.log_sq_coeff.copy(), rev.log_ratio.copy()
         log_sq[1] += 0.05
-        return CoefficientTable(rev.family, rev.n, log_sq)
+        log_ratio[0] += 0.05
+        log_ratio[1] -= 0.05
+        return CoefficientTable(rev.family, rev.n, log_sq, log_ratio)
 
     monkeypatch.setattr(kr, "reciprocal_table", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")

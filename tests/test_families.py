@@ -65,6 +65,24 @@ def test_log_sq_coeff_matches_high_precision_oracle(family):
             assert math.exp(got - want) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES + [alpha_beta_family(-0.999, 0.3)],
+                         ids=lambda f: f.label())
+def test_log_ratio_matches_the_exact_ratio(family):
+    # r_i = log(a_(i+1)^2 / a_i^2) from the rational form of the ratio, against
+    # 50-digit arithmetic; the table keeps them to a few units of 1e-16 at any n
+    with mp.workdps(50):
+        for n in (1, 2, 7, 50, 4000):
+            got = coefficient_table(family, n).log_ratio
+            assert got.shape == (n,)
+            for i in sorted({0, 1, n // 3, n // 2, n - 2, n - 1} & set(range(n))):
+                if family.kind.value == "gamma":
+                    want = 2 * mp.mpf(family.gamma) * mp.log(mp.mpf(n - i) / (i + 1))
+                else:
+                    a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+                    want = mp.log((n - i) * (n - i + b) / ((i + 1 + a) * (i + 1)))
+                assert abs(got[i] - want) <= 4e-16 * max(1, abs(want))
+
+
 def test_coefficient_table_pinned_values():
     t = coefficient_table(gamma_family(1.0), 1)
     assert np.allclose(t.log_sq_coeff, [0.0, 0.0])
@@ -127,6 +145,9 @@ def test_reversal_contract_bit_for_bit(family, n):
     mirrored = reciprocal_table(table)
     assert np.array_equal(mirrored.log_sq_coeff, swapped.log_sq_coeff)
     assert mirrored.family == swapped.family
+    # the neighbour log-ratios reverse and change sign bit for bit as well
+    assert np.array_equal(-table.log_ratio[::-1], swapped.log_ratio)
+    assert np.array_equal(mirrored.log_ratio, swapped.log_ratio)
 
 
 def test_equilibrium_fraction():
@@ -158,3 +179,6 @@ def test_tables_are_immutable():
         t.log_sq_coeff[0] = 1.0
     with pytest.raises(ValueError):
         reciprocal_table(t).log_sq_coeff[1] = 1.0
+    for ratios in (t.log_ratio, reciprocal_table(t).log_ratio):
+        with pytest.raises(ValueError):
+            ratios[0] = 1.0

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from randroot.errors import ParameterDomainError, QuadratureError
 from randroot.families import (
+    FamilyKind,
     alpha_beta_family,
     coefficient_table,
     elliptic,
@@ -164,10 +166,28 @@ def test_ultraspherical_density_shape(alpha):
         assert (f[inside] >= f1 * (1 - 1e-12)).all()
 
 
+@lru_cache(maxsize=None)
+def exact_log_sq(family, n, dps=50):
+    """log(a_i^2), i = 0..n, from the family's formula in ``dps``-digit log-gamma.
+
+    An oracle independent of the float table, whose log-gamma differences
+    near n log n carry an absolute error that grows with n.
+    """
+    with mp.workdps(dps):
+        lg = mp.loggamma
+        if family.kind is FamilyKind.GAMMA:
+            g = mp.mpf(family.gamma)
+            return tuple(2 * g * (lg(n + 1) - lg(i + 1) - lg(n - i + 1)) for i in range(n + 1))
+        a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+        return tuple(lg(n + a + 1) - lg(n - i + 1) - lg(a + i + 1)
+                     + lg(n + b + 1) - lg(i + 1) - lg(b + n - i + 1) for i in range(n + 1))
+
+
 # f at n = 50 from the convolution kernel this package used before the
-# centred-variance one.  Its tiny-x values are the exact limit; near underflow
-# its values carried the error of exp(0.5*log(A*M - B^2) - log M) with logs
-# near 7e4, up to 3e-12 relative.
+# centred-variance one.  Near underflow its values carried the error of
+# exp(0.5*log(A*M - B^2) - log M) with logs near 7e4, up to 3e-12 relative.
+# Its tiny-x values were the limit taken from the float table (off by up to
+# 1.5e-14 at gamma = 2), so x < 1 is judged against the exact limit alone.
 EXTREME_X = (0.0, 5e-324, 1e-300, 1e-200, 1e-20, 1e100, 1e150)
 EXTREME_F_BEFORE = {
     "gamma(0.5)": (7.071067811865501, 7.071067811865501, 7.071067811865501, 7.071067811865501,
@@ -189,17 +209,21 @@ EXTREME_F_BEFORE = {
 )
 def test_density_at_extreme_x(family):
     # f(x) -> a_1/a_0 as x -> 0 and f(x) ~ (a_{n-1}/a_n) / x^2 as x -> inf; at
-    # these points the neglected terms are below 1e-30 relative
+    # these points the neglected terms are below 1e-30 relative.  x = 0 itself
+    # is the limit read from the table.
     n = 50
     table = coefficient_table(family, n)
     la = table.log_sq_coeff
-    at_zero = math.exp(0.5 * (la[1] - la[0]))
-    at_inf = math.exp(0.5 * (la[n - 1] - la[n]))
+    exact = exact_log_sq(family, n)
+    at_zero = float(mp.exp((exact[1] - exact[0]) / 2))
+    at_inf = float(mp.exp((exact[n - 1] - exact[n]) / 2))
     got = density(table, np.array(EXTREME_X))
-    for x, f, before in zip(EXTREME_X, got, EXTREME_F_BEFORE[family.label()]):
+    assert got[0] == math.exp(0.5 * (la[1] - la[0])) == pytest.approx(at_zero, rel=2e-14)
+    for x, f, before in zip(EXTREME_X[1:], got[1:], EXTREME_F_BEFORE[family.label()][1:]):
         limit = at_zero if x < 1.0 else at_inf / x / x
         assert f == pytest.approx(limit, rel=1e-14)
-        assert f == pytest.approx(before, rel=1e-14 if x < 1.0 else 1e-11)
+        if x > 1.0:
+            assert f == pytest.approx(before, rel=1e-11)
         t = kac_rice_eval(table, x)
         assert t.f == pytest.approx(f, rel=1e-15)
         assert math.isfinite(t.log_amb) and math.isfinite(t.s2)
@@ -214,31 +238,34 @@ def test_density_at_extreme_x(family):
 
 def mp_density(log_sq, x, dps=50):
     """f = sqrt(A*M - B^2)/M from direct sums at ``dps`` digits, one pass over i."""
-    mp.mp.dps = dps
-    x = mp.mpf(x)
-    x2 = x * x
-    m = a = b = mp.mpf(0)
-    power = mp.mpf(1)  # x^(2i)
-    for i, v in enumerate(log_sq):
-        term = mp.e ** mp.mpf(float(v)) * power
-        m += term
-        b += i * term
-        a += i * i * term
-        power *= x2
-    # B and A carry x^(2i-1) and x^(2i-2): divide the sums once
-    b, a = b / x, a / x2
-    return mp.sqrt(a * m - b * b) / m
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        x2 = x * x
+        m = a = b = mp.mpf(0)
+        power = mp.mpf(1)  # x^(2i)
+        for i, v in enumerate(log_sq):
+            term = mp.exp(v) * power
+            m += term
+            b += i * term
+            a += i * i * term
+            power *= x2
+        # B and A carry x^(2i-1) and x^(2i-2): divide the sums once
+        b, a = b / x, a / x2
+        return mp.sqrt(a * m - b * b) / m
 
 
 @pytest.mark.parametrize("family", [gamma_family(1.0), alpha_beta_family(0.5, 2.0)],
                          ids=lambda f: f.label())
 @pytest.mark.parametrize("n", [1000, 4000])
 def test_density_large_n_against_50_digit_oracle(family, n):
-    # near x = 1 forming A*M - B^2 by subtraction would lose ~log10(n) digits;
-    # the convolution kernel this package used before reached 5.6e-13 here
+    # the oracle sums the family's own coefficients at 50 digits, not the
+    # float table: at n = 4000 the table's log-gamma noise alone moves f by
+    # up to 5.4e-12.  Near x = 1 forming A*M - B^2 by subtraction would lose
+    # ~log10(n) digits; near x = 0 the weights peak at a handful of indices.
     table = coefficient_table(family, n)
-    for x in (0.5, 0.99, 0.999, 1.0):
-        want = mp_density(table.log_sq_coeff, x)
+    exact = exact_log_sq(family, n)
+    for x in (1e-4, 1e-3, 0.5, 0.99, 0.999, 1.0):
+        want = mp_density(exact, x)
         assert density(table, x) == pytest.approx(float(want), rel=2e-14)
 
 
@@ -524,3 +551,63 @@ def test_results_are_deterministic():
     r1 = expected_roots_interval(table, 0.0, 2.0, 1e-9)
     r2 = expected_roots_interval(table, 0.0, 2.0, 1e-9)
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# large n: the window kernel on exact ratios
+# ---------------------------------------------------------------------------
+
+def test_gamma1_at_n256000_against_the_exact_table_value():
+    # 714.88258333045 is the full-line count from a 50-digit log-gamma table;
+    # the float table's noise once pushed the quadrature to 1485 evaluations
+    # and the value to 714.88258332972
+    res = expected_roots_real_line_result(gamma_family(1.0), 256_000)
+    assert res.converged
+    assert abs(res.value - 714.88258333045) < 1e-8
+    assert res.evaluations <= 800
+
+
+def test_gamma1_constant_term_converges_like_one_over_sqrt_n():
+    # E N - sqrt(2n) -> about -0.66 with an O(1/sqrt(n)) correction, so each
+    # 4x step in n about halves the gap to the next value; lost precision at
+    # large n breaks the pattern long before it moves a value past tol
+    ns = [1000 * 4**k for k in range(6)]
+    const = [expected_roots_real_line(gamma_family(1.0), n) - math.sqrt(2 * n) for n in ns]
+    assert const[0] == pytest.approx(-0.6488, abs=1e-4)
+    assert const[-1] == pytest.approx(-0.6595, abs=1e-4)
+    gaps = np.diff(const)
+    assert (gaps < 0).all()
+    ratios = gaps[1:] / gaps[:-1]
+    assert ((ratios >= 0.35) & (ratios <= 0.65)).all(), ratios
+
+
+def test_window_at_n_one_million_reaches_the_cut():
+    import randroot.kacrice as kr
+
+    n = 10**6
+    c = kr._ratios(coefficient_table(gamma_family(1.0), n))
+    d0 = np.zeros(1)  # x = 1
+    peak = np.searchsorted(c.left[1:-1], d0)
+    assert peak[0] == n // 2
+    h, u = kr._window(c, peak, d0, None, None, n // 2, n // 2)
+    assert 2 * h + 1 <= 12_000
+    for walk, end in zip(u, (peak[0] + h, peak[0] - h)):
+        assert walk[-1] <= -c.cut or end >= n or end <= 0
+
+
+@pytest.mark.parametrize("family", [gamma_family(1.0), gamma_family(0.5), alpha_beta_family(0.5, 2.0),
+                                    alpha_beta_family(-0.9, 3.0)], ids=lambda f: f.label())
+def test_window_matches_the_whole_table(family, monkeypatch):
+    # the same kernel with every window stretched over the whole table: the
+    # mass the window leaves out moves nothing
+    import randroot.kacrice as kr
+
+    n = 3000
+    table = coefficient_table(family, n)
+    xs = np.concatenate((np.geomspace(1e-5, 0.9, 40), np.linspace(0.9, 1.1, 21), np.geomspace(1.1, 1e5, 40)))
+    windowed = kr._evaluate(table, xs)
+    monkeypatch.setattr(kr, "_WHOLE_TABLE_N", n)
+    whole = kr._evaluate(table, xs)
+    for got, want in zip(windowed[1:], whole[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(windowed[0], whole[0], rtol=1e-15, atol=0)

@@ -71,3 +71,70 @@ def test_degenerate_and_invalid_intervals():
         adaptive_quadrature(np.exp, 2.0, 1.0)
     with pytest.raises(NumericError):
         adaptive_quadrature(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+def _resum_each_step(f, a, b, tol=1e-9, max_depth=60):
+    """The adaptive loop as it was before the running error total: every step
+    re-sums all panel errors, heap order then exhausted order."""
+    import heapq
+
+    from randroot.quadrature import MAX_EVALUATIONS, QuadratureResult
+
+    value, err = _panel(f, a, b)
+    evaluations, seq = 15, 0
+    heap = [(-err, seq, 0, a, b, value, err)]
+    exhausted = []
+    while True:
+        total_err = sum(item[6] for item in heap) + sum(item[6] for item in exhausted)
+        if total_err <= tol:
+            converged = True
+            break
+        if not heap or evaluations + 30 > MAX_EVALUATIONS:
+            converged = False
+            break
+        item = heapq.heappop(heap)
+        depth, pa, pb = item[2], item[3], item[4]
+        mid = 0.5 * (pa + pb)
+        if depth >= max_depth or mid <= pa or mid >= pb:
+            exhausted.append(item)
+            continue
+        for lo, hi in ((pa, mid), (mid, pb)):
+            v, e = _panel(f, lo, hi)
+            evaluations += 15
+            seq += 1
+            heapq.heappush(heap, (-e, seq, depth + 1, lo, hi, v, e))
+    panels = sorted(heap + exhausted, key=lambda item: item[3])
+    return QuadratureResult(float(sum(item[5] for item in panels)),
+                            float(sum(item[6] for item in panels)), evaluations, converged)
+
+
+@pytest.mark.parametrize("f,a,b,tol,max_depth", [
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-12, 60),
+    (np.exp, -1.0, 2.0, 1e-12, 60),
+    (lambda x: 1e-5 / (1e-10 + (x - 0.3) ** 2), 0.0, 1.0, 1e-10, 60),
+    (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 3),
+    (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 60),
+], ids=["arctan", "exp", "peak", "exhausted", "deep"])
+def test_running_error_total_is_bit_identical(f, a, b, tol, max_depth):
+    assert adaptive_quadrature(f, a, b, tol, max_depth) == _resum_each_step(f, a, b, tol, max_depth)
+
+
+def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
+    # every leg of the expect_large_n benchmark ops and of Kac up to n = 10^12
+    # (about 7000 panels, where the re-sum dominated the run)
+    import randroot.kacrice as kr
+    from randroot.families import alpha_beta_family, elliptic, gamma_family, kac
+
+    legs = []
+
+    def both(f, a, b, tol=1e-9, max_depth=60):
+        got = adaptive_quadrature(f, a, b, tol, max_depth)
+        assert got == _resum_each_step(f, a, b, tol, max_depth)
+        legs.append(got.evaluations)
+        return got
+
+    monkeypatch.setattr(kr, "adaptive_quadrature", both)
+    for family, n in [(gamma_family(1.0), 4000), (alpha_beta_family(0.5, 2.0), 2000),
+                      (elliptic(), 3000), (kac(), 10**6), (kac(), 10**9), (kac(), 10**12)]:
+        kr.expected_roots_real_line_result(family, n)
+    assert len(legs) == 7 and max(legs) > 100_000
