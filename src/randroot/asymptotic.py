@@ -74,13 +74,15 @@ def entropy_terms(t: float, gamma: float, x: float) -> EntropyTerms:
 
 @dataclass(frozen=True)
 class ConcentrationParams:
-    """Saddle point t in (0, 1/2] and its integer index i* = floor(n*t)."""
+    """The Laplace point: saddle t in (0, 1/2], its integer index i* = floor(n*t),
+    and the width K = n*t*(1-t)/gamma = n/|J''(t)|."""
 
     gamma: float
     x: float
     n: int
     t: float
     i_star: int
+    width: float
 
 
 def concentration_params(gamma: float, x: float, n: int) -> ConcentrationParams:
@@ -90,7 +92,8 @@ def concentration_params(gamma: float, x: float, n: int) -> ConcentrationParams:
         raise ParameterDomainError(f"need 0 < x <= 1, got {x!r}")
     power = x ** (1.0 / gamma)
     t = power / (1.0 + power)
-    return ConcentrationParams(gamma, x, n, t, int(math.floor(n * t)))
+    width = n * power / (gamma * (1.0 + power) ** 2)
+    return ConcentrationParams(gamma, x, n, t, int(math.floor(n * t)), width)
 
 
 def _in_window(gamma: float, n: int, x: float) -> bool:
@@ -115,12 +118,11 @@ class GramApprox(NamedTuple):
 def log_variance_approx(gamma: float, n: int, x: float) -> LaplaceApprox:
     """Laplace approximation of log M_n(x) for the gamma family."""
     params = concentration_params(gamma, x, n)
-    peak = n * x ** (1.0 / gamma) / (gamma * (1.0 + x ** (1.0 / gamma)) ** 2)
     value = (
         2.0 * gamma * _log_binom(float(n), float(params.i_star))
         + 2.0 * params.i_star * math.log(x)
         + 0.5 * math.log(math.pi)
-        + 0.5 * math.log(peak)
+        + 0.5 * math.log(params.width)
     )
     return LaplaceApprox(value, _in_window(gamma, n, x))
 
@@ -128,12 +130,11 @@ def log_variance_approx(gamma: float, n: int, x: float) -> LaplaceApprox:
 def log_gram_approx(gamma: float, n: int, x: float) -> GramApprox:
     """Laplace approximation of log(A_n*M_n - B_n^2) for the gamma family."""
     params = concentration_params(gamma, x, n)
-    peak = n * x ** (1.0 / gamma) / (gamma * (1.0 + x ** (1.0 / gamma)) ** 2)
     log_binom = _log_binom(float(n), float(params.i_star))
     shared = (
         (4.0 * params.i_star - 2.0) * math.log(x)
         + math.log(math.pi / 2.0)
-        + 2.0 * math.log(peak)
+        + 2.0 * math.log(params.width)
     )
     return GramApprox(
         2.0 * gamma * log_binom + shared,
@@ -219,7 +220,6 @@ def alpha_beta_ratio_check(alpha: float, beta: float, n: int, i: int) -> tuple[f
     log_00 = coefficient_table(legendre(), n).log_sq_coeff[i]
     exact = math.exp(float(log_ab - log_00))
     t = i / n
-    entropy = -t * math.log(t) - (1.0 - t) * math.log(1.0 - t)
-    slope = math.log((1.0 - t) / t)
-    h = (alpha + beta) * entropy + slope * (alpha * (1.0 - t) - beta * t)
+    terms = entropy_terms(t, 1.0, 1.0)  # at gamma = 1, x = 1, J' = I'
+    h = (alpha + beta) * terms.entropy + terms.action_prime * (alpha * (1.0 - t) - beta * t)
     return exact, math.exp(h)

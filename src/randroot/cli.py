@@ -73,8 +73,12 @@ class Table:
 _VALUE_TOKEN = re.compile(r"^-(\d|\.\d|inf$)", re.IGNORECASE)
 
 
-def _allow_negative_tokens(parser: argparse.ArgumentParser) -> None:
-    parser._negative_number_matcher = _VALUE_TOKEN
+class _Parser(argparse.ArgumentParser):
+    """Takes ``_VALUE_TOKEN`` arguments as values; subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _VALUE_TOKEN
 
 
 def _add_class_options(sub: argparse.ArgumentParser) -> None:
@@ -91,54 +95,52 @@ def _add_output_options(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randroot",
         description="Expected real roots and internal equilibria of random game polynomials.",
     )
-    _allow_negative_tokens(parser)
     parser.add_argument("--version", action="version", version=f"randroot {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("density", help="tabulate the root density on a grid")
-    _allow_negative_tokens(p)
     _add_class_options(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", required=True, metavar="A:B:STEPS",
                    help="inclusive linspace, e.g. 0:3:61")
     _add_output_options(p)
+    p.set_defaults(run=_run_density)
 
     p = subs.add_parser("expect", help="expected real-root count")
-    _allow_negative_tokens(p)
     _add_class_options(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--interval", nargs=2, default=None, metavar=("A", "B"),
                    help="endpoints; accepts inf/-inf (default: full line)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_options(p)
+    p.set_defaults(run=_run_expect)
 
     p = subs.add_parser("bounds", help="finite-n brackets on the full-line count")
-    _allow_negative_tokens(p)
     _add_class_options(p)
     p.add_argument("--n", type=int, required=True)
     _add_output_options(p)
+    p.set_defaults(run=_run_bounds)
 
     p = subs.add_parser("mc", help="Monte Carlo root counting")
-    _allow_negative_tokens(p)
     _add_class_options(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_options(p)
+    p.set_defaults(run=_run_mc)
 
     p = subs.add_parser("scaling", help="growth of the count against n")
-    _allow_negative_tokens(p)
     _add_class_options(p)
     p.add_argument("--n-list", required=True, help="comma-separated degrees, e.g. 50,100,200,400")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_options(p)
+    p.set_defaults(run=_run_scaling)
 
     p = subs.add_parser("verify", help="run the identity suites")
-    _allow_negative_tokens(p)
     p.add_argument("--level", choices=("fast", "full"), default="fast")
 
     return parser
@@ -199,25 +201,32 @@ def _parse_n_list(raw: str) -> list[int]:
 # subcommand execution
 # ---------------------------------------------------------------------------
 
-def _run_density(family: PolynomialClass, n: int, grid: np.ndarray) -> tuple[list[Table], dict, int]:
-    log_m, s1, f, _ = kernel(family, n).rows(np.abs(grid))
+# Each runner takes the parsed arguments and the family, and returns the output
+# tables, the JSON diagnostics and the exit code.
+
+def _run_density(args: argparse.Namespace, family: PolynomialClass) -> tuple[list[Table], dict, int]:
+    grid = _parse_grid(args.grid)
+    log_m, s1, f, _ = kernel(family, args.n).rows(np.abs(grid))
     s1 = np.where(grid < 0, -s1, s1)  # B is odd in x
     rows = list(zip(grid.tolist(), f.tolist(), log_m.tolist(), s1.tolist(), (f * f + s1 * s1).tolist()))
     return [Table("density", ("x", "f", "log_M", "S1", "S2"), rows)], {}, 0
 
 
-def _run_expect(family: PolynomialClass, n: int, interval, tol: float) -> tuple[list[Table], dict, int]:
-    if interval is None:
+def _run_expect(args: argparse.Namespace, family: PolynomialClass) -> tuple[list[Table], dict, int]:
+    n, tol = args.n, args.tol
+    if args.interval is None:
         result = expected_roots_real_line_result(family, n, tol)
     else:
-        result = expected_roots_interval_result(family, n, *interval, tol)
+        a, b = (_parse_endpoint(token) for token in args.interval)
+        result = expected_roots_interval_result(family, n, a, b, tol)
     rows = [(n, result.value, result.abs_error_estimate, result.evaluations)]
     diagnostics = {"converged": result.converged}
     return ([Table("expect", ("n", "value", "abs_err", "evaluations"), rows)],
             diagnostics, 0 if result.converged else 3)
 
 
-def _run_bounds(family: PolynomialClass, n: int) -> tuple[list[Table], dict, int]:
+def _run_bounds(args: argparse.Namespace, family: PolynomialClass) -> tuple[list[Table], dict, int]:
+    n = args.n
     if family.kind is not FamilyKind.ALPHA_BETA:
         raise ParameterDomainError(
             "bounds requires an alpha/beta class (the Jacobi bracket has no gamma-family form)"
@@ -234,8 +243,10 @@ def _run_bounds(family: PolynomialClass, n: int) -> tuple[list[Table], dict, int
                               "ultra_upper", "s_max"), rows)], diagnostics, 0)
 
 
-def _run_mc(family: PolynomialClass, n: int, trials: int, seed: int) -> tuple[list[Table], dict, int]:
-    summary = mc_expected_roots(family, n, trials, seed)
+def _run_mc(args: argparse.Namespace, family: PolynomialClass) -> tuple[list[Table], dict, int]:
+    if args.trials < 1:
+        raise ParameterDomainError(f"trials must be >= 1, got {args.trials}")
+    summary = mc_expected_roots(family, args.n, args.trials, args.seed)
     summary_rows = [(summary.trials, summary.mean, summary.std_error,
                      summary.parity_repairs, summary.seed)]
     hist_rows = [(k, summary.histogram[k]) for k in sorted(summary.histogram)]
@@ -246,7 +257,7 @@ def _run_mc(family: PolynomialClass, n: int, trials: int, seed: int) -> tuple[li
     return tables, {"parity_repair_rate": summary.parity_repairs / summary.trials}, 0
 
 
-def _run_scaling(family: PolynomialClass, n_values: list[int], tol: float) -> tuple[list[Table], dict, int]:
+def _run_scaling(args: argparse.Namespace, family: PolynomialClass) -> tuple[list[Table], dict, int]:
     def per_n(pairs) -> Table:
         rows = []
         for n, en in pairs:
@@ -255,7 +266,7 @@ def _run_scaling(family: PolynomialClass, n_values: list[int], tol: float) -> tu
         return Table("per_n", ("n", "en", "leading_order", "ratio"), rows)
 
     try:
-        fit = scaling_fit(family, n_values, tol)
+        fit = scaling_fit(family, _parse_n_list(args.n_list), args.tol)
     except ScalingFitError as exc:
         return [per_n(exc.rows)], {"error": str(exc)}, 3
     fit_rows = [(fit.slope, fit.intercept, fit.r_squared, fit.max_rel_dev_from_leading)]
@@ -361,25 +372,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ParameterDomainError(f"n must be >= 1, got {args.n}")
         if getattr(args, "tol", None) is not None and not args.tol > 0:
             raise ParameterDomainError(f"tol must be positive, got {args.tol}")
-
-        if args.command == "density":
-            grid = _parse_grid(args.grid)
-            tables, diagnostics, code = _run_density(family, args.n, grid)
-        elif args.command == "expect":
-            interval = None
-            if args.interval is not None:
-                interval = (_parse_endpoint(args.interval[0]), _parse_endpoint(args.interval[1]))
-            tables, diagnostics, code = _run_expect(family, args.n, interval, args.tol)
-        elif args.command == "bounds":
-            tables, diagnostics, code = _run_bounds(family, args.n)
-        elif args.command == "mc":
-            if args.trials < 1:
-                raise ParameterDomainError(f"trials must be >= 1, got {args.trials}")
-            tables, diagnostics, code = _run_mc(family, args.n, args.trials, args.seed)
-        elif args.command == "scaling":
-            tables, diagnostics, code = _run_scaling(family, _parse_n_list(args.n_list), args.tol)
-        else:  # pragma: no cover - argparse restricts the choices
-            raise ParameterDomainError(f"unknown command {args.command!r}")
+        tables, diagnostics, code = args.run(args, family)
     except ParameterDomainError as exc:
         print(f"randroot: error: {exc}", file=sys.stderr)
         return 2

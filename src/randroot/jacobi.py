@@ -10,7 +10,7 @@ the density as a positive root sum, f^2 = sum_k r_k/(x^2 + r_k)^2, and the
 finite-n bracket sqrt(n)*(1-s_max)/(1+s_max) <= E N <= sqrt(n)*(1+s_max)/(1-s_max).
 
 Polynomials are evaluated by the standard three-term recurrence (the explicit
-binomial sum cancels badly).  Roots are eigenvalues of the symmetric
+binomial sum cancels badly), rescaled by powers of two as it runs.  Roots are eigenvalues of the symmetric
 tridiagonal recurrence matrix, each refined by one Newton step:
 `jacobi_roots` takes the full Golub-Welsch set, O(n^2); `root_bounds` needs
 only s_max and takes the one selected top eigenvalue by bisection, O(n).
@@ -49,16 +49,28 @@ def _check_ab(alpha: float, beta: float) -> None:
         raise ParameterDomainError(f"need alpha, beta > -1, got ({alpha!r}, {beta!r})")
 
 
-def _recurrence(n: int, alpha: float, beta: float, x):
-    """(J_(n-1), J_n) at x by the three-term recurrence, n >= 1; float or array x.
+_RESCALE = 1e120  # past this |J_k|, the recurrence divides by a power of two
+_LN2 = math.log(2.0)
 
-    The integer parts of each coefficient are summed before alpha and beta are
-    added, so (k - 1) + alpha keeps its precision as alpha -> -1.
+
+def _recurrence(n: int, alpha: float, beta: float, x):
+    """(J_(n-1), J_n, e) at x by the three-term recurrence, n >= 1; scalar or array x.
+
+    The true values are the two returned times 2^e.  Whenever |J_k| passes
+    1e120 both values are divided by a power of two, which is exact, and its
+    exponent is added to e (for arrays, per point), so degrees and parameters
+    whose J_n lies far past the float range stay representable.  The integer
+    parts of each coefficient are summed before alpha and beta are added, so
+    (k - 1) + alpha keeps its precision as alpha -> -1.
     """
     apb = alpha + beta
     a2_b2 = (alpha - beta) * apb
-    p_prev = 1.0 if isinstance(x, float) else np.ones_like(x, dtype=float)
+    scalar = np.ndim(x) == 0
+    if scalar:
+        x = float(x)
+    p_prev = 1.0 if scalar else np.ones_like(x, dtype=float)
     p_cur = 0.5 * ((apb + 2.0) * x + (alpha - beta))
+    e = 0 if scalar else np.zeros(np.shape(x), dtype=int)
     for k in range(2, n + 1):
         s_k = 2 * k + apb
         s_km2 = (2 * k - 2) + apb
@@ -66,7 +78,16 @@ def _recurrence(n: int, alpha: float, beta: float, x):
         c2 = ((2 * k - 1) + apb) * (s_k * s_km2 * x + a2_b2)
         c3 = 2.0 * ((k - 1) + alpha) * ((k - 1) + beta) * s_k
         p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-    return p_prev, p_cur
+        if scalar:
+            if abs(p_cur) > _RESCALE:
+                d = math.frexp(p_cur)[1]
+                p_prev, p_cur, e = math.ldexp(p_prev, -d), math.ldexp(p_cur, -d), e + d
+        else:
+            mag = np.abs(p_cur)
+            if mag.max() > _RESCALE:
+                d = np.where(mag > _RESCALE, np.frexp(p_cur)[1], 0)
+                p_prev, p_cur, e = np.ldexp(p_prev, -d), np.ldexp(p_cur, -d), e + d
+    return p_prev, p_cur, e
 
 
 def jacobi_eval(n: int, alpha: float, beta: float, x):
@@ -75,20 +96,30 @@ def jacobi_eval(n: int, alpha: float, beta: float, x):
     if n < 0:
         raise ParameterDomainError(f"degree must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    p = np.ones_like(x, dtype=float) if n == 0 else _recurrence(n, alpha, beta, x)[1]
+    p = np.ones_like(x, dtype=float) if n == 0 else np.ldexp(*_recurrence(n, alpha, beta, x)[1:])
     return float(p) if x.ndim == 0 else p
 
 
 def _value_and_derivative(n: int, alpha: float, beta: float, x):
-    """(J_n, J_n') at |x| < 1 from one recurrence, n >= 1, float or array x, through
+    """(J_n, J_n', e) at |x| < 1 from one recurrence, n >= 1, scalar or array x, through
 
-    (2n+a+b)(1-x^2) J_n' = n[(a-b) - (2n+a+b)x] J_n + 2(n+a)(n+b) J_(n-1).
+    (2n+a+b)(1-x^2) J_n' = n[(a-b) - (2n+a+b)x] J_n + 2(n+a)(n+b) J_(n-1);
+    the true J_n and J_n' are the two returned times 2^e.
     """
-    p_prev, p_cur = _recurrence(n, alpha, beta, x)
+    p_prev, p_cur, e = _recurrence(n, alpha, beta, x)
     s = 2.0 * n + alpha + beta
     deriv = (n * ((alpha - beta) - s * x) * p_cur
              + 2.0 * (n + alpha) * (n + beta) * p_prev) / (s * (1.0 - x * x))
-    return p_cur, deriv
+    return p_cur, deriv, e
+
+
+def _newton(n: int, alpha: float, beta: float, s):
+    """One Newton step s - J_n(s)/J_n'(s) from each s in (-1, 1); s stays put where J_n' = 0.
+
+    The common factor 2^e of J_n and J_n' cancels in the step.
+    """
+    value, deriv, _ = _value_and_derivative(n, alpha, beta, s)
+    return s - np.where(deriv != 0.0, value / np.where(deriv == 0.0, 1.0, deriv), 0.0)
 
 
 def jacobi_derivative(n: int, alpha: float, beta: float, x):
@@ -149,10 +180,7 @@ def _matrix_eigenvalues(n: int, alpha: float, beta: float, **select) -> np.ndarr
 
 def jacobi_roots(n: int, alpha: float, beta: float) -> JacobiRootSet:
     """Roots as eigenvalues of the recurrence matrix, plus one Newton polish."""
-    s = np.sort(np.asarray(_matrix_eigenvalues(n, alpha, beta), dtype=float))
-    value, deriv = _value_and_derivative(n, alpha, beta, s)
-    step = np.where(deriv != 0.0, value / np.where(deriv == 0.0, 1.0, deriv), 0.0)
-    s = s - step
+    s = _newton(n, alpha, beta, np.sort(np.asarray(_matrix_eigenvalues(n, alpha, beta), dtype=float)))
     if alpha == beta:
         s = 0.5 * (s - s[::-1])  # enforce the exact s_k = -s_{n+1-k} symmetry
     s = np.sort(s)
@@ -169,35 +197,18 @@ def jacobi_roots(n: int, alpha: float, beta: float) -> JacobiRootSet:
 def log_variance_via_jacobi(n: int, alpha: float, beta: float, x: float) -> float:
     """log M_n(x) through the (1 - x^2)^n * J_n((1+x^2)/(1-x^2)) identity.
 
-    Runs the recurrence with running rescaling so degrees well past the plain
-    evaluator's overflow point stay representable.  Requires |x| < 1.
+    The recurrence rescales as it runs, so degrees whose J_n overflows a
+    float stay representable.  Requires |x| < 1.
     """
     _check_ab(alpha, beta)
     if not abs(x) < 1.0:
         raise ParameterDomainError(f"identity requires |x| < 1, got {x!r}")
     x2 = x * x
     arg = (1.0 + x2) / (1.0 - x2)
-    apb = alpha + beta
-    log_scale = 0.0
-    p_prev, p_cur = 1.0, 0.5 * ((apb + 2.0) * arg + (alpha - beta))
-    if n == 0:
-        p_cur = 1.0
-    a2_b2 = (alpha - beta) * apb
-    for k in range(2, n + 1):
-        s_k = 2 * k + apb
-        s_km2 = (2 * k - 2) + apb
-        c1 = 2.0 * k * (k + apb) * s_km2
-        c2 = ((2 * k - 1) + apb) * (s_k * s_km2 * arg + a2_b2)
-        c3 = 2.0 * ((k - 1) + alpha) * ((k - 1) + beta) * s_k
-        p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-        mag = abs(p_cur)
-        if mag > 1e120:
-            p_prev /= mag
-            p_cur /= mag
-            log_scale += math.log(mag)
+    p_cur, e = (1.0, 0) if n == 0 else _recurrence(n, alpha, beta, arg)[1:]
     if p_cur <= 0.0:
         raise NumericError(f"Jacobi value unexpectedly non-positive at arg={arg!r}")
-    return n * math.log1p(-x2) + log_scale + math.log(p_cur)
+    return n * math.log1p(-x2) + e * _LN2 + math.log(p_cur)
 
 
 def density_via_roots(rootset: JacobiRootSet, x):
@@ -232,9 +243,7 @@ def root_bounds(n: int, alpha: float, beta: float) -> BoundsReport:
     """
     s_max = float(_matrix_eigenvalues(n, alpha, beta, select="i", select_range=(n - 1, n - 1))[-1])
     if -1.0 < s_max < 1.0:  # a wild eigenvalue is rejected, never polished into range
-        value, deriv = _value_and_derivative(n, alpha, beta, s_max)
-        if deriv != 0.0:
-            s_max -= value / deriv
+        s_max = float(_newton(n, alpha, beta, s_max))
     if not -1.0 < s_max < 1.0:
         raise NumericError(f"largest root {s_max!r} outside (-1, 1) for n={n}, alpha={alpha}, beta={beta}")
     sqrt_n = math.sqrt(n)

@@ -336,14 +336,15 @@ def _moments(c: _Ratios, xs: np.ndarray, rows: bool = True):
     return _log_sq_at(c, peak, lo, hi) + log_rel, s1, f, log_f
 
 
-def _with_limits(moments, xs: np.ndarray, n: int, la_ends,
+def _with_limits(moments, xs: np.ndarray, n: int, ends,
                  rows: bool = True) -> tuple[np.ndarray, ...]:
     """Rows (log M, B/M, f, log(A*M - B^2)) at each x >= 0 of ``xs``; (f,) unless ``rows``.
 
     ``moments`` gives the rows at finite x > 0; x = 0 takes the exact limits
     and x = inf the x -> inf ones (f ~ (a_(n-1)/a_n)/x^2 -> 0), both from
-    ``la_ends = (log a_0^2, log a_1^2)``.  Callers pass |x|; NaN raises
-    ``ParameterDomainError``.
+    ``ends = (log a_0^2, r_0)``: f(0) = a_1/a_0 = e^(r_0/2) comes from the
+    exact neighbour ratio, not from a difference of table logs.  Callers pass
+    |x|; NaN raises ``ParameterDomainError``.
     """
     m = len(xs)
     if np.count_nonzero(np.isfinite(xs)) == m and np.count_nonzero(xs) == m:
@@ -353,11 +354,11 @@ def _with_limits(moments, xs: np.ndarray, n: int, la_ends,
     bad = ~(inside | zero | infinite)
     if bad.any():
         raise ParameterDomainError(f"density needs x >= 0, got {xs[bad][0]!r}")
-    la0, la1 = la_ends
-    half_gap = 0.5 * (la1 - la0)
-    at_zero = np.array([[la0], [0.0], [math.exp(half_gap)], [2.0 * (la0 + half_gap)]])
+    la0, r0 = ends
+    log_amb0 = 2.0 * la0 + r0  # A*M - B^2 -> a_0^2 a_1^2
+    at_zero = np.array([[la0], [0.0], [math.exp(0.5 * r0)], [log_amb0]])
     # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
-    at_inf = np.array([[math.inf], [0.0], [0.0], [la0 + la1 if n == 1 else math.inf]])
+    at_inf = np.array([[math.inf], [0.0], [0.0], [log_amb0 if n == 1 else math.inf]])
     if not rows:
         at_zero, at_inf = at_zero[2:3], at_inf[2:3]
     out = np.empty((len(at_zero), len(xs)))
@@ -389,7 +390,7 @@ def _evaluate(table: CoefficientTable, xs: np.ndarray, rows: bool = True) -> tup
         log_m, s1, f, log_f = _moments(c, v)
         return log_m, s1, f, 2.0 * (log_m + log_f)
 
-    return _with_limits(block, xs, table.n, (c.la[0], c.la[1]), rows)
+    return _with_limits(block, xs, table.n, (c.la[0], c.right[1]), rows)
 
 
 def _triple(x: float, rows: tuple[np.ndarray, ...]) -> KacRiceTriple:
@@ -499,16 +500,8 @@ def _unreflect_f(f: np.ndarray, xs: np.ndarray, high: np.ndarray) -> np.ndarray:
     return f
 
 
-def _kac_density(n: int, xs: np.ndarray) -> np.ndarray:
-    """Kac density at each x >= 0 of ``xs``, x = 0 and inf included; O(1) per point."""
-    with np.errstate(divide="ignore"):  # x = 0: s = inf, which _kac_f2 maps to f = 1
-        lx = np.log(xs)
-    s = np.abs(lx)
-    return _unreflect_f(np.sqrt(_kac_f2(n, s, _kac_terms(n, s))), xs, lx > 0.0)
-
-
-def _kac_moments(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at finite x > 0.
+def _kac_moments(n: int, xs: np.ndarray, rows: bool = True):
+    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at finite x > 0; f unless ``rows``.
 
     Every closed form is taken at y = min(x, 1/x) = e^-s, where its terms stay
     bounded, and reflected through the palindromic coefficients:
@@ -522,6 +515,9 @@ def _kac_moments(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     high = lx > 0.0
     terms = near, t, one_m_x, one_m_xbig, x_n = _kac_terms(n, s)
     f2 = _kac_f2(n, s, terms)
+    f = _unreflect_f(np.sqrt(f2), xs, high)
+    if not rows:
+        return f
     q = 1.0 / one_m_x - big * x_n / one_m_xbig  # phi / X
     s1 = xs * q                                 # B/M = phi/x, exact as x -> 0
     if high.any():
@@ -539,18 +535,19 @@ def _kac_moments(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     up = np.maximum(lx, 0.0)
     log_m += 2.0 * n * up
     log_f = 0.5 * np.log(f2) - 2.0 * up
-    f = _unreflect_f(np.sqrt(f2), xs, high)
     return log_m, s1, f, 2.0 * (log_m + log_f)
 
 
-def _kac_evaluate(n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at each x >= 0."""
-    return _with_limits(lambda v: _kac_moments(n, v), xs, n, (0.0, 0.0))
+def _kac_evaluate(n: int, xs: np.ndarray, rows: bool = True) -> tuple[np.ndarray, ...]:
+    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at each x >= 0; (f,) unless ``rows``."""
+    if rows:
+        return _with_limits(lambda v: _kac_moments(n, v), xs, n, (0.0, 0.0))
+    return _with_limits(lambda v: (_kac_moments(n, v, rows=False),), xs, n, (0.0, 0.0), rows=False)
 
 
 def kac_density(n: int, x) -> float | np.ndarray:
     """Kac density in O(1) per point; series fallback keeps full precision near |x| = 1."""
-    return _over_abs(lambda xs: _kac_density(n, xs), x)
+    return _over_abs(lambda xs: _kac_evaluate(n, xs, rows=False)[0], x)
 
 
 def kac_triple(n: int, x: float) -> KacRiceTriple:
@@ -595,7 +592,7 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
     per point, no table) over the generic table kernel.
     """
     if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
-        density_fn = lambda xs: _kac_density(n, xs)  # Kac coefficients are palindromic
+        density_fn = lambda xs: _kac_moments(n, xs, rows=False)  # Kac coefficients are palindromic
         return Kernel(lambda xs: _kac_evaluate(n, xs), density_fn, density_fn)
     return _table_kernel(coefficient_table(family, n))
 
@@ -708,16 +705,16 @@ def expected_internal_equilibria(family: PolynomialClass, n: int, tol: float = 1
 # finite-difference residuals of the B = M'/2 and A = (x M')'/(4x) relations
 # ---------------------------------------------------------------------------
 
-def relation_residuals(table: CoefficientTable, x: float, h: float | None = None) -> tuple[float, float]:
+def relation_residuals(table: CoefficientTable, x: float) -> tuple[float, float]:
     """Residuals of the derivative relations, normalized by M(x).
 
     r1 = |B/M - (finite difference of M)/(2M)| and r2 the analogue for
-    A = (x M')'/(4x); both should vanish to O(h^2) + roundoff.
+    A = (x M')'/(4x), with central differences of step h = max(1e-6, 1e-8 x);
+    both should vanish to O(h^2) + roundoff.
     """
     if not x > 0:
         raise ParameterDomainError(f"relation_residuals requires x > 0, got {x!r}")
-    if h is None:
-        h = max(1e-6, 1e-8 * x)
+    h = max(1e-6, 1e-8 * x)
     ys = np.array([x - h, x, x + h])
     log_m, s1, f, _ = _evaluate(table, ys)
     # M(y)/M(x) and y * M'(y)/M(x); M' = 2B so y*M'(y) = 2y*S1(y)*M(y)

@@ -19,6 +19,7 @@ from .errors import NumericError
 __all__ = ["QuadratureResult", "adaptive_quadrature"]
 
 MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
+MAX_DEPTH = 60  # bisections of [a, b] before a panel is kept as it stands
 _EPS = float(np.finfo(float).eps)
 
 # Kronrod-15 nodes on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
@@ -75,7 +76,6 @@ def adaptive_quadrature(
     a: float,
     b: float,
     tol: float = 1e-9,
-    max_depth: int = 60,
 ) -> QuadratureResult:
     """Integrate the vectorized ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -119,7 +119,7 @@ def adaptive_quadrature(
         item = heapq.heappop(heap)
         depth, pa, pb = item[2], item[3], item[4]
         mid = 0.5 * (pa + pb)
-        if depth >= max_depth or mid <= pa or mid >= pb:
+        if depth >= MAX_DEPTH or mid <= pa or mid >= pb:
             exhausted.append(item)  # not splittable; keep its contribution
             continue
         running -= item[6]

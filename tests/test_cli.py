@@ -132,9 +132,8 @@ def test_density_grid_matches_pointwise(capsys, cls, family, n):
         assert log_m == pytest.approx(t.log_m, rel=4e-15, abs=1e-300)
         assert s1 == pytest.approx(math.copysign(t.s1, x), rel=4e-15)
         assert s2 == pytest.approx(t.s2, rel=4e-15)
-    la = None if table is None else table.log_sq_coeff
-    f0 = 1.0 if table is None else math.exp(0.5 * (la[1] - la[0]))
-    assert rows[30][1:] == [f0, 0.0 if table is None else la[0], 0.0, f0 * f0]
+    f0 = 1.0 if table is None else math.exp(0.5 * table.log_ratio[0])
+    assert rows[30][1:] == [f0, 0.0 if table is None else table.log_sq_coeff[0], 0.0, f0 * f0]
 
 
 def test_render_csv_fast_path_matches_fmt_csv():
@@ -177,6 +176,20 @@ def test_bounds_wild_eigenvalue_exits_three(capsys, monkeypatch, bad):
     assert code == 3
     assert out == ""
     assert "largest root" in err
+
+
+def test_bounds_at_large_alpha_beta(capsys):
+    # J_1000^(400,400) overflows a float on (-1, 1); the bracket must still
+    # come out, with s_max the correctly rounded root, and hold the count
+    cls = ("--class", "alpha-beta", "--alpha", "400", "--beta", "400", "--n", "1000")
+    code, out, err = run_cli(capsys, "bounds", *cls)
+    assert code == 0 and err == ""
+    _, jac_lo, jac_hi, ultra_lo, ultra_hi, s_max = map(float, out.strip().split("\n")[1].split(","))
+    assert abs(s_max - 0.95544000610076429) <= 2 * math.ulp(s_max)
+    code, out, _ = run_cli(capsys, "expect", *cls)
+    assert code == 0
+    count = float(out.strip().split("\n")[1].split(",")[1])
+    assert jac_lo <= count <= jac_hi and ultra_lo <= count <= ultra_hi
 
 
 def test_density_kac_route(capsys):

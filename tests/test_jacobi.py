@@ -8,6 +8,7 @@ from randroot import jacobi
 from randroot.errors import NumericError, ParameterDomainError
 from randroot.families import alpha_beta_family, coefficient_table
 from randroot.jacobi import (
+    _recurrence,
     _value_and_derivative,
     density_endpoints,
     density_via_roots,
@@ -58,6 +59,36 @@ def root_near_mp(n, alpha, beta, guess):
 
         h = mp.mpf(2) ** -60
         return mp.findroot(value, (mp.mpf(guess) - h, mp.mpf(guess) + h), solver="secant")
+
+
+def bisect_root_mp(n, alpha, beta, lo, hi, dps=60):
+    """The root of J_n^(alpha,beta) in (lo, hi) by bisection, on the textbook
+    three-term recurrence run in ``dps``-digit arithmetic, to 1e-30."""
+    with mp.workdps(dps):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        steps = []
+        for k in range(2, n + 1):
+            s = 2 * k + a + b
+            steps.append((2 * k * (k + a + b) * (s - 2), (s - 1) * s * (s - 2), (s - 1) * (a * a - b * b),
+                          2 * (k + a - 1) * (k + b - 1) * s))
+
+        def value(x):
+            p_prev, p = mp.mpf(1), ((a + b + 2) * x + (a - b)) / 2
+            for c1, c2_x, c2_0, c3 in steps:
+                p_prev, p = p, ((c2_x * x + c2_0) * p - c3 * p_prev) / c1
+            return p
+
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        f_lo = value(lo)
+        assert f_lo * value(hi) < 0, "bisection oracle needs a sign change"
+        while hi - lo > mp.mpf(10) ** -30:
+            mid = (lo + hi) / 2
+            f_mid = value(mid)
+            if f_mid * f_lo > 0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def ulps_from(got, exact):
@@ -126,10 +157,10 @@ def test_fused_derivative_matches_jacobi_derivative(n, alpha, beta):
     # its roots cannot show a wrong J_n' (the step is about one ulp), so the
     # identity is checked here, away from the roots
     xs = np.linspace(-0.95, 0.95, 37)
-    value, deriv = _value_and_derivative(n, alpha, beta, xs)
-    assert np.array_equal(value, jacobi_eval(n, alpha, beta, xs))
+    value, deriv, e = _value_and_derivative(n, alpha, beta, xs)
+    assert np.array_equal(np.ldexp(value, e), jacobi_eval(n, alpha, beta, xs))
     want = jacobi_derivative(n, alpha, beta, xs)
-    np.testing.assert_allclose(deriv, want, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(np.ldexp(deriv, e), want, rtol=1e-11, atol=0)
 
 
 def test_roots_trivial_and_legendre():
@@ -201,6 +232,28 @@ def test_variance_identity_cross_route(alpha, beta):
         assert math.exp(via_jacobi - direct) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_variance_identity_past_the_float_range():
+    # J_2000((1 + x^2)/(1 - x^2)) at x = 0.99 is about e^10582: the recurrence
+    # rescales as it runs, and log M (about 2750) still matches the table route
+    for alpha, beta in ((0.5, 2.0), (0.0, 0.0), (400.0, 400.0)):
+        n, x = 2000, 0.99
+        assert _recurrence(n, alpha, beta, (1 + x * x) / (1 - x * x))[2] > 0
+        via_jacobi = log_variance_via_jacobi(n, alpha, beta, x)
+        direct = kac_rice_eval(coefficient_table(alpha_beta_family(alpha, beta), n), x).log_m
+        assert via_jacobi == pytest.approx(direct, rel=1e-14)
+
+
+def test_eval_past_the_rescale_point():
+    # P_200(5) is about 1e199: the recurrence divides down by powers of two,
+    # which is exact, and jacobi_eval multiplies back
+    with mp.workdps(30):
+        want = float(mp.legendre(200, 5))
+    assert want > 1e150
+    assert jacobi_eval(200, 0.0, 0.0, 5.0) == pytest.approx(want, rel=1e-13)
+    got = jacobi_eval(200, 0.0, 0.0, np.array([0.5, 5.0]))
+    assert got[0] == jacobi_eval(200, 0.0, 0.0, 0.5) and got[1] == pytest.approx(want, rel=1e-13)
+
+
 def test_variance_identity_domain():
     with pytest.raises(ParameterDomainError):
         log_variance_via_jacobi(3, 0.0, 0.0, 1.0)
@@ -263,6 +316,26 @@ def test_root_bounds_carries_the_largest_root(n, alpha, beta):
     assert ulps_from(s_max, exact) <= 2
     assert ulps_from(full, exact) <= 2
     assert ultraspherical_bounds(n, alpha).s_max is None
+
+
+def test_roots_at_large_alpha_beta():
+    # J_1000^(400,400) reaches ~1e350 on (-1, 1): the Newton step of both
+    # solvers runs on the rescaled recurrence
+    n, alpha = 1000, 400.0
+    s_max = root_bounds(n, alpha, alpha).s_max
+    full = jacobi_roots(n, alpha, alpha).roots[-1]
+    exact = bisect_root_mp(n, alpha, alpha, s_max - 1e-14, s_max + 1e-14)
+    assert ulps_from(s_max, exact) <= 2 and ulps_from(float(full), exact) <= 2
+    assert abs(s_max - 0.95544000610076429) <= 2 * math.ulp(s_max)
+
+
+def test_root_bounds_at_degree_1e5():
+    # the largest root at n = 10^5, alpha = beta = 100 is bracketed within
+    # 4 ulps by signs of the rescaled recurrence (J_n > 0 above s_max)
+    n, alpha = 10**5, 100.0
+    s_max = root_bounds(n, alpha, alpha).s_max
+    gap = 4 * math.ulp(s_max)
+    assert _recurrence(n, alpha, alpha, s_max - gap)[1] < 0 < _recurrence(n, alpha, alpha, s_max + gap)[1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5])

@@ -210,7 +210,7 @@ EXTREME_F_BEFORE = {
 def test_density_at_extreme_x(family):
     # f(x) -> a_1/a_0 as x -> 0 and f(x) ~ (a_{n-1}/a_n) / x^2 as x -> inf; at
     # these points the neglected terms are below 1e-30 relative.  x = 0 itself
-    # is the limit read from the table.
+    # is the limit e^(r_0/2) read from the table's exact neighbour ratio.
     n = 50
     table = coefficient_table(family, n)
     la = table.log_sq_coeff
@@ -218,7 +218,7 @@ def test_density_at_extreme_x(family):
     at_zero = float(mp.exp((exact[1] - exact[0]) / 2))
     at_inf = float(mp.exp((exact[n - 1] - exact[n]) / 2))
     got = density(table, np.array(EXTREME_X))
-    assert got[0] == math.exp(0.5 * (la[1] - la[0])) == pytest.approx(at_zero, rel=2e-14)
+    assert got[0] == math.exp(0.5 * table.log_ratio[0]) == pytest.approx(at_zero, rel=2e-14)
     for x, f, before in zip(EXTREME_X[1:], got[1:], EXTREME_F_BEFORE[family.label()][1:]):
         limit = at_zero if x < 1.0 else at_inf / x / x
         assert f == pytest.approx(limit, rel=1e-14)
@@ -234,6 +234,27 @@ def test_density_at_extreme_x(family):
         else:
             assert t.s1 == pytest.approx(n / x, rel=1e-14)
             assert t.log_m == pytest.approx(la[n] + 2 * n * math.log(x), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [4000, 10**6])
+@pytest.mark.parametrize("family", [gamma_family(1.0), alpha_beta_family(0.5, 2.0)],
+                         ids=lambda f: f.label())
+def test_density_limits_at_large_n(family, n):
+    # a_1/a_0 = n^gamma or sqrt(n(n+beta)/(1+alpha)), and a_(n-1)/a_n the
+    # same with alpha and beta swapped.  x = 0 is e^(r_0/2), from the exact
+    # ratio; the other points are edge rows of the window kernel (n is past
+    # _WHOLE_TABLE_N), where the neglected terms are below 1e-30 relative.
+    # r_0 ~ 2 ln n is rounded by up to ulp(r_0)/2 = 1.8e-15, so f by ~1e-15.
+    xs = (0.0, 1e-300, 1e-200, 1e-160, 1e140, 1e150)
+    with mp.workdps(30):
+        if family.kind is FamilyKind.GAMMA:
+            low = high = mp.mpf(n) ** family.gamma
+        else:
+            a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+            low, high = mp.sqrt(n * (n + b) / (1 + a)), mp.sqrt(n * (n + a) / (1 + b))
+        want = [float(low if x < 1 else high / mp.mpf(x) ** 2) for x in xs]
+    got = density(coefficient_table(family, n), np.array(xs))
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
 
 
 def mp_density(log_sq, x, dps=50):
@@ -288,7 +309,10 @@ def test_density_limits_at_infinity_and_nan(family, n):
     assert got[0] == got[2] == 0.0 and got[1] == density(table, 0.5)
     t = kac_rice_eval(table, math.inf)
     assert (t.f, t.s1, t.s2, t.log_m) == (0.0, 0.0, 0.0, math.inf)
-    assert t.log_amb == (la[0] + la[1] if n == 1 else math.inf)
+    # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x, taken from the exact ratio r_0
+    assert t.log_amb == (2.0 * la[0] + table.log_ratio[0] if n == 1 else math.inf)
+    if n == 1:
+        assert t.log_amb == kac_rice_eval(table, 0.0).log_amb
     for bad in (math.nan, np.array([0.5, math.nan])):
         with pytest.raises(ParameterDomainError):
             density(table, bad)
@@ -315,18 +339,18 @@ def test_kac_closed_forms_at_infinity_and_nan(n):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "family,n,x,h,r1_rel,r2_rel",
+    "family,n,x,r1_rel,r2_rel",
     [
-        (gamma_family(1.0), 4, 0.7, 1e-5, 1e-8, 1e-6),
-        (alpha_beta_family(2.0, 2.0), 6, 1.0, 1e-5, 1e-8, 1e-6),
-        (kac(), 3, 0.5, 1e-5, 1e-8, 1e-6),
+        (gamma_family(1.0), 4, 0.7, 1e-8, 1e-6),
+        (alpha_beta_family(2.0, 2.0), 6, 1.0, 1e-8, 1e-6),
+        (kac(), 3, 0.5, 1e-8, 1e-6),
     ],
     ids=["gamma1", "ab22", "kac"],
 )
-def test_relation_residuals(family, n, x, h, r1_rel, r2_rel):
+def test_relation_residuals(family, n, x, r1_rel, r2_rel):
     table = coefficient_table(family, n)
     t = kac_rice_eval(table, x)
-    r1, r2 = relation_residuals(table, x, h)
+    r1, r2 = relation_residuals(table, x)
     assert r1 / t.s1 < r1_rel
     assert r2 / t.s2 < r2_rel
 

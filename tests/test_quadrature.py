@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from randroot import quadrature
 from randroot.errors import NumericError
 from randroot.quadrature import _WG, _WGK, _XGK, adaptive_quadrature, _panel
 
@@ -56,11 +57,10 @@ def test_adaptive_resolves_sharp_peak():
     assert res.value == pytest.approx(exact, abs=1e-9)
 
 
-def test_budget_exhaustion_reports_not_converged():
+def test_budget_exhaustion_reports_not_converged(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
     w = 1e-7
-    res = adaptive_quadrature(
-        lambda x: w / (w * w + (x - 0.5) ** 2), 0.0, 1.0, tol=1e-13, max_depth=3
-    )
+    res = adaptive_quadrature(lambda x: w / (w * w + (x - 0.5) ** 2), 0.0, 1.0, tol=1e-13)
     assert not res.converged
     assert res.abs_error_estimate > 1e-13
 
@@ -73,12 +73,14 @@ def test_degenerate_and_invalid_intervals():
         adaptive_quadrature(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
-def _resum_each_step(f, a, b, tol=1e-9, max_depth=60):
+def _resum_each_step(f, a, b, tol=1e-9):
     """The adaptive loop as it was before the running error total: every step
     re-sums all panel errors, heap order then exhausted order."""
     import heapq
 
     from randroot.quadrature import MAX_EVALUATIONS, QuadratureResult
+
+    max_depth = quadrature.MAX_DEPTH
 
     value, err = _panel(f, a, b)
     evaluations, seq = 15, 0
@@ -115,8 +117,9 @@ def _resum_each_step(f, a, b, tol=1e-9, max_depth=60):
     (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 3),
     (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 60),
 ], ids=["arctan", "exp", "peak", "exhausted", "deep"])
-def test_running_error_total_is_bit_identical(f, a, b, tol, max_depth):
-    assert adaptive_quadrature(f, a, b, tol, max_depth) == _resum_each_step(f, a, b, tol, max_depth)
+def test_running_error_total_is_bit_identical(monkeypatch, f, a, b, tol, max_depth):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
+    assert adaptive_quadrature(f, a, b, tol) == _resum_each_step(f, a, b, tol)
 
 
 def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
@@ -127,9 +130,9 @@ def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
 
     legs = []
 
-    def both(f, a, b, tol=1e-9, max_depth=60):
-        got = adaptive_quadrature(f, a, b, tol, max_depth)
-        assert got == _resum_each_step(f, a, b, tol, max_depth)
+    def both(f, a, b, tol=1e-9):
+        got = adaptive_quadrature(f, a, b, tol)
+        assert got == _resum_each_step(f, a, b, tol)
         legs.append(got.evaluations)
         return got
 
