@@ -18,9 +18,11 @@ is concave, so the weights are log-concave in i: a binary search on the
 table's neighbour log-ratios r_i = log(a_(i+1)^2 / a_i^2) finds i*, the
 log-weights are partial sums of r_i + 2 ln x walking out from it, and only
 the window where they stay above e^-(40 + 3 ln(n+1)) is summed, O(sqrt(n))
-terms per point.  Points so close to 0 (or inf) that the weights next to the
-peak at i = 0 (or i = n) underflow are rescaled by x^2, so that f stays
-exact down to x = 5e-324.
+terms per point.  Where the weight next to a peak at i = 0 is below e^-600 of
+it (x up to e^-((600 + r_0)/2)), the rows are their limits, f = e^(r_0/2),
+B/M = x e^(r_0) and log M = log a_0^2 + x B/M, exact to the last bit down to
+x = 0; near inf the mirror image holds.  One evaluator serves every call and
+sends those points there; an f(0) past the double range raises NumericError.
 
 The Kac family (gamma = 0) has closed forms: M(x) = (1 - x^(2n+2))/(1 - x^2)
 and, with X = x^2 and phi(X) = X M'(X)/M(X),
@@ -43,12 +45,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterDomainError, QuadratureError
+from .errors import NumericError, ParameterDomainError, QuadratureError
 from .families import (
     CoefficientTable,
     FamilyKind,
@@ -98,7 +100,7 @@ class KacRiceTriple:
 
 _LOG_TINY = -700.0  # log-weights are clamped here: e^-700 < 1e-304 of the peak
 _WHOLE_TABLE_N = 128  # up to this degree walks reach both table ends: no width estimate
-_EDGE_LOG = 600.0  # below e^-600 next to an end peak, Var is rescaled by x^2
+_EDGE_LOG = 600.0  # below e^-600 of an end peak, the next weight moves no row
 
 
 class _Ratios(NamedTuple):
@@ -159,16 +161,12 @@ def _steps(h: int) -> tuple[np.ndarray, np.ndarray]:
     return q, powers
 
 
-def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, low, high, h: int) -> np.ndarray:
+def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int) -> np.ndarray:
     """Log-weights 1..h steps right (first p rows) and left (last p rows) of each peak.
 
     t_i = log(a_i^2 x^(2i)) changes by d_i = r_i + 2 ln x from i to i+1, so
     t_(i*+q) - t_(i*) is a sum of d walking out from the peak i*: each partial
-    sum stays near the terms it adds, and no large numbers cancel.  On the
-    rows ``_edge_moments`` serves (mask ``low``: peak at index 0; None when
-    there are none) the first step right is r_0 alone, which gives
-    log v_q = log(a_q^2 x^(2q-2) / a_0^2); those peaking at n (``high``) take
-    the mirror image on the left.
+    sum stays near the terms it adds, and no large numbers cancel.
     """
     p = len(peak)
     q = _steps(h)[0]
@@ -177,26 +175,16 @@ def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, low, high, h: int) -> n
     c.left.take((peak + 1)[:, None] - q, mode="clip", out=g[p:])  # -r_(i*-q)
     g[:p] += d0[:, None]
     g[p:] -= d0[:, None]
-    if low is not None:
-        g[:p][low, 0] = c.right[1]
-    if high is not None:
-        g[p:][high, 0] = c.left[-2]
     return np.cumsum(g, axis=1, out=g)
 
 
-def _wider(c: _Ratios, u: np.ndarray, low, high, h: int, whole: int) -> int:
+def _wider(c: _Ratios, u: np.ndarray, h: int, whole: int) -> int:
     """``h`` if every walk of ``u`` ends at or below -cut, else a half-width that does.
 
-    Each end is taken against its row's largest term: the peak, or v_1 on an
-    edge row.  A walk is concave, so past its end it falls at least as fast
-    as over its last step, which bounds the steps still needed.
+    A walk is concave, so past its end it falls at least as fast as over its
+    last step, which bounds the steps still needed.
     """
     ends = u[:, -1] + c.cut
-    p = len(u) // 2
-    if low is not None:
-        ends[:p][low] -= u[:p][low, 0]
-    if high is not None:
-        ends[p:][high] -= u[p:][high, 0]
     short = ends > 0.0
     if not short.any():
         return h
@@ -206,8 +194,7 @@ def _wider(c: _Ratios, u: np.ndarray, low, high, h: int, whole: int) -> int:
     return min(whole, h + int(np.ceil((ends[short] / fall).max())) + 1)
 
 
-def _window(c: _Ratios, peak: np.ndarray, d0: np.ndarray, low, high, lo: int,
-            hi: int) -> tuple[int, np.ndarray]:
+def _window(c: _Ratios, peak: np.ndarray, d0: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray]:
     """The half-width h and the walks of ``_walks`` whose ends all reach -cut.
 
     ``lo`` and ``hi`` are the lowest and highest peak.
@@ -215,8 +202,8 @@ def _window(c: _Ratios, peak: np.ndarray, d0: np.ndarray, low, high, lo: int,
     whole = max(len(c.right) - 2 - lo, hi, 1)
     h = _half_width(c, peak, whole)
     while True:
-        u = _walks(c, peak, d0, low, high, h)
-        wider = h if h >= whole else _wider(c, u, low, high, h, whole)
+        u = _walks(c, peak, d0, h)
+        wider = h if h >= whole else _wider(c, u, h, whole)
         if wider == h:
             return h, u
         h = wider
@@ -240,22 +227,6 @@ def _centred(u: np.ndarray, powers: np.ndarray):
     return s[:, 0], mean, s[:, 2] / total - mean * mean
 
 
-def _edge_moments(v: np.ndarray, j: np.ndarray, x: np.ndarray):
-    """(log(M / a_0^2), B/M, f^2) at points whose weights peak at index 0.
-
-    With v_j = a_j^2 x^(2j-2) / a_0^2 for j >= 1 and V = sum v_j, M = a_0^2 (1 + x^2 V)
-    and f^2 = Var/x^2 is a sum of non-negative terms in v alone, so nothing
-    underflows as x -> 0: f^2 tends to v_1 = a_1^2/a_0^2.
-    """
-    x2 = x * x
-    x2v = x2 * v.sum(axis=1)
-    w = 1.0 + x2v
-    s = v @ j
-    mu = x2 * s / w
-    f2 = (x2 * (s / w) ** 2 + np.einsum("ij,ij->i", v, (j - mu[:, None]) ** 2)) / w
-    return np.log1p(x2v), x * s / w, f2
-
-
 def _log_sq_at(c: _Ratios, peak: np.ndarray, lo: int, hi: int):
     """log(a_i^2) at each index of ``peak``, all of them in lo..hi.
 
@@ -272,13 +243,11 @@ def _log_sq_at(c: _Ratios, peak: np.ndarray, lo: int, hi: int):
     return c.la[lo] + steps[peak - lo]
 
 
-def _rows_where(mask: np.ndarray):
-    """``mask``, or None when it selects no row."""
-    return mask if mask.any() else None
+_BLOCK = 1 << 13  # points x coefficients per weights array; 15-point panels stay whole
 
 
 def _moments(c: _Ratios, xs: np.ndarray, rows: bool = True):
-    """(log M, B/M, f, log f) at each finite x > 0 of the 1-d array ``xs``; f unless ``rows``.
+    """Rows (log M, B/M, f, log(A*M - B^2)) at each x of the 1-d ``xs``; f alone unless ``rows``.
 
     Weights p_i = a_i^2 x^(2i) / M give M, the mean mu = x B/M and the
     variance Var = sum p_i (i - mu)^2 = x^2 (A*M - B^2)/M^2, so f = sqrt(Var)/x.
@@ -287,110 +256,98 @@ def _moments(c: _Ratios, xs: np.ndarray, rows: bool = True):
     geometrically on either side.  Only the window where they stay above
     e^-cut (cut = 40 + 3 ln(n+1)) is summed, O(sqrt(n)) terms, and the mass
     dropped beyond it is below e^-cut times a factor polynomial in n.
-    Points so close to 0 (or inf) that the weight next to the peak at index 0
-    (or n) is below e^-``_EDGE_LOG`` go through ``_edge_moments``, where Var
-    would underflow.
+    ``_evaluator`` passes only points where the weight next to an end peak is
+    at least e^-600 of the peak's, so Var stays far inside the double range.
+    Long arrays go in blocks, so memory stays O(n) however many points are
+    asked for.
     """
-    n = len(c.right) - 2
+    step = max(16, _BLOCK // len(c.la))
+    if len(xs) > step:
+        out = np.concatenate([_moments(c, xs[i:i + step], rows) for i in range(0, len(xs), step)], axis=-1)
+        return tuple(out) if rows else out
     lx = np.log(xs)
     d0 = 2.0 * lx
     peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
     lo, hi = int(peak.min()), int(peak.max())
-    # the neighbour's log-weight is r_0 + 2 ln x at peak 0, -(r_(n-1) + 2 ln x) at peak n
-    low = _rows_where(d0 < -_EDGE_LOG - c.right[1]) if lo == 0 else None
-    high = _rows_where(d0 > _EDGE_LOG - c.right[-2]) if hi == n else None
-    h, u = _window(c, peak, d0, low, high, lo, hi)
-    powers = _steps(h)[1]
-    if low is None and high is None:
-        s0, mean, var = _centred(u, powers)
-        f = np.sqrt(var) / xs
-        if not rows:
-            return f
-        log_m = _log_sq_at(c, peak, lo, hi) + peak * d0 + np.log1p(s0)
-        return log_m, (peak + mean) / xs, f, 0.5 * np.log(var) - lx
-    m = p = len(xs)
-    log_rel, s1, f, log_f = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
-    edge = low if high is None else high if low is None else low | high
-    inner = ~edge
-    if inner.any():
-        xi = xs[inner]
-        s0, mean, var = _centred(u[np.concatenate((inner, inner))], powers)
-        log_rel[inner] = peak[inner] * d0[inner] + np.log1p(s0)
-        s1[inner] = (peak[inner] + mean) / xi
-        f[inner] = np.sqrt(var) / xi
-        log_f[inner] = 0.5 * np.log(var) - lx[inner]
-    j = powers[:, 1]
-    if low is not None:
-        log_rel[low], s1[low], f2 = _edge_moments(_exp_weights(u[:p][low]), j, xs[low])
-        f[low] = np.sqrt(f2)
-        log_f[low] = 0.5 * np.log(f2)
-    if high is not None:
-        xh, lxh = xs[high], lx[high]
-        log_mr, s1r, f2 = _edge_moments(_exp_weights(u[p:][high]), j, 1.0 / xh)
-        log_rel[high] = log_mr + 2.0 * n * lxh
-        s1[high] = (n - s1r / xh) / xh  # mean n - mu_reversed
-        f[high] = np.sqrt(f2) / xh / xh
-        log_f[high] = 0.5 * np.log(f2) - 2.0 * lxh
+    h, u = _window(c, peak, d0, lo, hi)
+    s0, mean, var = _centred(u, _steps(h)[1])
+    f = np.sqrt(var) / xs
     if not rows:
         return f
-    return _log_sq_at(c, peak, lo, hi) + log_rel, s1, f, log_f
+    log_m = _log_sq_at(c, peak, lo, hi) + peak * d0 + np.log1p(s0)
+    log_f = 0.5 * np.log(var) - lx
+    return log_m, (peak + mean) / xs, f, 2.0 * (log_m + log_f)
 
 
-def _with_limits(moments, xs: np.ndarray, n: int, ends,
-                 rows: bool = True) -> tuple[np.ndarray, ...]:
-    """Rows (log M, B/M, f, log(A*M - B^2)) at each x >= 0 of ``xs``; (f,) unless ``rows``.
+def _end_rows(end: tuple, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows of the coefficients read from ``end`` = (la, r, r_next, amb), at y^2 e^r < e^-600.
 
-    ``moments`` gives the rows at finite x > 0; x = 0 takes the exact limits
-    and x = inf the x -> inf ones (f ~ (a_(n-1)/a_n)/x^2 -> 0), both from
-    ``ends = (log a_0^2, r_0)``: f(0) = a_1/a_0 = e^(r_0/2) comes from the
-    exact neighbour ratio, not from a difference of table logs.  Callers pass
-    |x|; NaN raises ``ParameterDomainError``.
+    The weights peak at the end and fall from y^2 e^r next to it: the mean
+    index is y^2 e^r, so B/M = y e^r, log M = la + y B/M, f = e^(r/2) and
+    log(A*M - B^2) = amb + 4 y^2 e^(r_next), each exact to the last bit (the
+    first term dropped is e^-600 of the last kept).  Past e^709, where e^r
+    overflows and e^(r/2) may not, B/M is (y e^(r/2)) e^(r/2); below, y e^r
+    rounds once, where y e^(r/2) could round to a subnormal first.
     """
-    m = len(xs)
-    if np.count_nonzero(np.isfinite(xs)) == m and np.count_nonzero(xs) == m:
-        return moments(xs)
-    inside = (xs > 0.0) & (xs < math.inf)
-    zero, infinite = xs == 0.0, xs == math.inf
-    bad = ~(inside | zero | infinite)
-    if bad.any():
-        raise ParameterDomainError(f"density needs x >= 0, got {xs[bad][0]!r}")
-    la0, r0 = ends
-    log_amb0 = 2.0 * la0 + r0  # A*M - B^2 -> a_0^2 a_1^2
-    at_zero = np.array([[la0], [0.0], [math.exp(0.5 * r0)], [log_amb0]])
-    # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
-    at_inf = np.array([[math.inf], [0.0], [0.0], [log_amb0 if n == 1 else math.inf]])
-    if not rows:
-        at_zero, at_inf = at_zero[2:3], at_inf[2:3]
-    out = np.empty((len(at_zero), len(xs)))
-    out[:, zero] = at_zero
-    out[:, infinite] = at_inf
-    if inside.any():
-        out[:, inside] = moments(xs[inside])
-    return tuple(out)
+    la, r, r_next, amb = end
+    try:
+        g = math.exp(0.5 * r)
+    except OverflowError:  # only at x = 0: finite points past x_high need e^(r/2) < e^410
+        raise NumericError(f"f(0) = a_1/a_0 = e^{0.5 * r:.6g} does not fit in a double") from None
+    s = y * math.exp(r) if r < 709.0 else (y * g) * g
+    return la + y * s, s, np.full_like(y, g), amb + 4.0 * (y * math.exp(0.5 * r_next)) ** 2
 
 
-_BLOCK = 1 << 13  # points x coefficients per weights array; 15-point panels stay whole
+def _evaluator(moments: Callable, n: int, low: tuple, high: tuple) -> Callable:
+    """The one evaluator: ``evaluate(xs, rows=True)``, rows (log M, B/M, f, log(A*M - B^2)) or f.
 
-
-def _evaluate(table: CoefficientTable, xs: np.ndarray, rows: bool = True) -> tuple[np.ndarray, ...]:
-    """Rows (log M, B/M, f, log(A*M - B^2)) of the generic kernel at each x >= 0.
-
-    With ``rows`` False the tuple holds the f row alone.  Long grids go through
-    ``_moments`` in blocks, so memory stays O(n) however many points are asked
-    for.
+    ``moments(xs, rows)`` serves the x of the 1-d ``xs`` strictly between
+    x_low = e^-((600 + r_0)/2) and x_high = e^((600 - r_(n-1))/2).  x = 0 and
+    the x up to x_low take the limit rows of ``low`` = (log a_0^2, r_0, r_1,
+    log(a_0^2 a_1^2)); finite x from x_high those of ``high`` = (log a_n^2,
+    -r_(n-1), -r_(n-2), log(a_(n-1)^2 a_n^2)) at y = 1/x, reflected through
+    M(x) = x^(2n) M_rev(y), mean index n - mean_rev, f(x) = f_rev(y)/x^2 and
+    A*M - B^2 = x^(4n-4) (A*M - B^2)_rev; x = inf the limits.  r_1 and
+    -r_(n-2) are -inf at n = 1.  NaN or x < 0 raises ``ParameterDomainError``.
     """
+    x_low = math.exp(-0.5 * (_EDGE_LOG + low[1]))
+    y_high = math.exp(-0.5 * (_EDGE_LOG + high[1]))  # 1/x_high; 0 past the double range
+    x_high = 1.0 / y_high if y_high > 0.0 else math.inf
+
+    def evaluate(xs: np.ndarray, rows: bool = True):
+        if len(xs) == 0:
+            return tuple(np.empty((4, 0))) if rows else np.empty(0)
+        lo = xs.min()
+        if x_low < lo and xs.max() < x_high:  # false for NaN
+            return moments(xs, rows)
+        if not lo >= 0.0:
+            raise ParameterDomainError(f"density needs x >= 0, got {xs[~(xs >= 0.0)][0]!r}")
+        below, infinite = xs <= x_low, xs == math.inf
+        above = (xs >= x_high) & ~infinite
+        inside = ~(below | above | infinite)
+        out = np.empty((4, len(xs)))
+        if below.any():
+            out[:, below] = _end_rows(low, xs[below])
+        if above.any():
+            x = xs[above]
+            lx, y = np.log(x), 1.0 / x
+            log_m, s, f, log_amb = _end_rows(high, y)
+            out[:, above] = log_m + 2.0 * n * lx, (n - y * s) / x, f / x / x, log_amb + (4 * n - 4) * lx
+        # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
+        out[:, infinite] = [[math.inf], [0.0], [0.0], [high[3] if n == 1 else math.inf]]
+        if inside.any():  # all four rows, or the f row alone
+            out[slice(None) if rows else 2, inside] = moments(xs[inside], rows)
+        return tuple(out) if rows else out[2]
+
+    return evaluate
+
+
+def _table_evaluator(table: CoefficientTable) -> Callable:
     c = _ratios(table)
-    step = max(16, _BLOCK // len(c.la))
-
-    def block(v: np.ndarray) -> tuple[np.ndarray, ...]:
-        if len(v) > step:
-            return tuple(np.concatenate([block(v[i:i + step]) for i in range(0, len(v), step)], axis=1))
-        if not rows:
-            return (_moments(c, v, rows=False),)
-        log_m, s1, f, log_f = _moments(c, v)
-        return log_m, s1, f, 2.0 * (log_m + log_f)
-
-    return _with_limits(block, xs, table.n, (c.la[0], c.right[1]), rows)
+    low = (c.la[0], c.right[1], c.right[2], 2.0 * c.la[0] + c.right[1])
+    # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x: both ends take one constant
+    amb = low[3] if table.n == 1 else 2.0 * c.la[-1] + c.left[-2]
+    return _evaluator(partial(_moments, c), table.n, low, (c.la[-1], c.left[-2], c.left[-3], amb))
 
 
 def _triple(x: float, rows: tuple[np.ndarray, ...]) -> KacRiceTriple:
@@ -405,17 +362,13 @@ def kac_rice_eval(table: CoefficientTable, x: float) -> KacRiceTriple:
     = 2 (log M + log f), so neither divides by x^2.  Negative x is handled
     upstream through evenness of the density; x = inf gives the limits.
     """
-    if x < 0:
-        raise ParameterDomainError(f"kac_rice_eval requires x >= 0, got {x!r}")
-    return _triple(float(x), _evaluate(table, np.array([float(x)])))
+    return _triple(float(x), _table_evaluator(table)(np.array([float(x)])))
 
 
 def _over_abs(fn, x):
     """``fn`` on |x| as a flat array, reshaped like ``x``; a float for a scalar."""
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr).ravel()
-    if np.isnan(flat).any():
-        raise ParameterDomainError("x must not be NaN")
     res = fn(np.abs(flat))
     return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
 
@@ -425,7 +378,7 @@ def density(table: CoefficientTable, x):
 
     f(+-inf) = 0, its limit; NaN raises ``ParameterDomainError``.
     """
-    return _over_abs(lambda xs: _evaluate(table, xs, rows=False)[0], x)
+    return _over_abs(lambda xs: _table_evaluator(table)(xs, False), x)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +428,7 @@ def _kac_terms(n: int, s: np.ndarray):
 
 
 def _kac_f2(n: int, s: np.ndarray, terms) -> np.ndarray:
-    """f(y)^2 at y = e^-s <= 1; s = inf (x = 0 or inf) gives f(0)^2 = 1.
+    """f(y)^2 at y = e^-s <= 1.
 
     f^2 = 1/(1 - X)^2 - (n+1)^2 X^n / (1 - X^(n+1))^2, which is
     e^(2s)/4 (csch^2 s - (n+1)^2 csch^2((n+1)s)); where the two terms cancel,
@@ -538,23 +491,19 @@ def _kac_moments(n: int, xs: np.ndarray, rows: bool = True):
     return log_m, s1, f, 2.0 * (log_m + log_f)
 
 
-def _kac_evaluate(n: int, xs: np.ndarray, rows: bool = True) -> tuple[np.ndarray, ...]:
-    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at each x >= 0; (f,) unless ``rows``."""
-    if rows:
-        return _with_limits(lambda v: _kac_moments(n, v), xs, n, (0.0, 0.0))
-    return _with_limits(lambda v: (_kac_moments(n, v, rows=False),), xs, n, (0.0, 0.0), rows=False)
+def _kac_evaluator(n: int) -> Callable:
+    end = (0.0, 0.0, 0.0 if n > 1 else -math.inf, 0.0)  # every a_i^2 = 1: each log and ratio is 0
+    return _evaluator(partial(_kac_moments, n), n, end, end)
 
 
 def kac_density(n: int, x) -> float | np.ndarray:
     """Kac density in O(1) per point; series fallback keeps full precision near |x| = 1."""
-    return _over_abs(lambda xs: _kac_evaluate(n, xs, rows=False)[0], x)
+    return _over_abs(lambda xs: _kac_evaluator(n)(xs, False), x)
 
 
 def kac_triple(n: int, x: float) -> KacRiceTriple:
     """Closed-form KacRiceTriple for the Kac family, O(1) per point."""
-    if x < 0:
-        raise ParameterDomainError(f"kac_triple requires x >= 0, got {x!r}")
-    return _triple(float(x), _kac_evaluate(n, np.array([float(x)])))
+    return _triple(float(x), _kac_evaluator(n)(np.array([float(x)])))
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +513,10 @@ def kac_triple(n: int, x: float) -> KacRiceTriple:
 class Kernel(NamedTuple):
     """Array kernels of one family at one degree.
 
-    ``rows`` gives (log M, B/M, f, log(A*M - B^2)) at any x >= 0.  The
+    ``rows`` gives (log M, B/M, f, log(A*M - B^2)) at any x >= 0, and the
     quadrature integrands ``density`` (f) and ``reciprocal`` (f of the
-    coefficient-reversed family, which the legs beyond x = 1 integrate) skip
-    the checks and limits: they take quadrature nodes, 0 < x < inf.
+    coefficient-reversed family, which the legs beyond x = 1 integrate) give
+    f alone, all through the family's one evaluator (``_evaluator``).
     """
 
     rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
@@ -575,14 +524,14 @@ class Kernel(NamedTuple):
     reciprocal: Callable[[np.ndarray], np.ndarray]
 
 
+def _kernel(evaluate: Callable, reciprocal: Callable) -> Kernel:
+    return Kernel(evaluate, lambda xs: evaluate(xs, False), lambda xs: reciprocal(xs, False))
+
+
 def _table_kernel(table: CoefficientTable) -> Kernel:
-    c = _ratios(table)
-    # a symmetric table is its own reversal, and its reversed legs fold onto
-    # the direct ones (see ``_unit_legs``)
-    recip = c if table.family.is_symmetric else _ratios(reciprocal_table(table))
-    return Kernel(lambda xs: _evaluate(table, xs),
-                  lambda xs: _moments(c, xs, rows=False),
-                  lambda xs: _moments(recip, xs, rows=False))
+    evaluate, symmetric = _table_evaluator(table), table.family.is_symmetric
+    # a symmetric table is its own reversal: its reversed legs fold onto the direct ones (``_unit_legs``)
+    return _kernel(evaluate, evaluate if symmetric else _table_evaluator(reciprocal_table(table)))
 
 
 def kernel(family: PolynomialClass, n: int) -> Kernel:
@@ -592,8 +541,8 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
     per point, no table) over the generic table kernel.
     """
     if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
-        density_fn = lambda xs: _kac_moments(n, xs, rows=False)  # Kac coefficients are palindromic
-        return Kernel(lambda xs: _kac_evaluate(n, xs), density_fn, density_fn)
+        evaluate = _kac_evaluator(n)
+        return _kernel(evaluate, evaluate)  # Kac coefficients are palindromic
     return _table_kernel(coefficient_table(family, n))
 
 
@@ -716,7 +665,7 @@ def relation_residuals(table: CoefficientTable, x: float) -> tuple[float, float]
         raise ParameterDomainError(f"relation_residuals requires x > 0, got {x!r}")
     h = max(1e-6, 1e-8 * x)
     ys = np.array([x - h, x, x + h])
-    log_m, s1, f, _ = _evaluate(table, ys)
+    log_m, s1, f, _ = _table_evaluator(table)(ys)
     # M(y)/M(x) and y * M'(y)/M(x); M' = 2B so y*M'(y) = 2y*S1(y)*M(y)
     ratio = np.exp(log_m - log_m[1])
     g = 2.0 * ys * s1 * ratio

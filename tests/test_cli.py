@@ -110,6 +110,15 @@ def test_density_tiny_x_rows_are_finite(capsys):
         assert s2 == pytest.approx(2500.0, rel=1e-13)
 
 
+def test_density_past_the_double_range_exits_three(capsys):
+    # f(0) = a_1/a_0 = 50^400 does not fit in a double
+    code, out, err = run_cli(capsys, "density", "--class", "gamma", "--gamma", "400", "--n", "50",
+                             "--grid", "0:1:3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("randroot: numeric failure: f(0)") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cls,family,n", [
     (("gamma", "--gamma", "1"), gamma_family(1.0), 50),
     (("alpha-beta", "--alpha", "0.5", "--beta", "2"), alpha_beta_family(0.5, 2.0), 40),

@@ -280,6 +280,21 @@ def test_density_via_roots_cross_route(alpha, beta):
         assert np.max(np.abs(via_roots / direct - 1.0)) < 1e-8
 
 
+def test_density_via_roots_at_degree_1e4():
+    # alpha/beta (0.5, 2) at n = 10^4 (measured: within 2.7e-15).  The range
+    # stops at [0.01, 100] because outside it the root sum itself loses
+    # digits: r_k = (1 - s_k)/(1 + s_k) cancels for s_k near +-1, the cause of
+    # the loss in ``root_bounds`` at large n.  At x = 1e-4 the two routes
+    # differ by 4.7e-11, and at x = 0 the root sum is off by 1.6e-10 from the
+    # closed form f(0) = sqrt(n(n+beta)/(1+alpha)), which ``density`` matches
+    # to 8e-16.
+    n, alpha, beta = 10**4, 0.5, 2.0
+    rs = jacobi_roots(n, alpha, beta)  # ~2.5 s: built once
+    xs = np.geomspace(0.01, 100.0, 41)
+    direct = density(coefficient_table(alpha_beta_family(alpha, beta), n), xs)
+    np.testing.assert_allclose(density_via_roots(rs, xs), direct, rtol=2e-14, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------

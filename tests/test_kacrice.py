@@ -257,6 +257,26 @@ def test_density_limits_at_large_n(family, n):
     np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
 
 
+def test_limit_rows_where_e_to_the_r0_overflows():
+    # gamma = 100, n = 50: f(0) = a_1/a_0 = 50^100 fits in a double, e^(r_0) =
+    # 50^200 does not.  Up to x_low = e^-((600 + r_0)/2) ~ 6.5e-301 the rows
+    # are the limits f = e^(r_0/2), B/M = x e^(r_0) and log M = x B/M, with
+    # log a_0^2 = 0; 5e-301 used to read NaN in every column.  Each is within
+    # 2e-15 of its value at the table's r_0.  r_0 = 200 ln 50 ~ 782.4 has an
+    # ulp of 1.1e-13, so e^(r_0/2) itself may differ from 50^100 by up to
+    # 2.8e-14 relative (here 6.2e-15).
+    xs = np.array([0.0, 1e-310, 1e-301, 5e-301])
+    log_m, s1, f, _ = kernel(gamma_family(100.0), 50).rows(xs)
+    r0 = coefficient_table(gamma_family(100.0), 50).log_ratio[0]
+    with mp.workdps(30):
+        g = mp.exp(mp.mpf(r0) / 2)
+        for x, lm, b, ff in zip(xs.tolist(), log_m, s1, f):
+            assert ff == pytest.approx(float(g), rel=2e-15)
+            assert b == pytest.approx(float(mp.mpf(x) * g * g), rel=2e-15, abs=0)
+            assert lm == pytest.approx(float(mp.mpf(x) ** 2 * g * g), rel=2e-15, abs=0)
+            assert ff == pytest.approx(float(mp.mpf(50) ** 100), rel=2.8e-14)
+
+
 def mp_density(log_sq, x, dps=50):
     """f = sqrt(A*M - B^2)/M from direct sums at ``dps`` digits, one pass over i."""
     with mp.workdps(dps):
@@ -318,6 +338,8 @@ def test_density_limits_at_infinity_and_nan(family, n):
             density(table, bad)
     with pytest.raises(ParameterDomainError):
         kac_rice_eval(table, math.nan)
+    assert density(table, np.array([])).shape == (0,)
+    assert [len(row) for row in kernel(family, n).rows(np.array([]))] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n", [1, 6, 10**6])
@@ -332,6 +354,7 @@ def test_kac_closed_forms_at_infinity_and_nan(n):
     for fn in (kac_density, kac_triple):
         with pytest.raises(ParameterDomainError):
             fn(n, math.nan)
+    assert kac_density(n, np.array([])).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +636,7 @@ def test_window_at_n_one_million_reaches_the_cut():
     d0 = np.zeros(1)  # x = 1
     peak = np.searchsorted(c.left[1:-1], d0)
     assert peak[0] == n // 2
-    h, u = kr._window(c, peak, d0, None, None, n // 2, n // 2)
+    h, u = kr._window(c, peak, d0, n // 2, n // 2)
     assert 2 * h + 1 <= 12_000
     for walk, end in zip(u, (peak[0] + h, peak[0] - h)):
         assert walk[-1] <= -c.cut or end >= n or end <= 0
@@ -629,9 +652,9 @@ def test_window_matches_the_whole_table(family, monkeypatch):
     n = 3000
     table = coefficient_table(family, n)
     xs = np.concatenate((np.geomspace(1e-5, 0.9, 40), np.linspace(0.9, 1.1, 21), np.geomspace(1.1, 1e5, 40)))
-    windowed = kr._evaluate(table, xs)
+    windowed = kr._table_evaluator(table)(xs)
     monkeypatch.setattr(kr, "_WHOLE_TABLE_N", n)
-    whole = kr._evaluate(table, xs)
+    whole = kr._table_evaluator(table)(xs)
     for got, want in zip(windowed[1:], whole[1:]):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
     np.testing.assert_allclose(windowed[0], whole[0], rtol=1e-15, atol=0)
