@@ -208,7 +208,9 @@ def _run_density(args: argparse.Namespace, family: PolynomialClass) -> tuple[lis
     grid = _parse_grid(args.grid)
     log_m, s1, f, _ = kernel(family, args.n).rows(np.abs(grid))
     s1 = np.where(grid < 0, -s1, s1)  # B is odd in x
-    rows = list(zip(grid.tolist(), f.tolist(), log_m.tolist(), s1.tolist(), (f * f + s1 * s1).tolist()))
+    with np.errstate(over="ignore"):  # S2 past the double range is inf
+        s2 = f * f + s1 * s1
+    rows = list(zip(grid.tolist(), f.tolist(), log_m.tolist(), s1.tolist(), s2.tolist()))
     return [Table("density", ("x", "f", "log_M", "S1", "S2"), rows)], {}, 0
 
 

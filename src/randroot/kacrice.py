@@ -18,11 +18,11 @@ is concave, so the weights are log-concave in i: a binary search on the
 table's neighbour log-ratios r_i = log(a_(i+1)^2 / a_i^2) finds i*, the
 log-weights are partial sums of r_i + 2 ln x walking out from it, and only
 the window where they stay above e^-(40 + 3 ln(n+1)) is summed, O(sqrt(n))
-terms per point.  Where the weight next to a peak at i = 0 is below e^-600 of
-it (x up to e^-((600 + r_0)/2)), the rows are their limits, f = e^(r_0/2),
+terms per point.  Where the weight next to a peak at i = 0 is below e^-40 of
+it (x up to e^-((40 + r_0)/2)), the rows are their limits, f = e^(r_0/2),
 B/M = x e^(r_0) and log M = log a_0^2 + x B/M, exact to the last bit down to
-x = 0; near inf the mirror image holds.  One evaluator serves every call and
-sends those points there; an f(0) past the double range raises NumericError.
+x = 0; near inf the mirror image holds.  One evaluator, which takes ln x,
+serves every call and sends those points there.
 
 The Kac family (gamma = 0) has closed forms: M(x) = (1 - x^(2n+2))/(1 - x^2)
 and, with X = x^2 and phi(X) = X M'(X)/M(X),
@@ -30,19 +30,19 @@ and, with X = x^2 and phi(X) = X M'(X)/M(X),
     f(x)^2 = d phi/dX = 1/(X-1)^2 - (n+1)^2 X^n / (X^(n+1) - 1)^2,
 
 evaluated as array code at y = min(x, 1/x) and reflected through the
-palindromic coefficients, with series fallbacks near X = 1; density and root
-counts cost O(1) per point up to n ~ 10^6.  ``kernel`` is the one place that
-picks these closed forms over the generic kernel.
+palindromic coefficients, with series fallbacks near X = 1, O(1) per point.
+``kernel`` is the one place that picks them over the generic kernel.
 
-Intervals reaching past x = 1 are always mapped back onto (0, 1) through the
-substitution u = 1/x, whose integrand is the density of the reciprocal
-(coefficient-reversed) family; infinite endpoints are never integrated
-improperly.  The full line is the interval (-inf, inf): every root count goes
-through ``_integrate_legs``, which integrates each distinct leg once.
+Every root count integrates g(s) = x f(x) = sqrt(Var_p(i)) over s = -ln |x|
+(Edelman & Kostlan 1995, section 3), where x -> 1/x is s -> -s, up to the
+limit-row edges, past which g is integrated in closed form: no interval is
+integrated improperly and no reversed table is built.  Every root count goes
+through ``_integrate_legs``, the full line as the interval (-inf, inf).
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -51,15 +51,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError, QuadratureError
-from .families import (
-    CoefficientTable,
-    FamilyKind,
-    PolynomialClass,
-    coefficient_table,
-    kac,
-    reciprocal_table,
-)
+from .families import CoefficientTable, FamilyKind, PolynomialClass, coefficient_table, kac
 from .quadrature import QuadratureResult, adaptive_quadrature
+
+# Nothing here calls it; benchmarks/layers.py patches it on this module.
+from .families import reciprocal_table  # noqa: F401
 
 __all__ = [
     "KacRiceTriple",
@@ -100,7 +96,7 @@ class KacRiceTriple:
 
 _LOG_TINY = -700.0  # log-weights are clamped here: e^-700 < 1e-304 of the peak
 _WHOLE_TABLE_N = 128  # up to this degree walks reach both table ends: no width estimate
-_EDGE_LOG = 600.0  # below e^-600 of an end peak, the next weight moves no row
+_EDGE_LOG = 40.0  # below e^-40 of an end peak, the next weight moves no row: limit rows, leg ends
 
 
 class _Ratios(NamedTuple):
@@ -246,8 +242,8 @@ def _log_sq_at(c: _Ratios, peak: np.ndarray, lo: int, hi: int):
 _BLOCK = 1 << 13  # points x coefficients per weights array; 15-point panels stay whole
 
 
-def _moments(c: _Ratios, xs: np.ndarray, rows: bool = True):
-    """Rows (log M, B/M, f, log(A*M - B^2)) at each x of the 1-d ``xs``; f alone unless ``rows``.
+def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
+    """g = sqrt(Var) = x f at each ln x of ``lx``; at x = ``xs``, rows (log M, B/M, f, log(A*M - B^2)) or f.
 
     Weights p_i = a_i^2 x^(2i) / M give M, the mean mu = x B/M and the
     variance Var = sum p_i (i - mu)^2 = x^2 (A*M - B^2)/M^2, so f = sqrt(Var)/x.
@@ -257,92 +253,117 @@ def _moments(c: _Ratios, xs: np.ndarray, rows: bool = True):
     e^-cut (cut = 40 + 3 ln(n+1)) is summed, O(sqrt(n)) terms, and the mass
     dropped beyond it is below e^-cut times a factor polynomial in n.
     ``_evaluator`` passes only points where the weight next to an end peak is
-    at least e^-600 of the peak's, so Var stays far inside the double range.
-    Long arrays go in blocks, so memory stays O(n) however many points are
-    asked for.
+    at least about e^-40 of the peak's, so Var stays far inside the double
+    range.  Long arrays go in blocks, so memory stays O(n) however many points
+    are asked for.
     """
     step = max(16, _BLOCK // len(c.la))
-    if len(xs) > step:
-        out = np.concatenate([_moments(c, xs[i:i + step], rows) for i in range(0, len(xs), step)], axis=-1)
-        return tuple(out) if rows else out
-    lx = np.log(xs)
+    if len(lx) > step:
+        out = np.concatenate([_moments(c, lx[i:i + step], None if xs is None else xs[i:i + step], rows)
+                              for i in range(0, len(lx), step)], axis=-1)
+        return tuple(out) if xs is not None and rows else out
     d0 = 2.0 * lx
     peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
     lo, hi = int(peak.min()), int(peak.max())
     h, u = _window(c, peak, d0, lo, hi)
     s0, mean, var = _centred(u, _steps(h)[1])
-    f = np.sqrt(var) / xs
+    g = np.sqrt(var)
+    if xs is None:
+        return g
+    f = g / xs  # past the double range at tiny x: ``_evaluator`` raises
     if not rows:
         return f
+    s1 = (peak + mean) / xs
     log_m = _log_sq_at(c, peak, lo, hi) + peak * d0 + np.log1p(s0)
     log_f = 0.5 * np.log(var) - lx
-    return log_m, (peak + mean) / xs, f, 2.0 * (log_m + log_f)
+    return log_m, s1, f, 2.0 * (log_m + log_f)
 
 
 def _end_rows(end: tuple, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows of the coefficients read from ``end`` = (la, r, r_next, amb), at y^2 e^r < e^-600.
+    """Rows of the coefficients read from ``end`` = (la, r, r_next, amb), at y^2 e^r < e^-40.
 
     The weights peak at the end and fall from y^2 e^r next to it: the mean
     index is y^2 e^r, so B/M = y e^r, log M = la + y B/M, f = e^(r/2) and
     log(A*M - B^2) = amb + 4 y^2 e^(r_next), each exact to the last bit (the
-    first term dropped is e^-600 of the last kept).  Past e^709, where e^r
-    overflows and e^(r/2) may not, B/M is (y e^(r/2)) e^(r/2); below, y e^r
+    first term dropped is e^-40 < 2^-57 of the last kept).  Past e^709, where
+    e^r overflows and e^(r/2) may not, B/M is (y e^(r/2)) e^(r/2); below, y e^r
     rounds once, where y e^(r/2) could round to a subnormal first.
     """
     la, r, r_next, amb = end
     try:
         g = math.exp(0.5 * r)
-    except OverflowError:  # only at x = 0: finite points past x_high need e^(r/2) < e^410
+    except OverflowError:  # only near x = 0, where f is f(0): points past x_high need e^(r/2) < e^690
         raise NumericError(f"f(0) = a_1/a_0 = e^{0.5 * r:.6g} does not fit in a double") from None
     s = y * math.exp(r) if r < 709.0 else (y * g) * g
     return la + y * s, s, np.full_like(y, g), amb + 4.0 * (y * math.exp(0.5 * r_next)) ** 2
 
 
-def _evaluator(moments: Callable, n: int, low: tuple, high: tuple) -> Callable:
-    """The one evaluator: ``evaluate(xs, rows=True)``, rows (log M, B/M, f, log(A*M - B^2)) or f.
+class Kernel(NamedTuple):
+    """Array kernels of one family at one degree, through its one evaluator (``_evaluator``).
 
-    ``moments(xs, rows)`` serves the x of the 1-d ``xs`` strictly between
-    x_low = e^-((600 + r_0)/2) and x_high = e^((600 - r_(n-1))/2).  x = 0 and
-    the x up to x_low take the limit rows of ``low`` = (log a_0^2, r_0, r_1,
-    log(a_0^2 a_1^2)); finite x from x_high those of ``high`` = (log a_n^2,
-    -r_(n-1), -r_(n-2), log(a_(n-1)^2 a_n^2)) at y = 1/x, reflected through
-    M(x) = x^(2n) M_rev(y), mean index n - mean_rev, f(x) = f_rev(y)/x^2 and
-    A*M - B^2 = x^(4n-4) (A*M - B^2)_rev; x = inf the limits.  r_1 and
-    -r_(n-2) are -inf at n = 1.  NaN or x < 0 raises ``ParameterDomainError``.
+    ``rows`` gives (log M, B/M, f, log(A*M - B^2)) and ``density`` f alone at
+    any x >= 0; ``spread`` gives g = x f at x = e^-s for s strictly between
+    ``edges`` = (s_high, s_low), past which g is e^-20 e^-|s - edge|.
     """
-    x_low = math.exp(-0.5 * (_EDGE_LOG + low[1]))
-    y_high = math.exp(-0.5 * (_EDGE_LOG + high[1]))  # 1/x_high; 0 past the double range
+
+    rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    density: Callable[[np.ndarray], np.ndarray]
+    spread: Callable[[np.ndarray], np.ndarray]
+    edges: tuple[float, float]
+
+
+def _evaluator(moments: Callable, n: int, low: tuple, high: tuple) -> Kernel:
+    """The one evaluator of a family: ``moments`` at ln x, served to x and to s.
+
+    ``moments(lx)`` gives g, and ``moments(lx, xs, rows)`` the rows or f at
+    xs = e^lx, between x_low = e^-((40 + r_0)/2) and x_high =
+    e^((40 - r_(n-1))/2).  x up to x_low take the limit rows (``_end_rows``)
+    of ``low`` = (log a_0^2, r_0, r_1, log(a_0^2 a_1^2)), finite x from x_high
+    those of ``high`` = (log a_n^2, -r_(n-1), -r_(n-2), log(a_(n-1)^2 a_n^2))
+    at y = 1/x, reflected through M(x) = x^(2n) M_rev(y), mean index
+    n - mean_rev, f(x) = f_rev(y)/x^2 and A*M - B^2 = x^(4n-4) (A*M - B^2)_rev,
+    and x = inf the limits.  NaN or x < 0 raises ``ParameterDomainError``, and
+    an f or B/M past the double range at a finite x ``NumericError``.
+    """
+    s_low, s_high = 0.5 * (_EDGE_LOG + low[1]), -0.5 * (_EDGE_LOG + high[1])
+    x_low, y_high = math.exp(-s_low), math.exp(s_high)  # y_high = 1/x_high: 0 past the double range
     x_high = 1.0 / y_high if y_high > 0.0 else math.inf
+    x_min = max(x_low, (n + 1.0) / sys.float_info.max)  # above it no f or B/M (<= n/x) overflows
 
     def evaluate(xs: np.ndarray, rows: bool = True):
         if len(xs) == 0:
             return tuple(np.empty((4, 0))) if rows else np.empty(0)
-        lo = xs.min()
-        if x_low < lo and xs.max() < x_high:  # false for NaN
-            return moments(xs, rows)
-        if not lo >= 0.0:
+        if x_min < xs.min() and xs.max() < x_high:  # false for NaN
+            return moments(np.log(xs), xs, rows)
+        if not xs.min() >= 0.0:
             raise ParameterDomainError(f"density needs x >= 0, got {xs[~(xs >= 0.0)][0]!r}")
-        below, infinite = xs <= x_low, xs == math.inf
-        above = (xs >= x_high) & ~infinite
-        inside = ~(below | above | infinite)
-        out = np.empty((4, len(xs)))
-        if below.any():
-            out[:, below] = _end_rows(low, xs[below])
-        if above.any():
-            x = xs[above]
-            lx, y = np.log(x), 1.0 / x
-            log_m, s, f, log_amb = _end_rows(high, y)
-            out[:, above] = log_m + 2.0 * n * lx, (n - y * s) / x, f / x / x, log_amb + (4 * n - 4) * lx
-        # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
-        out[:, infinite] = [[math.inf], [0.0], [0.0], [high[3] if n == 1 else math.inf]]
-        if inside.any():  # all four rows, or the f row alone
-            out[slice(None) if rows else 2, inside] = moments(xs[inside], rows)
-        return tuple(out) if rows else out[2]
+        with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; overflows raise below
+            lx = np.log(xs)
+            below, infinite = xs <= x_low, xs == math.inf
+            above = (xs >= x_high) & ~infinite
+            inside = ~(below | above | infinite)
+            out = np.empty((4, len(xs)))
+            if below.any():
+                out[:, below] = _end_rows(low, xs[below])
+            if above.any():
+                x, y, l_above = xs[above], 1.0 / xs[above], lx[above]
+                log_m, s, f, log_amb = _end_rows(high, y)
+                out[:, above] = (log_m + 2.0 * n * l_above, (n - y * s) / x, f / x / x,
+                                 log_amb + (4 * n - 4) * l_above)
+            # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
+            out[:, infinite] = [[math.inf], [0.0], [0.0], [high[3] if n == 1 else math.inf]]
+            if inside.any():  # all four rows, or the f row alone
+                out[slice(None) if rows else 2, inside] = moments(lx[inside], xs[inside], rows)
+        out = tuple(out) if rows else out[2]
+        finite = np.isfinite(out[1]) & np.isfinite(out[2]) if rows else np.isfinite(out)
+        if not finite.all():  # the window sums near x = 0, where f ~ e^(r_0/2)
+            raise NumericError(f"f or B/M at x = {float(xs[~finite][0])!r} does not fit in a double")
+        return out
 
-    return evaluate
+    return Kernel(evaluate, partial(evaluate, rows=False), lambda s: moments(-s), (s_high, s_low))
 
 
-def _table_evaluator(table: CoefficientTable) -> Callable:
+def _table_kernel(table: CoefficientTable) -> Kernel:
     c = _ratios(table)
     low = (c.la[0], c.right[1], c.right[2], 2.0 * c.la[0] + c.right[1])
     # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x: both ends take one constant
@@ -362,7 +383,7 @@ def kac_rice_eval(table: CoefficientTable, x: float) -> KacRiceTriple:
     = 2 (log M + log f), so neither divides by x^2.  Negative x is handled
     upstream through evenness of the density; x = inf gives the limits.
     """
-    return _triple(float(x), _table_evaluator(table)(np.array([float(x)])))
+    return _triple(float(x), _table_kernel(table).rows(np.array([float(x)])))
 
 
 def _over_abs(fn, x):
@@ -378,7 +399,7 @@ def density(table: CoefficientTable, x):
 
     f(+-inf) = 0, its limit; NaN raises ``ParameterDomainError``.
     """
-    return _over_abs(lambda xs: _table_evaluator(table)(xs, False), x)
+    return _over_abs(_table_kernel(table).density, x)
 
 
 # ---------------------------------------------------------------------------
@@ -445,36 +466,27 @@ def _kac_f2(n: int, s: np.ndarray, terms) -> np.ndarray:
     return f2
 
 
-def _unreflect_f(f: np.ndarray, xs: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """f(x) = f(1/x)/x^2 at the points x > 1."""
-    if high.any():
-        xh = xs[high]
-        f[high] = f[high] / xh / xh
-    return f
+def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
+    """g = x f of the Kac family at each ln x of ``lx``; at x = ``xs``, its rows or f as in ``_moments``.
 
-
-def _kac_moments(n: int, xs: np.ndarray, rows: bool = True):
-    """Rows (log M, B/M, f, log(A*M - B^2)) of the Kac family at finite x > 0; f unless ``rows``.
-
-    Every closed form is taken at y = min(x, 1/x) = e^-s, where its terms stay
-    bounded, and reflected through the palindromic coefficients:
+    Every closed form is taken at y = min(x, 1/x) = e^-|ln x|, where its terms
+    stay bounded, and reflected through the palindromic coefficients:
     M(x) = x^(2n) M(1/x), the mean index phi = x B/M is n - phi(1/x), and
-    f(x) = f(1/x)/x^2.  With X = y^2, M = (1 - X^(n+1))/(1 - X) and
-    phi = X (1/(1 - X) - (n+1) X^n/(1 - X^(n+1))).
+    f(x) = f(1/x)/x^2, so g = y f(y).  With X = y^2,
+    M = (1 - X^(n+1))/(1 - X) and phi = X (1/(1 - X) - (n+1) X^n/(1 - X^(n+1))).
     """
     big = n + 1.0
-    lx = np.log(xs)
     s = np.abs(lx)
-    high = lx > 0.0
     terms = near, t, one_m_x, one_m_xbig, x_n = _kac_terms(n, s)
     f2 = _kac_f2(n, s, terms)
-    f = _unreflect_f(np.sqrt(f2), xs, high)
+    if xs is None:
+        return np.exp(-s) * np.sqrt(f2)
+    high, f = lx > 0.0, np.sqrt(f2)
+    f = np.where(high, f / xs / xs, f)  # x > e^-20 here: no quotient overflows
     if not rows:
         return f
     q = 1.0 / one_m_x - big * x_n / one_m_xbig  # phi / X
-    s1 = xs * q                                 # B/M = phi/x, exact as x -> 0
-    if high.any():
-        s1[high] = (n - np.exp(t[high]) * q[high]) / xs[high]
+    s1 = np.where(high, (n - np.exp(t) * q) / xs, xs * q)  # B/M = phi/x, exact as x -> 0
     log_m = _log1mexp(big * t) - _log1mexp(t)
     if near.any():
         u = 2.0 * lx[near]  # ln x^2
@@ -491,48 +503,24 @@ def _kac_moments(n: int, xs: np.ndarray, rows: bool = True):
     return log_m, s1, f, 2.0 * (log_m + log_f)
 
 
-def _kac_evaluator(n: int) -> Callable:
+def _kac_kernel(n: int) -> Kernel:
     end = (0.0, 0.0, 0.0 if n > 1 else -math.inf, 0.0)  # every a_i^2 = 1: each log and ratio is 0
     return _evaluator(partial(_kac_moments, n), n, end, end)
 
 
 def kac_density(n: int, x) -> float | np.ndarray:
     """Kac density in O(1) per point; series fallback keeps full precision near |x| = 1."""
-    return _over_abs(lambda xs: _kac_evaluator(n)(xs, False), x)
+    return _over_abs(_kac_kernel(n).density, x)
 
 
 def kac_triple(n: int, x: float) -> KacRiceTriple:
     """Closed-form KacRiceTriple for the Kac family, O(1) per point."""
-    return _triple(float(x), _kac_evaluator(n)(np.array([float(x)])))
+    return _triple(float(x), _kac_kernel(n).rows(np.array([float(x)])))
 
 
 # ---------------------------------------------------------------------------
 # the one dispatch: Kac closed forms or the generic table kernel
 # ---------------------------------------------------------------------------
-
-class Kernel(NamedTuple):
-    """Array kernels of one family at one degree.
-
-    ``rows`` gives (log M, B/M, f, log(A*M - B^2)) at any x >= 0, and the
-    quadrature integrands ``density`` (f) and ``reciprocal`` (f of the
-    coefficient-reversed family, which the legs beyond x = 1 integrate) give
-    f alone, all through the family's one evaluator (``_evaluator``).
-    """
-
-    rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-    density: Callable[[np.ndarray], np.ndarray]
-    reciprocal: Callable[[np.ndarray], np.ndarray]
-
-
-def _kernel(evaluate: Callable, reciprocal: Callable) -> Kernel:
-    return Kernel(evaluate, lambda xs: evaluate(xs, False), lambda xs: reciprocal(xs, False))
-
-
-def _table_kernel(table: CoefficientTable) -> Kernel:
-    evaluate, symmetric = _table_evaluator(table), table.family.is_symmetric
-    # a symmetric table is its own reversal: its reversed legs fold onto the direct ones (``_unit_legs``)
-    return _kernel(evaluate, evaluate if symmetric else _table_evaluator(reciprocal_table(table)))
-
 
 def kernel(family: PolynomialClass, n: int) -> Kernel:
     """The evaluation kernels for ``family`` at degree ``n``.
@@ -541,8 +529,7 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
     per point, no table) over the generic table kernel.
     """
     if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
-        evaluate = _kac_evaluator(n)
-        return _kernel(evaluate, evaluate)  # Kac coefficients are palindromic
+        return _kac_kernel(n)
     return _table_kernel(coefficient_table(family, n))
 
 
@@ -550,47 +537,49 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
 # expected root counts
 # ---------------------------------------------------------------------------
 
-def _positive_segments(a: float, b: float) -> list[tuple[float, float]]:
-    """Fold (a, b) onto the positive half line using evenness of f."""
-    segments = []
-    if a < 0:
-        segments.append((max(-b, 0.0), -a))
-    if b > 0:
-        segments.append((max(a, 0.0), b))
-    return [(lo, hi) for lo, hi in segments if hi > lo]
+# Every leg's quadrature starts from panels split at these s, which widen away
+# from s = 0 (|x| = 1), where g varies fastest: the Kac peak there is 1/n wide.
+_SPLITS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+_TAIL = math.exp(-0.5 * _EDGE_LOG)  # g at either edge, and its integral over s past it
 
 
-def _unit_legs(a: float, b: float, symmetric: bool) -> Counter[tuple[float, float, bool]]:
-    """Decompose (a, b) into legs (lo, hi, reversed) with 0 <= lo < hi <= 1, counted.
+def _legs(a: float, b: float, symmetric: bool) -> Counter[tuple[float, float]]:
+    """Decompose (a, b) into legs (s1, s2) of s = -ln |x|, none across s = 0, counted.
 
-    A reversed leg integrates the reciprocal family's density over (lo, hi),
-    which equals the original integral over (1/hi, 1/lo).  For a symmetric
-    family the reciprocal density is the density itself, so a reversed leg is
-    the direct one.  Each distinct leg appears once, with its multiplicity:
-    the full line (-inf, inf) is (0, 1) four times for a symmetric family.
+    f is even in x, and a symmetric family's g is even in s, so its legs at
+    s < 0 fold onto s > 0: the full line is (0, inf) four times for a
+    symmetric family, and (-inf, 0) and (0, inf) twice each otherwise.
     """
-    legs: Counter[tuple[float, float, bool]] = Counter()
-    for lo, hi in _positive_segments(a, b):
-        if lo < 1.0:
-            legs[lo, min(hi, 1.0), False] += 1
-        if hi > 1.0:
-            inv_hi = 0.0 if math.isinf(hi) else 1.0 / hi
-            legs[inv_hi, 1.0 / max(lo, 1.0), not symmetric] += 1
+    legs: Counter[tuple[float, float]] = Counter()
+    for lo, hi in ((max(-b, 0.0), -a), (max(a, 0.0), b)):
+        if lo < hi:
+            s1 = -math.log(hi) if hi < math.inf else -math.inf
+            s2 = -math.log(lo) if lo > 0.0 else math.inf
+            for leg in ((s1, min(s2, 0.0)), (max(s1, 0.0), s2)):
+                if leg[0] < leg[1]:
+                    legs[(abs(leg[1]), abs(leg[0])) if symmetric and leg[1] <= 0.0 else leg] += 1
     return legs
 
 
 def _integrate_legs(k: Kernel, symmetric: bool, a: float, b: float, tol: float) -> QuadratureResult:
-    """(1/pi) * integral of f over (a, b): each distinct leg once, scaled by its multiplicity.
+    """(1/pi) * integral of f over (a, b): each distinct s-leg once, scaled by its multiplicity.
 
-    Every leg gets ``tol`` over the total multiplicity, so the scaled error
-    estimates still add up to at most ``tol``.
+    A leg is one quadrature of g between the edges and the closed-form
+    integral of the limit rows past them.  Every leg gets ``tol`` over the
+    total multiplicity, so the scaled error estimates add up to at most ``tol``.
     """
-    legs = _unit_legs(a, b, symmetric)
+    legs = _legs(a, b, symmetric)
     per_leg = tol / sum(legs.values())
+    s_high, s_low = k.edges
     total = QuadratureResult(0.0, 0.0, 0, True)
-    for (lo, hi, use_reciprocal), count in legs.items():
-        integrand = k.reciprocal if use_reciprocal else k.density
-        leg = adaptive_quadrature(lambda xs, g=integrand: g(xs) / math.pi, lo, hi, tol=per_leg)
+    for (s1, s2), count in legs.items():
+        tail = ((math.exp(s_low - max(s1, s_low)) - math.exp(s_low - max(s2, s_low)))
+                + (math.exp(min(s2, s_high) - s_high) - math.exp(min(s1, s_high) - s_high)))
+        leg = QuadratureResult(_TAIL * tail / math.pi, 0.0, 0, True)
+        lo, hi = max(s1, s_high), min(s2, s_low)
+        if lo < hi:
+            leg = leg + adaptive_quadrature(lambda s: k.spread(s) / math.pi, lo, hi, tol=per_leg,
+                                            splits=[p for p in _SPLITS if lo < p < hi])
         total = total + QuadratureResult(count * leg.value, count * leg.abs_error_estimate,
                                          leg.evaluations, leg.converged)
     return total
@@ -629,8 +618,8 @@ def expected_roots_real_line_result(
 ) -> QuadratureResult:
     """Full-line expected root count: the interval (-inf, inf).
 
-    That is 4 * E(0, 1) for a symmetric family and 2 * (E(0, 1) +
-    E_reciprocal(0, 1)) otherwise, the reciprocal leg covering (1, inf).
+    That is 4 * (1/pi) * integral of g over s > 0 for a symmetric family and
+    2 * (1/pi) * integral of g over the whole s-line otherwise.
     """
     return expected_roots_interval_result(family, n, -math.inf, math.inf, tol)
 
@@ -665,7 +654,7 @@ def relation_residuals(table: CoefficientTable, x: float) -> tuple[float, float]
         raise ParameterDomainError(f"relation_residuals requires x > 0, got {x!r}")
     h = max(1e-6, 1e-8 * x)
     ys = np.array([x - h, x, x + h])
-    log_m, s1, f, _ = _table_evaluator(table)(ys)
+    log_m, s1, f, _ = _table_kernel(table).rows(ys)
     # M(y)/M(x) and y * M'(y)/M(x); M' = 2B so y*M'(y) = 2y*S1(y)*M(y)
     ratio = np.exp(log_m - log_m[1])
     g = 2.0 * ys * s1 * ratio

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import NumericError
 __all__ = ["QuadratureResult", "adaptive_quadrature"]
 
 MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
-MAX_DEPTH = 60  # bisections of [a, b] before a panel is kept as it stands
+MAX_DEPTH = 60  # bisections of a first panel before a panel is kept as it stands
 _EPS = float(np.finfo(float).eps)
 
 # Kronrod-15 nodes on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
@@ -76,11 +76,15 @@ def adaptive_quadrature(
     a: float,
     b: float,
     tol: float = 1e-9,
+    *,
+    splits: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate the vectorized ``f`` over [a, b] to absolute tolerance ``tol``.
 
-    Never returns a silently wrong value: if the subdivision budget runs out
-    the result carries ``converged=False`` with the achieved error estimate.
+    The first panels are [a, b] cut at the increasing ``splits``, all strictly
+    inside it; one tolerance covers them all.  Never returns a silently wrong
+    value: if the subdivision budget runs out the result carries
+    ``converged=False`` with the achieved error estimate.
     """
     if not tol > 0:
         raise NumericError(f"tolerance must be positive, got {tol!r}")
@@ -89,11 +93,15 @@ def adaptive_quadrature(
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise NumericError(f"need finite a < b, got ({a!r}, {b!r})")
 
-    value, err = _panel(f, a, b)
-    evaluations = 15
-    seq = 0
+    edges = [a, *splits, b]
+    if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+        raise NumericError(f"splits must increase strictly inside ({a!r}, {b!r}), got {splits!r}")
     # heap entries: (-err, insertion seq for deterministic ties, depth, a, b, value, err)
-    heap = [(-err, seq, 0, a, b, value, err)]
+    heap = []
+    for seq, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        value, err = _panel(f, lo, hi)
+        heapq.heappush(heap, (-err, seq, 0, lo, hi, value, err))
+    evaluations = 15 * len(heap)
     exhausted: list[tuple] = []  # panels at max depth, no longer splittable
     # The stop test is the panel errors summed in heap order, then exhausted
     # order.  A running total stands in for that O(panels) sum: after k
@@ -101,7 +109,8 @@ def adaptive_quadrature(
     # k*eps*moved of the exact sum, and the ordered sum of p panels within
     # p*eps*sum, so only a running total closer to tol than twice that is
     # settled by the ordered sum, and every result stays bit-identical.
-    running, moved, additions = err, err, 0
+    running = moved = sum(item[6] for item in heap)
+    additions = len(heap) - 1
 
     while True:
         count = len(heap) + len(exhausted)

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from .families import alpha_beta_family, coefficient_table, gamma_family
+from .families import alpha_beta_family, coefficient_table, gamma_family, reciprocal_table
 from .jacobi import density_endpoints, derivative_recurrence_residual, log_variance_via_jacobi
-from .kacrice import _table_evaluator, density, expected_roots_interval
+from .kacrice import _table_kernel, density, expected_roots_interval
 from .quadrature import adaptive_quadrature
 
 _AB_GRID = ((0.0, 0.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5))
@@ -58,7 +58,7 @@ def _check_variance_identity(params) -> tuple[bool, str]:
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
-            log_m = _table_evaluator(coefficient_table(family, n))(np.array(_X_GRID))[0]
+            log_m = _table_kernel(coefficient_table(family, n)).rows(np.array(_X_GRID))[0]
             for x, direct in zip(_X_GRID, log_m.tolist()):
                 via_jacobi = log_variance_via_jacobi(n, alpha, beta, x)
                 worst = max(worst, abs(math.expm1(via_jacobi - direct)))
@@ -86,7 +86,7 @@ def _check_gram_identity(params) -> tuple[bool, str]:
     for family in families:
         for n in params["gram_n"]:
             table = coefficient_table(family, n)
-            log_amb = _table_evaluator(table)(np.array(_GRAM_X))[3]
+            log_amb = _table_kernel(table).rows(np.array(_GRAM_X))[3]
             for x, lse in zip(_GRAM_X, log_amb.tolist()):
                 brute = _brute_gram(table.log_sq_coeff, x)
                 worst = max(worst, abs(math.expm1(lse - brute)))
@@ -148,18 +148,18 @@ def _check_symmetry(params) -> tuple[bool, str]:
 
 
 def _check_reciprocity(params) -> tuple[bool, str]:
-    """E(1, inf) on the reversed table against u = 1/x on the direct one.
+    """E(1, inf) as E(0, 1) on the reversed table against u = 1/x on the direct one.
 
-    ``expected_roots_interval`` integrates (1, inf) as the reciprocal family's
-    density over (0, 1); the substitution integrates f(1/u)/u^2 with the
-    direct table, which evaluates it beyond x = 1.
+    ``expected_roots_interval`` integrates (0, 1) of the reversed table over
+    s = -ln x; the substitution integrates f(1/u)/u^2 with the direct table,
+    which evaluates it beyond x = 1.
     """
     tol = 1e-9
     worst = 0.0
     for family in (gamma_family(1.0), gamma_family(0.5), alpha_beta_family(0.5, 2.0)):
         for n in params["envelope_n"]:
             table = coefficient_table(family, n)
-            outer = expected_roots_interval(table, 1.0, math.inf, tol)
+            outer = expected_roots_interval(reciprocal_table(table), 0.0, 1.0, tol)
             sub = adaptive_quadrature(
                 lambda us: density(table, 1.0 / us) / (math.pi * us * us), 0.0, 1.0, tol)
             worst = max(worst, abs(outer.value - sub.value))

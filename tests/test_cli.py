@@ -119,6 +119,28 @@ def test_density_past_the_double_range_exits_three(capsys):
     assert err.startswith("randroot: numeric failure: f(0)") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", ["1e-320:1e-310:3", "5e-311:1e-310:2"])
+def test_density_past_the_double_range_away_from_zero_exits_three(capsys, grid):
+    # gamma = 400, n = 6: f ~ a_1/a_0 = 6^400 over the whole grid, the limit
+    # row at 1e-320 and the window sums above it; both printed inf and exited 0
+    code, out, err = run_cli(capsys, "density", "--class", "gamma", "--gamma", "400", "--n", "6",
+                             "--grid", grid)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("randroot: numeric failure: f") and "Traceback" not in err
+
+
+def test_density_prints_an_overflowing_s2_as_inf_quietly(capsys):
+    # S2 = f^2 + S1^2 ~ 50^200 is past the double range while f is not
+    code, out, err = run_cli(capsys, "density", "--class", "gamma", "--gamma", "100", "--n", "50",
+                             "--grid", "0:1e-300:3")
+    assert code == 0
+    assert err == ""
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(f) and s2 == math.inf for _, f, _, _, s2 in rows)
+
+
 @pytest.mark.parametrize("cls,family,n", [
     (("gamma", "--gamma", "1"), gamma_family(1.0), 50),
     (("alpha-beta", "--alpha", "0.5", "--beta", "2"), alpha_beta_family(0.5, 2.0), 40),
@@ -323,7 +345,7 @@ def test_verify_fast(capsys):
 
 
 def test_verify_reciprocity_catches_a_wrong_reversed_table(capsys, monkeypatch):
-    import randroot.kacrice as kr
+    import randroot.verify as vr
     from randroot.families import CoefficientTable, reciprocal_table
 
     def perturbed(table):
@@ -336,7 +358,7 @@ def test_verify_reciprocity_catches_a_wrong_reversed_table(capsys, monkeypatch):
         log_ratio[1] -= 0.05
         return CoefficientTable(rev.family, rev.n, log_sq, log_ratio)
 
-    monkeypatch.setattr(kr, "reciprocal_table", perturbed)
+    monkeypatch.setattr(vr, "reciprocal_table", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 3
     assert "FAIL quadrature_reciprocity" in out

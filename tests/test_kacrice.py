@@ -259,15 +259,18 @@ def test_density_limits_at_large_n(family, n):
 
 def test_limit_rows_where_e_to_the_r0_overflows():
     # gamma = 100, n = 50: f(0) = a_1/a_0 = 50^100 fits in a double, e^(r_0) =
-    # 50^200 does not.  Up to x_low = e^-((600 + r_0)/2) ~ 6.5e-301 the rows
+    # 50^200 does not.  Up to x_low = e^-((40 + r_0)/2) ~ 2.6e-179 the rows
     # are the limits f = e^(r_0/2), B/M = x e^(r_0) and log M = x B/M, with
     # log a_0^2 = 0; 5e-301 used to read NaN in every column.  Each is within
     # 2e-15 of its value at the table's r_0.  r_0 = 200 ln 50 ~ 782.4 has an
     # ulp of 1.1e-13, so e^(r_0/2) itself may differ from 50^100 by up to
     # 2.8e-14 relative (here 6.2e-15).
-    xs = np.array([0.0, 1e-310, 1e-301, 5e-301])
+    xs = np.array([0.0, 1e-310, 1e-301, 5e-301, 1e-300, 1e-200])
     log_m, s1, f, _ = kernel(gamma_family(100.0), 50).rows(xs)
     r0 = coefficient_table(gamma_family(100.0), 50).log_ratio[0]
+    # f is the limit itself, bit for bit: at 1e-300 the window sums, which
+    # served it under an e^-600 edge, were 2.4e-14 off
+    assert (f == math.exp(0.5 * r0)).all()
     with mp.workdps(30):
         g = mp.exp(mp.mpf(r0) / 2)
         for x, lm, b, ff in zip(xs.tolist(), log_m, s1, f):
@@ -503,14 +506,17 @@ def test_interval_full_line_elliptic(monkeypatch):
     res = expected_roots_interval(table, -math.inf, math.inf, tol=1e-9)
     assert res.converged
     assert res.value == pytest.approx(10.0, abs=2e-9)
-    # each distinct leg is integrated once: a symmetric family's reversed legs
-    # are its direct ones, so the full line and (-1, 1) are one leg each
+    # each distinct leg is integrated once, in s = -ln |x| up to the edge where
+    # the limit rows take over: a symmetric family's legs at |x| > 1 fold onto
+    # |x| < 1, so the full line and (-1, 1) are one leg each
     expected_roots_interval(table, -1.0, 1.0, tol=1e-9)
     expected_roots_real_line_result(gamma_family(1.0), 20)
-    assert calls == [(0.0, 1.0)] * 3
+    edges = [kr._table_kernel(coefficient_table(f, n)).edges
+             for f, n in ((elliptic(), 100), (gamma_family(1.0), 20), (alpha_beta_family(0.5, 2.0), 20))]
+    assert calls == [(0.0, edges[0][1])] * 2 + [(0.0, edges[1][1])]
     calls.clear()
     expected_roots_real_line_result(alpha_beta_family(0.5, 2.0), 20)
-    assert calls == [(0.0, 1.0)] * 2
+    assert calls == [(edges[2][0], 0.0), (0.0, edges[2][1])]
 
 
 def test_interval_composition_and_symmetry():
@@ -528,6 +534,21 @@ def test_interval_composition_and_symmetry():
     left = expected_roots_interval(table, -2.0, 0.0, tol)
     right = expected_roots_interval(table, 0.0, 3.0, tol)
     assert both.value == pytest.approx(left.value + right.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("family, n", [(gamma_family(100.0), 50), (alpha_beta_family(0.5, 2.0), 20)],
+                         ids=lambda v: getattr(v, "label", lambda: str(v))())
+def test_interval_past_the_edges_is_the_limit_rows_integral(family, n):
+    # past the edges f is e^(r_0/2) near 0 and e^(-r_(n-1)/2)/x^2 near inf,
+    # integrated in closed form; the two ends of a leg add up without the one
+    # absorbing the other
+    table = coefficient_table(family, n)
+    f0, f_inf = math.exp(0.5 * table.log_ratio[0]), math.exp(-0.5 * table.log_ratio[-1])
+    for a, b, want in ((0.0, 1e-300, 1e-300 * f0), (-2e-300, -1e-300, 1e-300 * f0),
+                       (1e200, math.inf, 1e-200 * f_inf), (1e200, 2e200, 0.5e-200 * f_inf)):
+        res = expected_roots_interval(table, a, b)
+        assert res.evaluations == 0
+        assert res.value == pytest.approx(want / math.pi, rel=1e-12)
 
 
 def test_asymmetric_family_matches_mirror():
@@ -614,6 +635,36 @@ def test_gamma1_at_n256000_against_the_exact_table_value():
     assert res.evaluations <= 800
 
 
+def test_large_gamma_counts_against_30_digit_direct_sums():
+    # The oracles sum a_i^2 e^(-2is), a_i^2 = binom(n, i)^(2 gamma) from
+    # mpmath loggamma, directly at 30 digits and integrate sqrt(Var) over s by
+    # tanh-sinh, split at the transitions s = r_i/2 (gamma = 1, n = 40 agrees
+    # with the quadrature to 2.6e-14).  Bisection in x stopped at
+    # converged=False for both: 40.19 after 2 million evaluations at gamma = 20.
+    for gamma, n, want in ((20.0, 100, 53.896705137778193), (5.0, 20_000, 444.18482619215327)):
+        res = expected_roots_real_line_result(gamma_family(gamma), n)
+        assert res.converged and res.evaluations <= 3000
+        assert abs(res.value - want) < 1e-9
+
+
+def test_kac_at_n_10_to_the_12_against_its_asymptotic_constant():
+    # (2/pi) ln n + C1, C1 = 0.625735807205270 (Edelman & Kostlan 1995,
+    # section 3), with an O(1/n) rest below 1e-12.  The peak at x = 1 is 1/n
+    # wide: bisection in x took 103995 evaluations and landed 2e-11 off.
+    res = expected_roots_real_line_result(kac(), 10**12)
+    assert res.converged and res.evaluations <= 2000
+    assert abs(res.value - 18.216190180311536) < 1e-11
+
+
+def test_no_count_stays_unconverged_up_to_gamma_20():
+    for gamma in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+        for n in (1, 3, 10, 100, 1000, 100_000):
+            res = expected_roots_real_line_result(gamma_family(gamma), n)
+            assert res.converged, (gamma, n)
+            if gamma == 0.5 or n == 1:  # elliptic, and degree one: E N = sqrt(n) exactly
+                assert abs(res.value - math.sqrt(n)) < 1e-9, (gamma, n)
+
+
 def test_gamma1_constant_term_converges_like_one_over_sqrt_n():
     # E N - sqrt(2n) -> about -0.66 with an O(1/sqrt(n)) correction, so each
     # 4x step in n about halves the gap to the next value; lost precision at
@@ -652,9 +703,10 @@ def test_window_matches_the_whole_table(family, monkeypatch):
     n = 3000
     table = coefficient_table(family, n)
     xs = np.concatenate((np.geomspace(1e-5, 0.9, 40), np.linspace(0.9, 1.1, 21), np.geomspace(1.1, 1e5, 40)))
-    windowed = kr._table_evaluator(table)(xs)
+    windowed, spread = kr._table_kernel(table).rows(xs), kr._table_kernel(table).spread(-np.log(xs))
     monkeypatch.setattr(kr, "_WHOLE_TABLE_N", n)
-    whole = kr._table_evaluator(table)(xs)
+    whole = kr._table_kernel(table).rows(xs)
+    np.testing.assert_allclose(spread, kr._table_kernel(table).spread(-np.log(xs)), rtol=1e-14, atol=0)
     for got, want in zip(windowed[1:], whole[1:]):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
     np.testing.assert_allclose(windowed[0], whole[0], rtol=1e-15, atol=0)

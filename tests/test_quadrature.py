@@ -71,9 +71,21 @@ def test_degenerate_and_invalid_intervals():
         adaptive_quadrature(np.exp, 2.0, 1.0)
     with pytest.raises(NumericError):
         adaptive_quadrature(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+    for splits in ((0.5, 0.5), (0.0,), (0.7, 0.2), (1.5,)):
+        with pytest.raises(NumericError):
+            adaptive_quadrature(np.exp, 0.0, 1.0, splits=splits)
 
 
-def _resum_each_step(f, a, b, tol=1e-9):
+def test_splits_start_the_heap_from_their_panels():
+    # a kink at 0.3 costs bisections from one panel, none from a split there
+    f = lambda x: np.abs(x - 0.3)  # noqa: E731
+    one = adaptive_quadrature(f, 0.0, 1.0, tol=1e-12)
+    cut = adaptive_quadrature(f, 0.0, 1.0, tol=1e-12, splits=(0.3,))
+    assert cut.evaluations == 30 < one.evaluations
+    assert cut.value == pytest.approx(0.29, abs=1e-15) and one.value == pytest.approx(0.29, abs=1e-12)
+
+
+def _resum_each_step(f, a, b, tol=1e-9, splits=()):
     """The adaptive loop as it was before the running error total: every step
     re-sums all panel errors, heap order then exhausted order."""
     import heapq
@@ -82,9 +94,12 @@ def _resum_each_step(f, a, b, tol=1e-9):
 
     max_depth = quadrature.MAX_DEPTH
 
-    value, err = _panel(f, a, b)
-    evaluations, seq = 15, 0
-    heap = [(-err, seq, 0, a, b, value, err)]
+    edges = [a, *splits, b]
+    heap = []
+    for seq, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        value, err = _panel(f, lo, hi)
+        heapq.heappush(heap, (-err, seq, 0, lo, hi, value, err))
+    evaluations = 15 * len(heap)
     exhausted = []
     while True:
         total_err = sum(item[6] for item in heap) + sum(item[6] for item in exhausted)
@@ -110,34 +125,39 @@ def _resum_each_step(f, a, b, tol=1e-9):
                             float(sum(item[6] for item in panels)), evaluations, converged)
 
 
-@pytest.mark.parametrize("f,a,b,tol,max_depth", [
-    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-12, 60),
-    (np.exp, -1.0, 2.0, 1e-12, 60),
-    (lambda x: 1e-5 / (1e-10 + (x - 0.3) ** 2), 0.0, 1.0, 1e-10, 60),
-    (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 3),
-    (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 60),
-], ids=["arctan", "exp", "peak", "exhausted", "deep"])
-def test_running_error_total_is_bit_identical(monkeypatch, f, a, b, tol, max_depth):
+@pytest.mark.parametrize("f,a,b,tol,max_depth,splits", [
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-12, 60, ()),
+    (np.exp, -1.0, 2.0, 1e-12, 60, ()),
+    (np.exp, -1.0, 2.0, 1e-12, 60, (0.0, 1.0)),
+    (lambda x: 1e-5 / (1e-10 + (x - 0.3) ** 2), 0.0, 1.0, 1e-10, 60, ()),
+    (lambda x: 1e-5 / (1e-10 + (x - 0.3) ** 2), 0.0, 1.0, 1e-10, 60, (0.25, 0.5)),
+    (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 3, ()),
+    (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 60, ()),
+], ids=["arctan", "exp", "exp-split", "peak", "peak-split", "exhausted", "deep"])
+def test_running_error_total_is_bit_identical(monkeypatch, f, a, b, tol, max_depth, splits):
     monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
-    assert adaptive_quadrature(f, a, b, tol) == _resum_each_step(f, a, b, tol)
+    assert adaptive_quadrature(f, a, b, tol, splits=splits) == _resum_each_step(f, a, b, tol, splits)
 
 
 def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
-    # every leg of the expect_large_n benchmark ops and of Kac up to n = 10^12
-    # (about 7000 panels, where the re-sum dominated the run)
+    # every leg of the expect_large_n benchmark ops, of Kac up to n = 10^12
+    # and of the large-gamma counts that bisection in x never settled
     import randroot.kacrice as kr
     from randroot.families import alpha_beta_family, elliptic, gamma_family, kac
 
     legs = []
 
-    def both(f, a, b, tol=1e-9):
-        got = adaptive_quadrature(f, a, b, tol)
-        assert got == _resum_each_step(f, a, b, tol)
+    def both(f, a, b, tol=1e-9, splits=()):
+        got = adaptive_quadrature(f, a, b, tol, splits=splits)
+        assert got == _resum_each_step(f, a, b, tol, splits)
         legs.append(got.evaluations)
         return got
 
     monkeypatch.setattr(kr, "adaptive_quadrature", both)
     for family, n in [(gamma_family(1.0), 4000), (alpha_beta_family(0.5, 2.0), 2000),
-                      (elliptic(), 3000), (kac(), 10**6), (kac(), 10**9), (kac(), 10**12)]:
-        kr.expected_roots_real_line_result(family, n)
-    assert len(legs) == 7 and max(legs) > 100_000
+                      (elliptic(), 3000), (kac(), 10**6), (kac(), 10**9), (kac(), 10**12),
+                      (gamma_family(20.0), 100), (gamma_family(5.0), 20_000)]:
+        assert kr.expected_roots_real_line_result(family, n).converged
+    # one leg per count, two for alpha/beta; x-legs took 103995 evaluations
+    # for Kac at n = 10^12, and never converged at gamma = 20 or 5
+    assert len(legs) == 9 and max(legs[4:7]) <= 2000 and max(legs) < 5000
