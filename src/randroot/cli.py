@@ -246,8 +246,6 @@ def _run_bounds(args: argparse.Namespace, family: PolynomialClass) -> tuple[list
 
 
 def _run_mc(args: argparse.Namespace, family: PolynomialClass) -> tuple[list[Table], dict, int]:
-    if args.trials < 1:
-        raise ParameterDomainError(f"trials must be >= 1, got {args.trials}")
     summary = mc_expected_roots(family, args.n, args.trials, args.seed)
     summary_rows = [(summary.trials, summary.mean, summary.std_error,
                      summary.parity_repairs, summary.seed)]
@@ -370,10 +368,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         family = _family_from_args(args)
-        if getattr(args, "n", None) is not None and args.n < 1:
-            raise ParameterDomainError(f"n must be >= 1, got {args.n}")
-        if getattr(args, "tol", None) is not None and not args.tol > 0:
-            raise ParameterDomainError(f"tol must be positive, got {args.tol}")
         tables, diagnostics, code = args.run(args, family)
     except ParameterDomainError as exc:
         print(f"randroot: error: {exc}", file=sys.stderr)

@@ -4,24 +4,27 @@ Coefficients xi_i * a_i are drawn in log-magnitude space and rescaled so the
 largest magnitude is 1 (roots are scale invariant; binomial weights span
 hundreds of decades before rescaling).  Roots come from the balanced
 companion-matrix eigenvalues (numpy.roots); a root is accepted as real when
-|Im z| <= REAL_AXIS_TOL * max(1, |z|).  A real polynomial of degree n has
-n mod 2 real roots, so when the count has the wrong parity the root whose
-scaled |Im| sits nearest the acceptance threshold is flipped and the repair
-is recorded.
+|Im z| <= REAL_AXIS_TOL * max(1, |z|).  LAPACK's xGEEV returns the complex
+eigenvalues of a real matrix in exact conjugate pairs, and the test classifies
+both members of a pair alike, so a count always has the parity of n; a count
+that does not is a numeric failure, as are a leading coefficient below
+LEADING_COEFF_FLOOR and an eigen-solve that does not converge.  Each raises
+NumericError; nothing is redrawn, so the sample is never conditioned on the
+draws that fail.
 
-Trials run serially, each on its own counter-based Philox substream keyed by
-(seed, trial index), so a summary is reproducible bit for bit from its seed.
+Trials run serially, each one draw on its own counter-based Philox substream
+keyed by (seed, trial index), so a summary is reproducible bit for bit from
+its seed.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError
-from .families import PolynomialClass, _log_sq_array
+from .families import PolynomialClass, _check_degree, _log_sq_array
 
 __all__ = [
     "SampledPolynomial",
@@ -32,8 +35,6 @@ __all__ = [
     "mc_expected_roots",
     "jensen_root_bound",
 ]
-
-logger = logging.getLogger(__name__)
 
 REAL_AXIS_TOL = 1e-8
 LEADING_COEFF_FLOOR = 1e-300
@@ -64,6 +65,10 @@ class SampledPolynomial:
 
 @dataclass(frozen=True)
 class McSummary:
+    """Monte Carlo summary.  ``parity_repairs`` is 0 by construction: a count
+    of the wrong parity raises in place of being repaired.  The field stays
+    because the ``mc`` CSV/JSON layout carries it as a column."""
+
     trials: int
     mean: float
     std_error: float
@@ -72,10 +77,10 @@ class McSummary:
     seed: int
 
 
-def _trial_rng(seed: int, trial: int, attempt: int) -> np.random.Generator:
-    # counter-based substream: one Philox counter block per (trial, attempt)
+def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    # counter-based substream: one Philox counter block per trial
     key = int(seed) & 0xFFFFFFFFFFFFFFFF
-    return np.random.Generator(np.random.Philox(counter=[0, 0, attempt, trial], key=key))
+    return np.random.Generator(np.random.Philox(counter=[0, 0, 0, trial], key=key))
 
 
 def _draw_coefficients(log_weight: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -87,74 +92,63 @@ def _draw_coefficients(log_weight: np.ndarray, rng: np.random.Generator) -> np.n
 
 def sample_polynomial(family: PolynomialClass, n: int, rng: np.random.Generator) -> SampledPolynomial:
     """Draw xi_i i.i.d. standard normal and form the rescaled coefficients."""
+    _check_degree(n)
     log_weight = 0.5 * _log_sq_array(family, n)  # log |a_i|
     coeffs = _draw_coefficients(log_weight, rng)
     coeffs.flags.writeable = False
     return SampledPolynomial(family, n, coeffs)
 
 
-def _classified_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(roots, real mask, parity repairs) for ascending-degree coefficients."""
+def _classified_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, real mask) for ascending-degree coefficients; NumericError on failure."""
     n = len(coeffs) - 1
     if abs(coeffs[-1]) < LEADING_COEFF_FLOOR:
         raise NumericError("leading coefficient below trim threshold")
-    roots = np.roots(coeffs[::-1])
-    scaled_im = np.abs(roots.imag) / np.maximum(1.0, np.abs(roots))
-    real_mask = scaled_im <= REAL_AXIS_TOL
-    repairs = 0
+    try:
+        roots = np.roots(coeffs[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"companion eigen-solve failed: {exc}") from exc
+    real_mask = np.abs(roots.imag) / np.maximum(1.0, np.abs(roots)) <= REAL_AXIS_TOL
     if (int(real_mask.sum()) - n) % 2 != 0:
-        flip = int(np.argmin(np.abs(scaled_im - REAL_AXIS_TOL)))
-        real_mask = real_mask.copy()
-        real_mask[flip] = ~real_mask[flip]
-        repairs = 1
-    return roots, real_mask, repairs
+        raise NumericError(f"{int(real_mask.sum())} real roots at degree {n}: complex roots not paired")
+    return roots, real_mask
 
 
 def count_real_roots(p: SampledPolynomial) -> int:
-    _, mask, _ = _classified_roots(p.coeffs)
-    return int(mask.sum())
+    return int(_classified_roots(p.coeffs)[1].sum())
 
 
 def count_positive_roots(p: SampledPolynomial) -> int:
-    roots, mask, _ = _classified_roots(p.coeffs)
+    roots, mask = _classified_roots(p.coeffs)
     return int((roots.real[mask] > 0.0).sum())
-
-
-def _run_trial(log_weight: np.ndarray, seed: int, trial: int) -> tuple[int, int]:
-    """(real-root count, parity repairs); redraws on the rare degenerate draw."""
-    for attempt in range(100):
-        coeffs = _draw_coefficients(log_weight, _trial_rng(seed, trial, attempt))
-        try:
-            _, mask, repairs = _classified_roots(coeffs)
-        except (NumericError, np.linalg.LinAlgError) as exc:
-            logger.warning("trial %d attempt %d redrawn: %s", trial, attempt, exc)
-            continue
-        return int(mask.sum()), repairs
-    raise NumericError(f"trial {trial} failed after 100 redraws")
 
 
 def mc_expected_roots(family: PolynomialClass, n: int, trials: int, seed: int,
                       threads: int = 1) -> McSummary:
     """Monte Carlo estimate of the expected real-root count.
 
-    The trials run serially, each on its own counter-based substream, so the
-    summary is determined by the seed.  ``threads`` is accepted and ignored;
-    the benchmark harness still passes it.
+    The trials run serially, each one draw on its own counter-based substream,
+    so the summary is determined by the seed.  A trial that fails raises
+    NumericError naming it.  ``threads`` is accepted and ignored; the
+    benchmark harness still passes it.
     """
+    _check_degree(n)
     if trials < 1:
         raise ParameterDomainError(f"trials must be >= 1, got {trials}")
     log_weight = 0.5 * _log_sq_array(family, n)
     counts = np.empty(trials, dtype=np.int64)
-    repairs = np.empty(trials, dtype=np.int64)
-
     for trial in range(trials):
-        counts[trial], repairs[trial] = _run_trial(log_weight, seed, trial)
+        coeffs = _draw_coefficients(log_weight, _trial_rng(seed, trial))
+        try:
+            counts[trial] = _classified_roots(coeffs)[1].sum()
+        except NumericError as exc:
+            raise NumericError(f"trial {trial}: {exc}") from exc
 
     mean = float(counts.mean())
     std_error = 0.0 if trials == 1 else float(counts.std(ddof=1) / math.sqrt(trials))
     values, freqs = np.unique(counts, return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(values, freqs)}
-    return McSummary(trials, mean, std_error, histogram, int(repairs.sum()), int(seed))
+    return McSummary(trials, mean, std_error, histogram, 0, int(seed))
 
 
 def jensen_root_bound(p: SampledPolynomial, r: float, R: float) -> float:

@@ -119,6 +119,19 @@ def test_density_past_the_double_range_exits_three(capsys):
     assert err.startswith("randroot: numeric failure: f(0)") and "Traceback" not in err
 
 
+def test_mc_eigen_solve_failure_exits_three(capsys, monkeypatch):
+    # a companion eigen-solve that does not converge stops the run; it is not redrawn
+    def fail(coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", fail)
+    code, out, err = run_cli(capsys, "mc", "--class", "gamma", "--gamma", "1", "--n", "20",
+                             "--trials", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "randroot: numeric failure: trial 0: companion eigen-solve failed: Eigenvalues did not converge\n"
+
+
 @pytest.mark.parametrize("grid", ["1e-320:1e-310:3", "5e-311:1e-310:2"])
 def test_density_past_the_double_range_away_from_zero_exits_three(capsys, grid):
     # gamma = 400, n = 6: f ~ a_1/a_0 = 6^400 over the whole grid, the limit
@@ -376,6 +389,13 @@ def test_validation_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "expect", "--class", "elliptic", "--n", "5",
                            "--interval", "2", "junk")
     assert code == 2
+    for argv in (["density", "--class", "kac", "--n", "0", "--grid", "0:1:3"],
+                 ["mc", "--class", "kac", "--n", "0", "--trials", "3"],
+                 ["mc", "--class", "kac", "--n", "5", "--trials", "0"],
+                 ["scaling", "--class", "kac", "--n-list", "10,20,40,80", "--tol", "0"],
+                 ["bounds", "--class", "legendre", "--n", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("randroot: error: "), argv
 
 
 def test_unknown_flags_exit_two(capsys):
