@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, ParameterDomainError
 from .families import (
@@ -101,7 +100,7 @@ def _in_window(gamma: float, n: int, x: float) -> bool:
 
 
 def _log_binom(n: float, k: float) -> float:
-    return float(gammaln(n + 1.0) - (gammaln(k + 1.0) + gammaln(n - k + 1.0)))
+    return math.lgamma(n + 1.0) - (math.lgamma(k + 1.0) + math.lgamma(n - k + 1.0))
 
 
 class LaplaceApprox(NamedTuple):

@@ -17,6 +17,7 @@ codes: 0 success, 2 validation error, 3 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -144,6 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=("fast", "full"), default="fast")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built once per process, since parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _family_from_args(args: argparse.Namespace) -> PolynomialClass:
@@ -353,7 +360,7 @@ def _write(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "verify":
         failures = 0

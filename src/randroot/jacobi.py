@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NumericError, ParameterDomainError
 from .families import alpha_beta_family, coefficient_table
@@ -40,6 +39,17 @@ __all__ = [
     "density_endpoints",
     "derivative_recurrence_residual",
 ]
+
+
+def eigvalsh_tridiagonal(diag, off, **select):
+    """scipy.linalg.eigvalsh_tridiagonal, with SciPy imported on the first call.
+
+    Only the eigen-solves need SciPy, so the other commands start without it.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal as solve
+
+    return solve(diag, off, **select)
+
 
 _ASYMMETRY_NOTE = "derivation of the bracket assumes alpha == beta; containment for alpha != beta is checked empirically"
 

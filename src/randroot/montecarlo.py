@@ -133,8 +133,8 @@ def mc_expected_roots(family: PolynomialClass, n: int, trials: int, seed: int,
     benchmark harness still passes it.
     """
     _check_degree(n)
-    if trials < 1:
-        raise ParameterDomainError(f"trials must be >= 1, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ParameterDomainError(f"trials must be an integer >= 1, got {trials!r}")
     log_weight = 0.5 * _log_sq_array(family, n)
     counts = np.empty(trials, dtype=np.int64)
     for trial in range(trials):

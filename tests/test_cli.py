@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from randroot import jacobi
+import randroot
+from randroot import cli, jacobi
 from randroot.cli import Table, main, render_csv
 from randroot.families import alpha_beta_family, coefficient_table, gamma_family
 from randroot.kacrice import kac_rice_eval, kac_triple
@@ -417,3 +422,81 @@ def test_output_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("n,value,abs_err,evaluations\n")
     assert "\r" not in text
+
+
+def test_main_builds_its_parser_once_with_the_output_of_fresh_parsers(monkeypatch, capsys):
+    # main reuses one parser; a fresh parser per call must print the same
+    # bytes and exit codes, across subcommands, argparse errors and JSON
+    sequence = [
+        ["expect", "--class", "gamma", "--gamma", "1", "--n", "20"],
+        ["mc", "--class", "kac", "--n", "6", "--trials", "4", "--format", "json"],
+        ["expect", "--class", "elliptic", "--n", "5", "--bogus"],
+        ["density", "--class", "legendre", "--n", "8", "--grid", "-1:1:5", "--format", "json"],
+        ["expect", "--class", "gamma", "--n", "5"],
+        ["bounds", "--class", "alpha-beta", "--alpha", "0.5", "--beta", "2", "--n", "30"],
+        ["not-a-command"],
+        ["scaling", "--class", "legendre", "--n-list", "10,20,40,80", "--format", "json"],
+        ["expect", "--class", "legendre", "--n", "6", "--interval", "1", "inf"],
+        ["expect", "--class", "gamma", "--gamma", "1", "--n", "20"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse errors
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    reused = run_all()
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == reused
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 0, 2, 0, 0, 0]
+
+
+_NO_SCIPY_CHILD = """
+import contextlib, io, json, sys
+from randroot import cli
+
+runs = [
+    ["expect", "--class", "gamma", "--gamma", "1", "--n", "200"],
+    ["expect", "--class", "alpha-beta", "--alpha", "0.5", "--beta", "2", "--n", "200"],
+    ["expect", "--class", "legendre", "--n", "40"],
+    ["density", "--class", "gamma", "--gamma", "2", "--n", "50", "--grid", "0:3:31"],
+    ["mc", "--class", "alpha-beta", "--alpha", "-0.9", "--beta", "0.5", "--n", "20", "--trials", "20"],
+    ["scaling", "--class", "gamma", "--gamma", "1", "--n-list", "10,20,40,80"],
+    ["verify", "--level", "fast"],
+]
+outputs = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        outputs.append((cli.main(argv), out.getvalue()))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    bounds = (cli.main(["bounds", "--class", "legendre", "--n", "40"]), out.getvalue())
+print(json.dumps({"outputs": outputs, "scipy_before_bounds": loaded, "bounds": bounds,
+                  "linalg_after_bounds": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_commands_other_than_bounds_never_import_scipy():
+    # a fresh interpreter: expect, density, mc, scaling and verify load no
+    # SciPy module; bounds loads scipy.linalg on its first eigen-solve
+    src = str(pathlib.Path(randroot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD], capture_output=True, text=True,
+                           env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert [code for code, _ in report["outputs"]] == [0] * 7
+    assert report["scipy_before_bounds"] == []
+    code, text = report["bounds"]
+    assert code == 0 and report["linalg_after_bounds"]
+    _, lower, upper, ultra_lower, ultra_upper, s_max = map(float, text.split("\n")[1].split(","))
+    assert s_max == jacobi.root_bounds(40, 0.0, 0.0).s_max
+    count = float(report["outputs"][2][1].split("\n")[1].split(",")[1])  # legendre, n = 40
+    assert lower <= count <= upper and ultra_lower <= count <= ultra_upper

@@ -7,6 +7,7 @@ import pytest
 
 from randroot.errors import ParameterDomainError
 from randroot.families import (
+    _lgamma_shifted,
     alpha_beta_family,
     coefficient_table,
     elliptic,
@@ -148,6 +149,66 @@ def test_reversal_contract_bit_for_bit(family, n):
     # the neighbour log-ratios reverse and change sign bit for bit as well
     assert np.array_equal(-table.log_ratio[::-1], swapped.log_ratio)
     assert np.array_equal(mirrored.log_ratio, swapped.log_ratio)
+
+
+def _lgamma_ulps(got: float, x: float) -> float:
+    """|got - lgamma(x)| in ulps of max(1, |lgamma(x)|), against 40-digit mpmath."""
+    with mp.workdps(40):
+        want = mp.loggamma(mp.mpf(x))
+        return float(abs(mp.mpf(got) - want)) / np.spacing(max(1.0, abs(float(want))))
+
+
+@pytest.mark.parametrize("p", [0.0, -0.9999, -0.9, 0.5, 2.5, 400.0])
+def test_lgamma_shifted_against_mpmath(p):
+    # lgamma(p + k), k = 1..count: every Stirling regime (edges at x = 24,
+    # 64, 256, 8192) and its edges, plus a seeded sample of the rest
+    count = 200_000
+    values = _lgamma_shifted(p, count)
+    rng = np.random.default_rng(2024)
+    index = set(range(300)) | set(rng.integers(0, count, 300).tolist()) | {count - 1}
+    index |= {k for edge in (24, 64, 256, 8192) for k in range(edge - 3, edge + 2) if k >= 0}
+    worst = max(_lgamma_ulps(float(values[k]), (k + 1) + p) for k in sorted(index))
+    assert worst <= 4.0
+
+
+def test_lgamma_shifted_integers_up_to_1e7():
+    rng = np.random.default_rng(7)
+    sample = {10**7, 10**7 - 1, 8191, 8192, 8193} | set(rng.integers(1, 10**7, 400).tolist())
+    for m in sorted(sample):
+        # a one-element array at p = m - 1 is lgamma(m), as in the full p = 0 array
+        assert _lgamma_ulps(float(_lgamma_shifted(m - 1.0, 1)[0]), float(m)) <= 4.0
+    assert np.array_equal(_lgamma_shifted(0.0, 2), [0.0, 0.0])  # lgamma(1) = lgamma(2) = 0
+
+
+@pytest.mark.parametrize("p", [0.0, 3.0, 30.0, 0.3])
+def test_lgamma_shifted_values_depend_on_the_argument_alone(p):
+    # the tables read lgamma(p + i + 1) for an integer p off the log i! array
+    whole = _lgamma_shifted(0.0, 10_000)
+    if float(p).is_integer():
+        assert np.array_equal(_lgamma_shifted(p, 9_000), whole[int(p):int(p) + 9_000])
+    for start in (5, 40, 300, 8_000):  # the same arguments from a later start
+        assert np.array_equal(_lgamma_shifted(p + start, 50), _lgamma_shifted(p, start + 50)[start:])
+
+
+@pytest.mark.parametrize("alpha, beta", [(3.0, 0.5), (3.0, 3.0), (2.0, 7.0), (400.0, 0.3), (0.3, 0.3)])
+@pytest.mark.parametrize("n", [2, 50, 5000])
+def test_reversal_contract_with_integer_parameters(alpha, beta, n):
+    # integer parameters read their log-gamma values off the shared log i! array
+    family = alpha_beta_family(alpha, beta)
+    table = coefficient_table(family, n)
+    swapped = coefficient_table(reciprocal_class(family), n)
+    assert np.array_equal(table.log_sq_coeff[::-1], swapped.log_sq_coeff)
+    # each entry sums six log-gammas, the largest lgamma(n + max(alpha, beta) + 1)
+    bound = 8 * np.spacing(max(4.0, math.lgamma(n + max(alpha, beta) + 1.0)))
+    for i in sorted({0, 1, n // 2, n}):
+        assert abs(table.log_sq_coeff[i] - exact_log_sq(family, n, i)) <= bound
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.3, 20.0])
+@pytest.mark.parametrize("n", [1, 23, 24, 100, 10_000])
+def test_gamma_family_end_coefficients_are_exactly_one(gamma, n):
+    log_sq = coefficient_table(gamma_family(gamma), n).log_sq_coeff
+    assert log_sq[0] == 0.0 and log_sq[n] == 0.0
 
 
 def test_equilibrium_fraction():

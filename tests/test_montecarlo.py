@@ -205,6 +205,16 @@ def test_degree_is_checked(call, n):
         call(n)
 
 
+@pytest.mark.parametrize("trials", [0, -2, 2.5, float("nan"), "3", None, np.float64(3.0)])
+def test_trials_are_checked(trials):
+    with pytest.raises(ParameterDomainError, match="trials must be an integer >= 1"):
+        mc_expected_roots(gamma_family(1.0), 5, trials, 1)
+
+
+def test_numpy_integer_trials_are_accepted():
+    assert mc_expected_roots(kac(), 5, np.int64(3), 1) == mc_expected_roots(kac(), 5, 3, 1)
+
+
 # ---------------------------------------------------------------------------
 # failures are loud: each raises, nothing is redrawn or repaired
 # ---------------------------------------------------------------------------
