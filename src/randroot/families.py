@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
 
 import numpy as np
 
@@ -132,11 +131,10 @@ class CoefficientTable:
 
 # Stirling's series (Abramowitz & Stegun 6.1.41) for x >= 24:
 #   lgamma(x) = (x - 1/2)(ln x - 1) - 1/2 + ln(2 pi)/2 + sum_k c_k / x^(2k-1),
-# c_k = B_2k / (2k(2k-1)).  Each (x, m) row: from x on, the first m terms leave
-# out less than 2^-60 |lgamma(x)|.  Below 24, math.lgamma.
+# c_k = B_2k / (2k(2k-1)).  From x = 24 on, these five terms leave out less
+# than 2^-60 |lgamma(x)|.  Below 24, math.lgamma.
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
-_STIRLING_TERMS = ((24.0, 5), (64.0, 3), (256.0, 2), (8192.0, 1))
-_STIRLING_SPLITS = np.array([x for x, _ in _STIRLING_TERMS[1:]])
+_STIRLING_FROM = 24.0
 _STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
 
 
@@ -149,30 +147,21 @@ def _lgamma_shifted(p: float, count: int) -> np.ndarray:
     head = []
     for k in range(1, count + 1):
         arg = k + p
-        if arg >= _STIRLING_TERMS[0][0]:
+        if arg >= _STIRLING_FROM:
             break
         head.append(math.lgamma(arg))
     if len(head) == count:
         return np.array(head, dtype=float)
     x = np.arange(len(head) + 1.0, count + 1.0)
     x += p
-    series = np.empty_like(x)
-    edges = [0, *np.searchsorted(x, _STIRLING_SPLITS).tolist(), len(x)]
-    for (lo, hi), (_, m) in zip(pairwise(edges), _STIRLING_TERMS):
-        if lo == hi:
-            continue
-        r = series[lo:hi]
-        if m == 1:
-            np.divide(_STIRLING[0], x[lo:hi], out=r)
-            continue
-        np.divide(1.0, x[lo:hi], out=r)
-        r2 = r * r
-        acc = _STIRLING[m - 1] * r2  # Horner in 1/x^2
-        for c in _STIRLING[m - 2:0:-1]:
-            acc += c
-            acc *= r2
-        acc += _STIRLING[0]
-        r *= acc
+    r = 1.0 / x
+    r2 = r * r
+    series = _STIRLING[-1] * r2  # Horner in 1/x^2
+    for c in _STIRLING[-2:0:-1]:
+        series += c
+        series *= r2
+    series += _STIRLING[0]
+    series *= r
     series += _STIRLING_CONST
     out = np.empty(count)
     out[:len(head)] = head
@@ -188,24 +177,17 @@ def _log_sq_array(family: PolynomialClass, n: int) -> np.ndarray:
     # Three log-gamma arrays over i = 0..n: fact[i] = log i!, la[i] =
     # lgamma(alpha + i + 1) and lb[i] = lgamma(beta + i + 1), with j = n - i
     # read off them reversed and the i = n entries standing in for the
-    # n-dependent terms.  Swapping alpha <-> beta swaps la and lb, and each
-    # value depends on its argument alone, so the swapped table's entry at
-    # n - i adds the same two sums in the other order: the reversal contract
-    # holds bit-for-bit for any alpha, beta.  log a_0^2 of the gamma family
-    # is fact[n] - (0 + fact[n]) = 0 exactly.
+    # n-dependent terms.  Swapping alpha <-> beta swaps la and lb, so the
+    # swapped table's entry at n - i adds the same two sums in the other
+    # order: the reversal contract holds bit-for-bit for any alpha, beta.
+    # log a_0^2 of the gamma family is fact[n] - (0 + fact[n]) = 0 exactly.
+    fact = _lgamma_shifted(0.0, n + 1)
     if family.kind is FamilyKind.GAMMA:
-        fact = _lgamma_shifted(0.0, n + 1)
         log_binom = fact[n] - (fact + fact[::-1])
         return 2.0 * family.gamma * log_binom
     a, b = float(family.alpha), float(family.beta)
-    # an integer parameter p <= n reads lgamma(p + i + 1) = log (p + i)! off
-    # fact, and equal parameters share one array
-    ints = {p for p in (a, b) if p.is_integer() and p <= n}
-    fact = _lgamma_shifted(0.0, n + 1 + int(max(ints, default=0)))
-    shifted = {p: fact[int(p):int(p) + n + 1] if p in ints else _lgamma_shifted(p, n + 1)
-               for p in {a, b}}
-    la, lb = shifted[a], shifted[b]
-    fact = fact[:n + 1]
+    la = _lgamma_shifted(a, n + 1)
+    lb = la if b == a else _lgamma_shifted(b, n + 1)
     left = la[n] - (fact[::-1] + la)
     right = lb[n] - (fact + lb[::-1])
     return left + right

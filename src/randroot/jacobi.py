@@ -182,6 +182,8 @@ def _matrix_eigenvalues(n: int, alpha: float, beta: float, **select) -> np.ndarr
     diag, off = _recurrence_matrix(n, alpha, beta)
     try:
         return diag if n == 1 else eigvalsh_tridiagonal(diag, off, **select)
+    except ImportError:  # a missing SciPy is not a numeric failure
+        raise
     except Exception as exc:  # pragma: no cover - LAPACK failure is exceptional
         raise NumericError(
             f"tridiagonal eigensolver failed for n={n}, alpha={alpha}, beta={beta}: {exc}"

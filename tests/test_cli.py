@@ -227,6 +227,15 @@ def test_bounds_wild_eigenvalue_exits_three(capsys, monkeypatch, bad):
     assert "largest root" in err
 
 
+def test_bounds_without_scipy_fails_on_the_import(monkeypatch):
+    # a missing SciPy surfaces as the ImportError, not as exit 3 (numeric failure)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    with pytest.raises(ImportError):
+        main(["bounds", "--class", "legendre", "--n", "40"])
+    with pytest.raises(ImportError):
+        jacobi.jacobi_roots(5, 0.0, 0.0)
+
+
 def test_bounds_at_large_alpha_beta(capsys):
     # J_1000^(400,400) overflows a float on (-1, 1); the bracket must still
     # come out, with s_max the correctly rounded root, and hold the count
