@@ -130,23 +130,23 @@ def _exp_weights(t: np.ndarray) -> np.ndarray:
     return np.exp(np.maximum(t, _LOG_TINY, out=t), out=t)
 
 
-def _half_width(c: _Ratios, peak: np.ndarray, whole: int) -> int:
-    """A first guess at the window half-width h for the points peaking at ``peak``.
+def _half_widths(c: _Ratios, peak: np.ndarray) -> np.ndarray:
+    """First guesses at the window half-width h of the points peaking at ``peak``.
 
     Near its peak i* the log-weight falls like -k m^2 / 2, k = r_(i*-1) - r_(i*),
-    so it reaches -cut about sqrt(2 cut / k) indices out; the flattest peak
-    of the call sets h, and ``_wider`` corrects a guess that falls short.
-    No window needs more than ``whole`` steps, which reach both table ends
-    from every peak; small tables take that many.
+    so it reaches -cut about sqrt(2 cut / k) indices out; ``_wider`` corrects
+    a guess that falls short.  No window needs more than max(n - i*, i*)
+    steps, which reach both table ends; small tables take that many.
     """
     n = len(c.right) - 2
+    whole = np.maximum(n - peak, peak)
     if n <= _WHOLE_TABLE_N:
         return whole
     at = np.clip(peak, 1, n - 1)
-    k = float((c.right[at] - c.right[at + 1]).min())
-    if k * whole * whole <= 2.0 * c.cut:
-        return whole
-    return min(whole, int(math.sqrt(2.0 * c.cut / k)) + 2)
+    k = np.maximum(c.right[at] - c.right[at + 1], 0.0)
+    with np.errstate(divide="ignore"):  # k = 0: a flat peak takes the whole table
+        guess = np.floor(np.sqrt(2.0 * c.cut / k)) + 2.0
+    return np.minimum(guess, whole).astype(int)
 
 
 @lru_cache(maxsize=32)
@@ -158,21 +158,28 @@ def _steps(h: int) -> tuple[np.ndarray, np.ndarray]:
     return q, powers
 
 
-def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int) -> np.ndarray:
+def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int, u: np.ndarray | None = None) -> np.ndarray:
     """Log-weights 1..h steps right (first p rows) and left (last p rows) of each peak.
 
     t_i = log(a_i^2 x^(2i)) changes by d_i = r_i + 2 ln x from i to i+1, so
     t_(i*+q) - t_(i*) is a sum of d walking out from the peak i*: each partial
-    sum stays near the terms it adds, and no large numbers cancel.
+    sum stays near the terms it adds, and no large numbers cancel.  Walks
+    ``u`` of fewer steps are extended: their sums go on from their last
+    column, so the result is the walk of h steps, bit for bit.
     """
     p = len(peak)
-    q = _steps(h)[0]
+    k = 0 if u is None else u.shape[1]
+    q = _steps(h)[0][k:]
     g = np.empty((2 * p, h))
-    c.right.take(peak[:, None] + q, mode="clip", out=g[:p])       # r_(i*+q-1)
-    c.left.take((peak + 1)[:, None] - q, mode="clip", out=g[p:])  # -r_(i*-q)
-    g[:p] += d0[:, None]
-    g[p:] -= d0[:, None]
-    return np.cumsum(g, axis=1, out=g)
+    c.right.take(peak[:, None] + q, mode="clip", out=g[:p, k:])       # r_(i*+q-1)
+    c.left.take((peak + 1)[:, None] - q, mode="clip", out=g[p:, k:])  # -r_(i*-q)
+    g[:p, k:] += d0[:, None]
+    g[p:, k:] -= d0[:, None]
+    if u is not None:
+        g[:, :k] = u
+        k -= 1
+    np.cumsum(g[:, k:], axis=1, out=g[:, k:])
+    return g
 
 
 def _wider(c: _Ratios, u: np.ndarray, h: int, whole: int) -> int:
@@ -191,25 +198,19 @@ def _wider(c: _Ratios, u: np.ndarray, h: int, whole: int) -> int:
     return min(whole, h + int(np.ceil((ends[short] / fall).max())) + 1)
 
 
-def _window(c: _Ratios, peak: np.ndarray, d0: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray]:
-    """The half-width h and the walks of ``_walks`` whose ends all reach -cut.
-
-    ``lo`` and ``hi`` are the lowest and highest peak.
-    """
-    whole = max(len(c.right) - 2 - lo, hi, 1)
-    h = _half_width(c, peak, whole)
-    while True:
-        u = _walks(c, peak, d0, h)
-        wider = h if h >= whole else _wider(c, u, h, whole)
-        if wider == h:
-            return h, u
-        h = wider
+def _window(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int) -> np.ndarray:
+    """The walks of ``_walks``, at least ``h`` steps long, whose ends all reach -cut."""
+    whole = max(len(c.right) - 2 - int(peak.min()), int(peak.max()), 1)  # reaches both table ends
+    u = _walks(c, peak, d0, h)
+    while h < whole and (wider := _wider(c, u, h, whole)) > h:
+        u, h = _walks(c, peak, d0, wider, u), wider
+    return u
 
 
 _SIGNS = np.array([1.0, -1.0, 1.0])  # a left walk's offsets are -q
 
 
-def _centred(u: np.ndarray, powers: np.ndarray):
+def _centred(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weight total - 1, mean offset, variance) of the window around each peak.
 
     The weights are 1 at the peak and e^u on the walks of ``_walks``.  Taken
@@ -217,30 +218,45 @@ def _centred(u: np.ndarray, powers: np.ndarray):
     are unimodal with their mode at offset 0, so mean^2 <= 3 Var.
     """
     p = len(u) // 2
-    sums = _exp_weights(u) @ powers
+    sums = _exp_weights(u) @ _steps(u.shape[1])[1]
     s = sums[:p] + sums[p:] * _SIGNS
     total = 1.0 + s[:, 0]
     mean = s[:, 1] / total
     return s[:, 0], mean, s[:, 2] / total - mean * mean
 
 
-def _log_sq_at(c: _Ratios, peak: np.ndarray, lo: int, hi: int):
-    """log(a_i^2) at each index of ``peak``, all of them in lo..hi.
+def _log_sq_at(c: _Ratios, peak: np.ndarray) -> np.ndarray:
+    """log(a_i^2) at each index of ``peak``.
 
     ``log_sq_coeff`` is read at one index per call, the lowest peak, and the
     others add a cumulative sum of the exact ratios from there, so log M
-    differences within one call carry no table noise.  (For the gamma family
-    and alpha = 0, log a_0^2 = 0 exactly, so log M near x = 0 keeps its
-    relative precision.)
+    differences within one call carry no table noise, however the call is
+    cut into blocks.  (For the gamma family and alpha = 0, log a_0^2 = 0
+    exactly, so log M near x = 0 keeps its relative precision.)
     """
-    if lo == hi:
-        return c.la[lo]
+    lo, hi = int(peak.min()), int(peak.max())
     steps = np.zeros(hi - lo + 1)
     np.cumsum(c.right[lo + 1:hi + 1], out=steps[1:])  # r_lo .. r_(hi-1)
     return c.la[lo] + steps[peak - lo]
 
 
-_BLOCK = 1 << 13  # points x coefficients per weights array; 15-point panels stay whole
+_BUDGET = 1 << 15  # points x estimated half-width per weights array
+
+
+def _blocks(widths: np.ndarray):
+    """Slices of consecutive points, each as long as its count x widest half-width fits ``_BUDGET``.
+
+    ``widths`` are the points' estimated half-widths; a point wider than the
+    budget is a block of its own.  The quadrature's nodes and a density grid
+    come in order of s, along which the widths change smoothly, so the points
+    of a block have similar widths.
+    """
+    start = 0
+    while start < len(widths):
+        run = np.maximum.accumulate(widths[start:start + max(1, _BUDGET // int(widths[start]))])
+        stop = start + max(1, int(np.count_nonzero(np.arange(1, len(run) + 1) * run <= _BUDGET)))
+        yield slice(start, stop)
+        start = stop
 
 
 def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
@@ -255,19 +271,20 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     dropped beyond it is below e^-cut times a factor polynomial in n.
     ``_evaluator`` passes only points where the weight next to an end peak is
     at least about e^-40 of the peak's, so Var stays far inside the double
-    range.  Long arrays go in blocks, so memory stays O(n) however many points
-    are asked for.
+    range.  The weights of a block of points take one array of
+    2 x points x h, h the widest window; a call whose points x widest
+    estimated half-width (``_half_widths``) exceeds ``_BUDGET`` is cut into
+    blocks of consecutive points (``_blocks``), so memory stays bounded
+    however many points are asked for, and one flat peak widens only the
+    windows of its own block.  A call within the budget, such as the first
+    panels of a leg at n = 4000, is one block.
     """
-    step = max(16, _BLOCK // len(c.la))
-    if len(lx) > step:
-        out = np.concatenate([_moments(c, lx[i:i + step], None if xs is None else xs[i:i + step], rows)
-                              for i in range(0, len(lx), step)], axis=-1)
-        return tuple(out) if xs is not None and rows else out
     d0 = 2.0 * lx
     peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
-    lo, hi = int(peak.min()), int(peak.max())
-    h, u = _window(c, peak, d0, lo, hi)
-    s0, mean, var = _centred(u, _steps(h)[1])
+    widths = _half_widths(c, peak)
+    s0, mean, var = sums = np.empty((3, len(lx)))
+    for i in _blocks(widths):
+        sums[:, i] = _centred(_window(c, peak[i], d0[i], int(widths[i].max())))
     g = np.sqrt(var)
     if xs is None:
         return g
@@ -275,7 +292,7 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     if not rows:
         return f
     s1 = (peak + mean) / xs
-    log_m = _log_sq_at(c, peak, lo, hi) + peak * d0 + np.log1p(s0)
+    log_m = _log_sq_at(c, peak) + peak * d0 + np.log1p(s0)
     log_f = 0.5 * np.log(var) - lx
     return log_m, s1, f, 2.0 * (log_m + log_f)
 

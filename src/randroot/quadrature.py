@@ -61,14 +61,28 @@ class QuadratureResult:
         )
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = np.asarray(f(center + half * _XGK), dtype=float)
-    if fx.shape != _XGK.shape or not np.all(np.isfinite(fx)):
+def _panels(f: Callable[[np.ndarray], np.ndarray], panels: Sequence[tuple[float, float]]
+            ) -> list[tuple[float, float]]:
+    """(Kronrod value, |Kronrod - Gauss|) of each panel (a, b) of ``panels``, from one call of ``f``.
+
+    ``f`` gets the 15 nodes of every panel, panel after panel; each panel's
+    sums are taken over its own 15 values, as if it were evaluated alone.
+    """
+    ab = np.array(panels, dtype=float)
+    center, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
+    fx = np.asarray(f((center[:, None] + half[:, None] * _XGK).ravel()), dtype=float)
+    if fx.shape != (15 * len(ab),):
+        raise NumericError(f"integrand returned shape {fx.shape} for {15 * len(ab)} nodes")
+    fx = fx.reshape(len(ab), 15)
+    bad = ~np.isfinite(fx).all(axis=1)
+    if bad.any():
+        a, b = panels[int(np.argmax(bad))]
         raise NumericError(f"integrand returned non-finite values on [{a}, {b}]")
-    k15 = half * float(_WGK @ fx)
-    g7 = half * float(_WG @ fx[_G_IDX])
-    return k15, abs(k15 - g7)
+    out = []
+    for h, row in zip(half.tolist(), fx):
+        k15 = h * float(_WGK @ row)
+        out.append((k15, abs(k15 - h * float(_WG @ row[_G_IDX]))))
+    return out
 
 
 def adaptive_quadrature(
@@ -82,9 +96,13 @@ def adaptive_quadrature(
     """Integrate the vectorized ``f`` over [a, b] to absolute tolerance ``tol``.
 
     The first panels are [a, b] cut at the increasing ``splits``, all strictly
-    inside it; one tolerance covers them all.  Never returns a silently wrong
-    value: if the subdivision budget runs out the result carries
-    ``converged=False`` with the achieved error estimate.
+    inside it; one tolerance covers them all.  ``f`` is called once for all
+    first panels and once per bisection, for both halves, with 15 nodes per
+    panel: a leg of b bisections makes 1 + b calls.  Each panel's sums come
+    from its own 15 values, so a pointwise ``f`` gives the results of one
+    call per panel, bit for bit.  Never returns a silently wrong value: if
+    the subdivision budget runs out the result carries ``converged=False``
+    with the achieved error estimate.
     """
     if not tol > 0:
         raise NumericError(f"tolerance must be positive, got {tol!r}")
@@ -98,8 +116,8 @@ def adaptive_quadrature(
         raise NumericError(f"splits must increase strictly inside ({a!r}, {b!r}), got {splits!r}")
     # heap entries: (-err, insertion seq for deterministic ties, depth, a, b, value, err)
     heap = []
-    for seq, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        value, err = _panel(f, lo, hi)
+    first = list(zip(edges, edges[1:]))
+    for seq, ((lo, hi), (value, err)) in enumerate(zip(first, _panels(f, first))):
         heapq.heappush(heap, (-err, seq, 0, lo, hi, value, err))
     evaluations = 15 * len(heap)
     exhausted: list[tuple] = []  # panels at max depth, no longer splittable
@@ -133,8 +151,8 @@ def adaptive_quadrature(
             continue
         running -= item[6]
         moved += item[6]
-        for lo, hi in ((pa, mid), (mid, pb)):
-            v, e = _panel(f, lo, hi)
+        halves = ((pa, mid), (mid, pb))
+        for (lo, hi), (v, e) in zip(halves, _panels(f, halves)):
             evaluations += 15
             seq += 1
             heapq.heappush(heap, (-e, seq, depth + 1, lo, hi, v, e))

@@ -167,20 +167,21 @@ def test_ultraspherical_density_shape(alpha):
 
 
 @lru_cache(maxsize=None)
-def exact_log_sq(family, n, dps=50):
-    """log(a_i^2), i = 0..n, from the family's formula in ``dps``-digit log-gamma.
+def exact_log_sq(family, n, dps=50, indices=None):
+    """log(a_i^2) at ``indices`` (default i = 0..n), from the family's formula in ``dps``-digit log-gamma.
 
     An oracle independent of the float table, whose log-gamma differences
     near n log n carry an absolute error that grows with n.
     """
+    indices = range(n + 1) if indices is None else indices
     with mp.workdps(dps):
         lg = mp.loggamma
         if family.kind is FamilyKind.GAMMA:
             g = mp.mpf(family.gamma)
-            return tuple(2 * g * (lg(n + 1) - lg(i + 1) - lg(n - i + 1)) for i in range(n + 1))
+            return tuple(2 * g * (lg(n + 1) - lg(i + 1) - lg(n - i + 1)) for i in indices)
         a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
         return tuple(lg(n + a + 1) - lg(n - i + 1) - lg(a + i + 1)
-                     + lg(n + b + 1) - lg(i + 1) - lg(b + n - i + 1) for i in range(n + 1))
+                     + lg(n + b + 1) - lg(i + 1) - lg(b + n - i + 1) for i in indices)
 
 
 # f at n = 50 from the convolution kernel this package used before the
@@ -687,10 +688,26 @@ def test_window_at_n_one_million_reaches_the_cut():
     d0 = np.zeros(1)  # x = 1
     peak = np.searchsorted(c.left[1:-1], d0)
     assert peak[0] == n // 2
-    h, u = kr._window(c, peak, d0, n // 2, n // 2)
+    u = kr._window(c, peak, d0, int(kr._half_widths(c, peak)[0]))
+    h = u.shape[1]
     assert 2 * h + 1 <= 12_000
     for walk, end in zip(u, (peak[0] + h, peak[0] - h)):
         assert walk[-1] <= -c.cut or end >= n or end <= 0
+
+
+def test_extended_walks_equal_fresh_walks():
+    # a window that falls short is extended from its last sums, not walked again
+    import randroot.kacrice as kr
+
+    rng = np.random.default_rng(5)
+    for family, n in ((gamma_family(1.0), 10**5), (alpha_beta_family(-0.9, 3.0), 3000), (gamma_family(0.3), 200)):
+        c = kr._ratios(coefficient_table(family, n))
+        for _ in range(10):
+            peak = np.sort(rng.integers(0, n + 1, int(rng.integers(1, 40))))
+            d0 = rng.normal(0.0, 1.0, len(peak))
+            short, long = sorted(rng.choice(np.arange(2, 600), 2, replace=False).tolist())
+            extended = kr._walks(c, peak, d0, long, kr._walks(c, peak, d0, short))
+            assert np.array_equal(extended, kr._walks(c, peak, d0, long))
 
 
 @pytest.mark.parametrize("family", [gamma_family(1.0), gamma_family(0.5), alpha_beta_family(0.5, 2.0),
@@ -710,3 +727,77 @@ def test_window_matches_the_whole_table(family, monkeypatch):
     for got, want in zip(windowed[1:], whole[1:]):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
     np.testing.assert_allclose(windowed[0], whole[0], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("family", [gamma_family(0.3), gamma_family(1.0), gamma_family(5.0),
+                                    alpha_beta_family(0.5, 2.0)], ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [1, 1000, 4000, 10**5])
+def test_density_log_m_against_30_digit_sums(family, n):
+    # log M of one density grid, as `randroot density` evaluates it, against
+    # log sum a_i^2 x^(2i) from 30-digit log-gamma coefficients.  The table's
+    # log a_i^2 are log-gamma differences near n log n, good to a few ulps of
+    # lgamma(n + shift + 1); its exponent 2 gamma scales them up.  At n = 10^5
+    # the grid's log M adds cumulative sums of up to n ratios to one anchor.
+    # Only the terms within e^-100 of the largest are summed: the others move
+    # the sum by less than n e^-100.
+    xs = (0.0, 0.1, 0.5, 1.0, 2.0)
+    log_m = kernel(family, n).rows(np.array(xs))[0]
+    if family.kind is FamilyKind.GAMMA:
+        shift, scale = 0.0, max(1.0, 2.0 * family.gamma)
+    else:
+        shift, scale = max(family.alpha, family.beta, 0.0), 1.0
+    bound = 8.0 * scale * np.spacing(max(1.0, math.lgamma(n + shift + 1.0)))
+    table = coefficient_table(family, n).log_sq_coeff
+    with mp.workdps(30):
+        for x, got in zip(xs, log_m):
+            if x == 0.0:
+                want = exact_log_sq(family, n, 30, (0,))[0]
+            else:
+                near = table + 2.0 * math.log(x) * np.arange(n + 1)
+                keep = tuple(np.flatnonzero(near >= near.max() - 100.0).tolist())
+                t = [v + 2 * i * mp.log(x) for i, v in zip(keep, exact_log_sq(family, n, 30, keep))]
+                top = max(t)
+                want = top + mp.log(mp.fsum(mp.exp(v - top) for v in t))
+            assert abs(got - want) <= bound, (x, float(abs(got - want)) / bound)
+
+
+@pytest.mark.parametrize("family,n,value,evaluations", [
+    (gamma_family(1.0), 4000, 88.788419341846094, 270),
+    (alpha_beta_family(0.5, 2.0), 2000, 62.217158065140836, 450),
+    (elliptic(), 3000, 54.77225575051645, 120),
+    (gamma_family(1.0), 10**6, 1413.5540479400981, 345),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_counts_pinned_value_and_evaluations(family, n, value, evaluations):
+    # how the quadrature groups its integrand calls, and how the kernel cuts
+    # them into blocks, chooses no other panel and moves no value past 4 ulp
+    res = expected_roots_real_line_result(family, n)
+    assert res.converged and res.evaluations == evaluations
+    assert abs(res.value - value) <= 4 * np.spacing(value)
+
+
+def test_kernel_blocks_stay_in_the_budget(monkeypatch):
+    # every weights array of the expect_large_n counts and of n = 10^6 holds
+    # at most _BUDGET points x half-width, unless it is one point whose own
+    # window is wider; the first panels at n = 4000 are one block
+    import randroot.kacrice as kr
+
+    shapes = []
+    walks = kr._walks
+
+    def recorded(c, peak, d0, h, u=None):
+        u = walks(c, peak, d0, h, u)
+        shapes.append(u.shape)
+        return u
+
+    monkeypatch.setattr(kr, "_walks", recorded)
+    for family, n in [(gamma_family(1.0), 4000), (alpha_beta_family(0.5, 2.0), 2000), (elliptic(), 3000),
+                      (gamma_family(1.0), 10**6), (alpha_beta_family(0.5, 2.0), 10**6)]:
+        shapes.clear()
+        assert expected_roots_real_line_result(family, n).converged
+        assert shapes, family.label()
+        for rows, h in shapes:
+            assert rows // 2 * h <= kr._BUDGET or rows == 2, (family.label(), n, rows, h)
+        if n == 4000:
+            s_low = kr.kernel(family, n).edges[1]
+            first = 1 + sum(0.0 < p < s_low for p in kr._SPLITS)
+            assert shapes[0][0] == 2 * 15 * first

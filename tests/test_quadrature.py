@@ -5,7 +5,7 @@ import pytest
 
 from randroot import quadrature
 from randroot.errors import NumericError
-from randroot.quadrature import _WG, _WGK, _XGK, adaptive_quadrature, _panel
+from randroot.quadrature import _G_IDX, _WG, _WGK, _XGK, adaptive_quadrature
 
 
 def monomial_integral(k, a, b):
@@ -24,7 +24,8 @@ def test_kronrod_rule_exact_through_degree_22(k):
     # a 15-point Kronrod extension integrates polynomials up to degree 22 exactly;
     # any wrong digit in the tabulated nodes/weights breaks this at degree ~10+
     a, b = -0.73, 1.19
-    value, _ = _panel(lambda x: x**k, a, b)
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    value = half * float(_WGK @ (center + half * _XGK) ** k)
     assert value == pytest.approx(monomial_integral(k, a, b), rel=2e-13, abs=1e-14)
 
 
@@ -85,9 +86,23 @@ def test_splits_start_the_heap_from_their_panels():
     assert cut.value == pytest.approx(0.29, abs=1e-15) and one.value == pytest.approx(0.29, abs=1e-12)
 
 
+def _rule(f, edges):
+    """(Kronrod value, |Kronrod - Gauss|) of each panel of ``edges``, from one call of ``f``."""
+    nodes = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _XGK for lo, hi in edges])
+    fx = np.asarray(f(nodes), dtype=float).reshape(len(edges), 15)
+    out = []
+    for (lo, hi), row in zip(edges, fx):
+        half = 0.5 * (hi - lo)
+        k15 = half * float(_WGK @ row)
+        out.append((k15, abs(k15 - half * float(_WG @ row[_G_IDX]))))
+    return out
+
+
 def _resum_each_step(f, a, b, tol=1e-9, splits=()):
     """The adaptive loop as it was before the running error total: every step
-    re-sums all panel errors, heap order then exhausted order."""
+    re-sums all panel errors, heap order then exhausted order.  It calls ``f``
+    as ``adaptive_quadrature`` does: once for the first panels, once per
+    bisection."""
     import heapq
 
     from randroot.quadrature import MAX_EVALUATIONS, QuadratureResult
@@ -95,9 +110,9 @@ def _resum_each_step(f, a, b, tol=1e-9, splits=()):
     max_depth = quadrature.MAX_DEPTH
 
     edges = [a, *splits, b]
+    first = list(zip(edges, edges[1:]))
     heap = []
-    for seq, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        value, err = _panel(f, lo, hi)
+    for seq, ((lo, hi), (value, err)) in enumerate(zip(first, _rule(f, first))):
         heapq.heappush(heap, (-err, seq, 0, lo, hi, value, err))
     evaluations = 15 * len(heap)
     exhausted = []
@@ -115,8 +130,8 @@ def _resum_each_step(f, a, b, tol=1e-9, splits=()):
         if depth >= max_depth or mid <= pa or mid >= pb:
             exhausted.append(item)
             continue
-        for lo, hi in ((pa, mid), (mid, pb)):
-            v, e = _panel(f, lo, hi)
+        halves = [(pa, mid), (mid, pb)]
+        for (lo, hi), (v, e) in zip(halves, _rule(f, halves)):
             evaluations += 15
             seq += 1
             heapq.heappush(heap, (-e, seq, depth + 1, lo, hi, v, e))
@@ -125,7 +140,7 @@ def _resum_each_step(f, a, b, tol=1e-9, splits=()):
                             float(sum(item[6] for item in panels)), evaluations, converged)
 
 
-@pytest.mark.parametrize("f,a,b,tol,max_depth,splits", [
+POINTWISE = pytest.mark.parametrize("f,a,b,tol,max_depth,splits", [
     (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-12, 60, ()),
     (np.exp, -1.0, 2.0, 1e-12, 60, ()),
     (np.exp, -1.0, 2.0, 1e-12, 60, (0.0, 1.0)),
@@ -134,9 +149,38 @@ def _resum_each_step(f, a, b, tol=1e-9, splits=()):
     (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 3, ()),
     (lambda x: 1e-7 / (1e-14 + (x - 0.5) ** 2), 0.0, 1.0, 1e-13, 60, ()),
 ], ids=["arctan", "exp", "exp-split", "peak", "peak-split", "exhausted", "deep"])
+
+
+@POINTWISE
 def test_running_error_total_is_bit_identical(monkeypatch, f, a, b, tol, max_depth, splits):
     monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
     assert adaptive_quadrature(f, a, b, tol, splits=splits) == _resum_each_step(f, a, b, tol, splits)
+
+
+@POINTWISE
+def test_grouped_calls_equal_one_call_per_panel(monkeypatch, f, a, b, tol, max_depth, splits):
+    # a pointwise integrand gives the same bits whether a call holds one panel or several
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
+
+    def per_panel(x):
+        return np.concatenate([f(x[i:i + 15]) for i in range(0, len(x), 15)])
+
+    grouped = adaptive_quadrature(f, a, b, tol, splits=splits)
+    assert grouped == adaptive_quadrature(per_panel, a, b, tol, splits=splits)
+
+
+@POINTWISE
+def test_a_leg_calls_once_then_once_per_bisection(monkeypatch, f, a, b, tol, max_depth, splits):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    res = adaptive_quadrature(counted, a, b, tol, splits=splits)
+    assert calls == [15 * (len(splits) + 1)] + [30] * (len(calls) - 1)
+    assert res.evaluations == sum(calls)
 
 
 def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
