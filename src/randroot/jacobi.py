@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError
-from .families import alpha_beta_family, coefficient_table
-from .kacrice import _table_kernel
+from .families import alpha_beta_family
+from .kacrice import kernel
 
 __all__ = [
     "jacobi_eval",
@@ -316,8 +316,8 @@ def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
     if not (xs > 0).all():
         raise ParameterDomainError(f"need x > 0, got {x!r}")
     family = alpha_beta_family(alpha, beta)
-    log_m_n, s1_n = _table_kernel(coefficient_table(family, n)).rows(xs)[:2]
-    log_m_prev = _table_kernel(coefficient_table(family, n - 1)).rows(xs)[0]
+    log_m_n, s1_n = kernel(family, n).rows(xs)[:2]
+    log_m_prev = kernel(family, n - 1).rows(xs)[0]
     s = 2.0 * n + alpha + beta
     ratio_prev = np.exp(log_m_prev - log_m_n)
     residual = np.abs(

@@ -18,8 +18,9 @@ is concave, so the weights are log-concave in i: a binary search on the
 table's neighbour log-ratios r_i = log(a_(i+1)^2 / a_i^2) finds i*, the
 log-weights are partial sums of r_i + 2 ln x walking out from it, and only
 the window where they stay above e^-(40 + 3 ln(n+1)) is summed, O(sqrt(n))
-terms per point.  Where the weight next to a peak at i = 0 is below e^-40 of
-it (x up to e^-((40 + r_0)/2)), the rows are their limits, f = e^(r_0/2),
+terms per point, its width bounded by concavity before the walk starts.
+Where the weight next to a peak at i = 0 is below e^-40 of it (x up to
+e^-((40 + r_0)/2)), the rows are their limits, f = e^(r_0/2),
 B/M = x e^(r_0) and log M = log a_0^2 + x B/M, exact to the last bit down to
 x = 0; near inf the mirror image holds.  One evaluator, which takes ln x,
 serves every call and sends those points there.
@@ -130,13 +131,19 @@ def _exp_weights(t: np.ndarray) -> np.ndarray:
     return np.exp(np.maximum(t, _LOG_TINY, out=t), out=t)
 
 
-def _half_widths(c: _Ratios, peak: np.ndarray) -> np.ndarray:
-    """First guesses at the window half-width h of the points peaking at ``peak``.
+def _half_widths(c: _Ratios, peak: np.ndarray, d0: np.ndarray) -> np.ndarray:
+    """Half-widths whose walks from each peak reach -cut, or a table end, on both sides.
 
     Near its peak i* the log-weight falls like -k m^2 / 2, k = r_(i*-1) - r_(i*),
-    so it reaches -cut about sqrt(2 cut / k) indices out; ``_wider`` corrects
-    a guess that falls short.  No window needs more than max(n - i*, i*)
-    steps, which reach both table ends; small tables take that many.
+    so it reaches -cut about m = sqrt(2 cut / k) steps out.  A walk is concave,
+    so past its m-th step s it falls by at least |s| a step, and before it by at
+    most |s| a step: from u_m = log(a_(i*+-m)^2 / a_(i*)^2) +- 2 m ln x it is at
+    or below -cut (u_m + cut) / |s| steps further out (further in, where that is
+    negative).  One step and one unit of log-weight more cover the rounding of
+    u_m and s.  A side past a table end takes an infinite step of ``_Ratios``
+    and needs none; a flat step takes the whole table.  No window needs more
+    than max(n - i*, i*) steps, which reach both table ends; small tables take
+    that many.
     """
     n = len(c.right) - 2
     whole = np.maximum(n - peak, peak)
@@ -144,9 +151,12 @@ def _half_widths(c: _Ratios, peak: np.ndarray) -> np.ndarray:
         return whole
     at = np.clip(peak, 1, n - 1)
     k = np.maximum(c.right[at] - c.right[at + 1], 0.0)
-    with np.errstate(divide="ignore"):  # k = 0: a flat peak takes the whole table
-        guess = np.floor(np.sqrt(2.0 * c.cut / k)) + 2.0
-    return np.minimum(guess, whole).astype(int)
+    with np.errstate(divide="ignore"):  # k = 0 or a flat step: the whole table
+        m = np.minimum(np.floor(np.sqrt(2.0 * c.cut / k)) + 2.0, whole).astype(int)
+        u = c.la.take((peak + m, peak - m), mode="clip") - c.la[peak] + (m * d0, -m * d0)
+        step = (c.right.take(peak + m, mode="clip") + d0, c.left.take(peak - m + 1, mode="clip") - d0)
+        need = np.ceil((u + c.cut + 1.0) / np.abs(step)).max(axis=0)
+    return np.minimum(m + need + 1.0, whole).astype(int)
 
 
 @lru_cache(maxsize=32)
@@ -158,53 +168,21 @@ def _steps(h: int) -> tuple[np.ndarray, np.ndarray]:
     return q, powers
 
 
-def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int, u: np.ndarray | None = None) -> np.ndarray:
+def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int) -> np.ndarray:
     """Log-weights 1..h steps right (first p rows) and left (last p rows) of each peak.
 
     t_i = log(a_i^2 x^(2i)) changes by d_i = r_i + 2 ln x from i to i+1, so
     t_(i*+q) - t_(i*) is a sum of d walking out from the peak i*: each partial
-    sum stays near the terms it adds, and no large numbers cancel.  Walks
-    ``u`` of fewer steps are extended: their sums go on from their last
-    column, so the result is the walk of h steps, bit for bit.
+    sum stays near the terms it adds, and no large numbers cancel.
     """
     p = len(peak)
-    k = 0 if u is None else u.shape[1]
-    q = _steps(h)[0][k:]
+    q = _steps(h)[0]
     g = np.empty((2 * p, h))
-    c.right.take(peak[:, None] + q, mode="clip", out=g[:p, k:])       # r_(i*+q-1)
-    c.left.take((peak + 1)[:, None] - q, mode="clip", out=g[p:, k:])  # -r_(i*-q)
-    g[:p, k:] += d0[:, None]
-    g[p:, k:] -= d0[:, None]
-    if u is not None:
-        g[:, :k] = u
-        k -= 1
-    np.cumsum(g[:, k:], axis=1, out=g[:, k:])
-    return g
-
-
-def _wider(c: _Ratios, u: np.ndarray, h: int, whole: int) -> int:
-    """``h`` if every walk of ``u`` ends at or below -cut, else a half-width that does.
-
-    A walk is concave, so past its end it falls at least as fast as over its
-    last step, which bounds the steps still needed.
-    """
-    ends = u[:, -1] + c.cut
-    short = ends > 0.0
-    if not short.any():
-        return h
-    fall = u[short, -2] - u[short, -1]
-    if not (fall > 0.0).all():
-        return whole
-    return min(whole, h + int(np.ceil((ends[short] / fall).max())) + 1)
-
-
-def _window(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int) -> np.ndarray:
-    """The walks of ``_walks``, at least ``h`` steps long, whose ends all reach -cut."""
-    whole = max(len(c.right) - 2 - int(peak.min()), int(peak.max()), 1)  # reaches both table ends
-    u = _walks(c, peak, d0, h)
-    while h < whole and (wider := _wider(c, u, h, whole)) > h:
-        u, h = _walks(c, peak, d0, wider, u), wider
-    return u
+    c.right.take(peak[:, None] + q, mode="clip", out=g[:p])       # r_(i*+q-1)
+    c.left.take((peak + 1)[:, None] - q, mode="clip", out=g[p:])  # -r_(i*-q)
+    g[:p] += d0[:, None]
+    g[p:] -= d0[:, None]
+    return np.cumsum(g, axis=1, out=g)
 
 
 _SIGNS = np.array([1.0, -1.0, 1.0])  # a left walk's offsets are -q
@@ -240,16 +218,16 @@ def _log_sq_at(c: _Ratios, peak: np.ndarray) -> np.ndarray:
     return c.la[lo] + steps[peak - lo]
 
 
-_BUDGET = 1 << 15  # points x estimated half-width per weights array
+_BUDGET = 1 << 15  # points x half-width per weights array
 
 
 def _blocks(widths: np.ndarray):
     """Slices of consecutive points, each as long as its count x widest half-width fits ``_BUDGET``.
 
-    ``widths`` are the points' estimated half-widths; a point wider than the
-    budget is a block of its own.  The quadrature's nodes and a density grid
-    come in order of s, along which the widths change smoothly, so the points
-    of a block have similar widths.
+    ``widths`` are the points' half-widths; a point wider than the budget is
+    a block of its own.  The quadrature's nodes and a density grid come in
+    order of s, along which the widths change smoothly, so the points of a
+    block have similar widths.
     """
     start = 0
     while start < len(widths):
@@ -271,20 +249,21 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     dropped beyond it is below e^-cut times a factor polynomial in n.
     ``_evaluator`` passes only points where the weight next to an end peak is
     at least about e^-40 of the peak's, so Var stays far inside the double
-    range.  The weights of a block of points take one array of
-    2 x points x h, h the widest window; a call whose points x widest
-    estimated half-width (``_half_widths``) exceeds ``_BUDGET`` is cut into
-    blocks of consecutive points (``_blocks``), so memory stays bounded
-    however many points are asked for, and one flat peak widens only the
-    windows of its own block.  A call within the budget, such as the first
-    panels of a leg at n = 4000, is one block.
+    range.  Each window's half-width is fixed before its walk (``_half_widths``),
+    and the weights of a block of points take one array of 2 x points x h,
+    h the widest half-width, walked once; a call whose points x widest
+    half-width exceeds ``_BUDGET`` is cut into blocks of consecutive points
+    (``_blocks``), so memory stays bounded however many points are asked
+    for, and one flat peak widens only the windows of its own block.  A call
+    within the budget, such as the first panels of a leg at n = 4000, is one
+    block.
     """
     d0 = 2.0 * lx
     peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
-    widths = _half_widths(c, peak)
+    widths = _half_widths(c, peak, d0)
     s0, mean, var = sums = np.empty((3, len(lx)))
     for i in _blocks(widths):
-        sums[:, i] = _centred(_window(c, peak[i], d0[i], int(widths[i].max())))
+        sums[:, i] = _centred(_walks(c, peak[i], d0[i], int(widths[i].max())))
     g = np.sqrt(var)
     if xs is None:
         return g

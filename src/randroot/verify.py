@@ -12,7 +12,7 @@ import numpy as np
 
 from .families import alpha_beta_family, coefficient_table, gamma_family, reciprocal_table
 from .jacobi import density_endpoints, derivative_recurrence_residual, log_variance_via_jacobi
-from .kacrice import _table_kernel, density, expected_roots_interval
+from .kacrice import density, expected_roots_interval, kernel
 from .quadrature import adaptive_quadrature
 
 _AB_GRID = ((0.0, 0.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5))
@@ -58,7 +58,7 @@ def _check_variance_identity(params) -> tuple[bool, str]:
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
-            log_m = _table_kernel(coefficient_table(family, n)).rows(np.array(_X_GRID))[0]
+            log_m = kernel(family, n).rows(np.array(_X_GRID))[0]
             for x, direct in zip(_X_GRID, log_m.tolist()):
                 via_jacobi = log_variance_via_jacobi(n, alpha, beta, x)
                 worst = max(worst, abs(math.expm1(via_jacobi - direct)))
@@ -85,10 +85,10 @@ def _check_gram_identity(params) -> tuple[bool, str]:
     families += [alpha_beta_family(a, b) for a, b in params["ab_grid"][:3]]
     for family in families:
         for n in params["gram_n"]:
-            table = coefficient_table(family, n)
-            log_amb = _table_kernel(table).rows(np.array(_GRAM_X))[3]
+            log_amb = kernel(family, n).rows(np.array(_GRAM_X))[3]
+            log_sq = coefficient_table(family, n).log_sq_coeff
             for x, lse in zip(_GRAM_X, log_amb.tolist()):
-                brute = _brute_gram(table.log_sq_coeff, x)
+                brute = _brute_gram(log_sq, x)
                 worst = max(worst, abs(math.expm1(lse - brute)))
     return worst < 1e-11, f"worst rel dev {worst:.3e} (tol 1e-11)"
 

@@ -680,34 +680,31 @@ def test_gamma1_constant_term_converges_like_one_over_sqrt_n():
     assert ((ratios >= 0.35) & (ratios <= 0.65)).all(), ratios
 
 
-def test_window_at_n_one_million_reaches_the_cut():
+def test_half_widths_reach_the_cut():
+    # at ln x in +-25 and within 1e-3 of 0, every walk as long as its point's
+    # half-width ends at or below -cut, or at a table end, and none is longer
+    # than the walk to the farther end; at x = 1 and n = 10^6 the window stays
+    # near its sqrt(n) size
     import randroot.kacrice as kr
 
-    n = 10**6
-    c = kr._ratios(coefficient_table(gamma_family(1.0), n))
-    d0 = np.zeros(1)  # x = 1
-    peak = np.searchsorted(c.left[1:-1], d0)
-    assert peak[0] == n // 2
-    u = kr._window(c, peak, d0, int(kr._half_widths(c, peak)[0]))
-    h = u.shape[1]
-    assert 2 * h + 1 <= 12_000
-    for walk, end in zip(u, (peak[0] + h, peak[0] - h)):
-        assert walk[-1] <= -c.cut or end >= n or end <= 0
-
-
-def test_extended_walks_equal_fresh_walks():
-    # a window that falls short is extended from its last sums, not walked again
-    import randroot.kacrice as kr
-
-    rng = np.random.default_rng(5)
-    for family, n in ((gamma_family(1.0), 10**5), (alpha_beta_family(-0.9, 3.0), 3000), (gamma_family(0.3), 200)):
+    rng = np.random.default_rng(15)
+    families = [gamma_family(g) for g in (0.3, 1.0, 5.0, 20.0)]
+    families += [alpha_beta_family(a, b) for a, b in ((-0.9, 3.0), (400.0, 400.0), (-0.999, -0.999))]
+    cases = [(family, n, np.concatenate((rng.uniform(-25.0, 25.0, 40), rng.uniform(-1e-3, 1e-3, 10))))
+             for family in families for n in (129, 4000, 10**5)]
+    cases.append((gamma_family(1.0), 10**6, np.zeros(1)))
+    for family, n, lx in cases:
         c = kr._ratios(coefficient_table(family, n))
-        for _ in range(10):
-            peak = np.sort(rng.integers(0, n + 1, int(rng.integers(1, 40))))
-            d0 = rng.normal(0.0, 1.0, len(peak))
-            short, long = sorted(rng.choice(np.arange(2, 600), 2, replace=False).tolist())
-            extended = kr._walks(c, peak, d0, long, kr._walks(c, peak, d0, short))
-            assert np.array_equal(extended, kr._walks(c, peak, d0, long))
+        d0 = 2.0 * lx
+        peak = np.searchsorted(c.left[1:-1], d0)
+        widths = kr._half_widths(c, peak, d0)
+        assert (widths <= np.maximum(n - peak, peak)).all(), (family.label(), n)
+        for j, (i, h) in enumerate(zip(peak, widths)):
+            right, left = kr._walks(c, peak[j:j + 1], d0[j:j + 1], int(h))[:, -1]
+            assert right <= -c.cut or i + h >= n, (family.label(), n, i, h)
+            assert left <= -c.cut or i - h <= 0, (family.label(), n, i, h)
+        if n == 10**6:
+            assert peak[0] == n // 2 and 2 * widths[0] + 1 <= 12_000
 
 
 @pytest.mark.parametrize("family", [gamma_family(1.0), gamma_family(0.5), alpha_beta_family(0.5, 2.0),
@@ -778,23 +775,31 @@ def test_counts_pinned_value_and_evaluations(family, n, value, evaluations):
 def test_kernel_blocks_stay_in_the_budget(monkeypatch):
     # every weights array of the expect_large_n counts and of n = 10^6 holds
     # at most _BUDGET points x half-width, unless it is one point whose own
-    # window is wider; the first panels at n = 4000 are one block
+    # window is wider, and each block is walked once; the first panels at
+    # n = 4000 are one block
     import randroot.kacrice as kr
 
-    shapes = []
-    walks = kr._walks
+    shapes, blocks = [], []
+    walks, cut = kr._walks, kr._blocks
 
-    def recorded(c, peak, d0, h, u=None):
-        u = walks(c, peak, d0, h, u)
+    def recorded(c, peak, d0, h):
+        u = walks(c, peak, d0, h)
         shapes.append(u.shape)
         return u
 
+    def counted(widths):
+        for i in cut(widths):
+            blocks.append(i)
+            yield i
+
     monkeypatch.setattr(kr, "_walks", recorded)
+    monkeypatch.setattr(kr, "_blocks", counted)
     for family, n in [(gamma_family(1.0), 4000), (alpha_beta_family(0.5, 2.0), 2000), (elliptic(), 3000),
                       (gamma_family(1.0), 10**6), (alpha_beta_family(0.5, 2.0), 10**6)]:
         shapes.clear()
+        blocks.clear()
         assert expected_roots_real_line_result(family, n).converged
-        assert shapes, family.label()
+        assert shapes and len(shapes) == len(blocks), (family.label(), n, len(shapes), len(blocks))
         for rows, h in shapes:
             assert rows // 2 * h <= kr._BUDGET or rows == 2, (family.label(), n, rows, h)
         if n == 4000:
