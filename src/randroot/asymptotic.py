@@ -31,6 +31,7 @@ from .families import (
     legendre,
 )
 from .kacrice import expected_roots_real_line
+from .quadrature import DEFAULT_TOL
 
 __all__ = [
     "EntropyTerms",
@@ -147,9 +148,9 @@ def leading_order(family: PolynomialClass, n) -> float:
     gamma = 0, or sqrt(2n) for the alpha/beta family (parameter independent)."""
     if not n >= 2:
         raise ParameterDomainError(f"leading order needs n >= 2, got {n!r}")
+    if family.is_kac:
+        return (2.0 / math.pi) * math.log(n)
     if family.kind is FamilyKind.GAMMA:
-        if family.gamma == 0.0:
-            return (2.0 / math.pi) * math.log(n)
         return math.sqrt(2.0 * family.gamma * n)
     return math.sqrt(2.0 * n)
 
@@ -179,7 +180,7 @@ class ScalingFitError(NumericError):
         self.rows = rows
 
 
-def scaling_fit(family: PolynomialClass, n_values: Sequence[int], tol: float = 1e-9) -> ScalingFit:
+def scaling_fit(family: PolynomialClass, n_values: Sequence[int], tol: float = DEFAULT_TOL) -> ScalingFit:
     ns = [int(v) for v in n_values]
     if len(ns) < 4 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterDomainError("need at least 4 strictly increasing n values")
@@ -194,8 +195,7 @@ def scaling_fit(family: PolynomialClass, n_values: Sequence[int], tol: float = 1
             ) from exc
     en = np.array([v for _, v in rows])
     log_n = np.log(np.array(ns, dtype=float))
-    is_kac = family.kind is FamilyKind.GAMMA and family.gamma == 0.0
-    y = en if is_kac else np.log(en)
+    y = en if family.is_kac else np.log(en)
     slope, intercept = np.polyfit(log_n, y, 1)
     predicted = slope * log_n + intercept
     ss_res = float(((y - predicted) ** 2).sum())

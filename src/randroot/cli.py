@@ -41,6 +41,7 @@ from .families import (
 from .jacobi import root_bounds, ultraspherical_bounds
 from .kacrice import expected_roots_interval_result, expected_roots_real_line_result, kernel
 from .montecarlo import mc_expected_roots
+from .quadrature import DEFAULT_TOL
 from . import verify as verify_mod
 
 # Nothing here calls these; benchmarks/layers.py patches them on this module to
@@ -54,7 +55,6 @@ from .kacrice import (  # noqa: F401
 )
 
 DEFAULT_SEED = 123456789
-DEFAULT_TOL = 1e-9
 
 CLASS_CHOICES = ("gamma", "alpha-beta", "kac", "elliptic", "legendre")
 
@@ -289,27 +289,10 @@ def _run_scaling(args: argparse.Namespace, family: PolynomialClass) -> tuple[lis
 # ---------------------------------------------------------------------------
 
 def _fmt_csv(value) -> str:
-    if type(value) is float:  # the bulk of every table
+    """A cell, which runners hand over as a Python int, float, str or None."""
+    if isinstance(value, float):
         return format(value, ".17g")
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
-def _json_safe(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+    return "" if value is None else str(value)
 
 
 def render_csv(tables: list[Table]) -> str:
@@ -322,15 +305,8 @@ def render_csv(tables: list[Table]) -> str:
 
 
 def render_json(config: dict, tables: list[Table], diagnostics: dict) -> str:
-    results = {
-        table.name: [
-            {col: _json_safe(v) for col, v in zip(table.columns, row)}
-            for row in table.rows
-        ]
-        for table in tables
-    }
-    payload = {"config": config, "results": results,
-               "diagnostics": {k: _json_safe(v) for k, v in diagnostics.items()}}
+    results = {table.name: [dict(zip(table.columns, row)) for row in table.rows] for table in tables}
+    payload = {"config": config, "results": results, "diagnostics": diagnostics}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -350,9 +326,13 @@ def _config_echo(args: argparse.Namespace, family: PolynomialClass | None) -> di
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+        return
+    try:
+        handle = open(path, "w", newline="")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ParameterDomainError(f"cannot open --output {path!r}: {exc.strerror}") from exc
+    with handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +356,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         family = _family_from_args(args)
         tables, diagnostics, code = args.run(args, family)
+        if args.format == "json":
+            text = render_json(_config_echo(args, family), tables, diagnostics)
+        else:
+            text = render_csv(tables)
+        _write(text, args.output)
     except ParameterDomainError as exc:
         print(f"randroot: error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"randroot: numeric failure: {exc}", file=sys.stderr)
         return 3
-
-    if args.format == "json":
-        text = render_json(_config_echo(args, family), tables, diagnostics)
-    else:
-        text = render_csv(tables)
-    _write(text, args.output)
     return code
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "kac",
     "elliptic",
     "legendre",
-    "log_sq_coeff",
     "coefficient_table",
     "reciprocal_class",
     "reciprocal_table",
@@ -83,6 +82,11 @@ class PolynomialClass:
         if self.kind is FamilyKind.GAMMA:
             return True
         return self.alpha == self.beta
+
+    @property
+    def is_kac(self) -> bool:
+        """True for the Kac family (gamma = 0), which has closed forms in place of a table."""
+        return self.kind is FamilyKind.GAMMA and self.gamma == 0.0
 
     def label(self) -> str:
         if self.kind is FamilyKind.GAMMA:
@@ -212,14 +216,6 @@ def _log_ratio_array(family: PolynomialClass, n: int) -> np.ndarray:
         size *= power
     # num - den is correctly rounded, so it has the sign of the exact difference
     return np.copysign(size, num - den, out=size)
-
-
-def log_sq_coeff(family: PolynomialClass, n: int, i: int) -> float:
-    """log(a_i^2) for one index, computed via log-gamma."""
-    _check_degree(n)
-    if not 0 <= i <= n:
-        raise ParameterDomainError(f"index i={i} outside [0, {n}]")
-    return float(_log_sq_array(family, n)[i])
 
 
 def _check_degree(n: int) -> None:

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError
-from .families import alpha_beta_family
-from .kacrice import kernel
 
 __all__ = [
     "jacobi_eval",
@@ -37,7 +35,6 @@ __all__ = [
     "root_bounds",
     "ultraspherical_bounds",
     "density_endpoints",
-    "derivative_recurrence_residual",
 ]
 
 
@@ -297,32 +294,3 @@ def density_endpoints(n: int, alpha: float, beta: float) -> tuple[float, float]:
         f1 = math.sqrt(n * (n + alpha) * (n + beta) * (n + alpha + beta) / (s - 1.0)) / s
     return f0, f1
 
-
-def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
-    """Residual of the M_n'/M_n/M_{n-1} recurrence, normalized by M_n(x).
-
-    Checks x*(2n+a+b)*M_n'(x) = n*(2n+a+b+b-a)*M_n(x)
-    - 2*(1-x^2)*(n+a)*(n+b)*M_{n-1}(x), with M_n' = 2*B_n taken analytically.
-    (The asymmetry term carries the factor n: differentiating
-    (1-x^2)^n J_n((1+x^2)/(1-x^2)) and eliminating J_n' leaves n*(b-a), as
-    brute-force expansion at small n confirms.)  Scalar or array x > 0; a
-    scalar x gives a float.
-    """
-    _check_ab(alpha, beta)
-    if n < 2:
-        raise ParameterDomainError(f"recurrence residual needs n >= 2, got {n}")
-    arr = np.asarray(x, dtype=float)
-    xs = np.atleast_1d(arr).ravel()
-    if not (xs > 0).all():
-        raise ParameterDomainError(f"need x > 0, got {x!r}")
-    family = alpha_beta_family(alpha, beta)
-    log_m_n, s1_n = kernel(family, n).rows(xs)[:2]
-    log_m_prev = kernel(family, n - 1).rows(xs)[0]
-    s = 2.0 * n + alpha + beta
-    ratio_prev = np.exp(log_m_prev - log_m_n)
-    residual = np.abs(
-        xs * s * 2.0 * s1_n
-        - n * (s + beta - alpha)
-        + 2.0 * (1.0 - xs * xs) * (n + alpha) * (n + beta) * ratio_prev
-    )
-    return float(residual[0]) if arr.ndim == 0 else residual.reshape(arr.shape)

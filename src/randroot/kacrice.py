@@ -52,9 +52,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError, QuadratureError
-from .families import (CoefficientTable, FamilyKind, PolynomialClass, _check_degree,
-                       coefficient_table, kac)
-from .quadrature import QuadratureResult, adaptive_quadrature
+from .families import CoefficientTable, PolynomialClass, _check_degree, coefficient_table, kac
+from .quadrature import DEFAULT_TOL, QuadratureResult, adaptive_quadrature
 
 # Nothing here calls it; benchmarks/layers.py patches it on this module.
 from .families import reciprocal_table  # noqa: F401
@@ -68,7 +67,6 @@ __all__ = [
     "expected_roots_real_line",
     "expected_roots_real_line_result",
     "expected_internal_equilibria",
-    "relation_residuals",
     "kac_density",
     "kac_triple",
     "Kernel",
@@ -526,7 +524,7 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
     This is the one place that picks the Kac closed forms (gamma = 0, O(1)
     per point, no table) over the generic table kernel.
     """
-    if family.kind is FamilyKind.GAMMA and family.gamma == 0.0:
+    if family.is_kac:
         return _kac_kernel(n)
     return _table_kernel(coefficient_table(family, n))
 
@@ -591,7 +589,7 @@ def _validate_interval(a: float, b: float, tol: float) -> None:
 
 
 def expected_roots_interval(
-    table: CoefficientTable, a: float, b: float, tol: float = 1e-9
+    table: CoefficientTable, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> QuadratureResult:
     """(1/pi) * integral of f over (a, b); endpoints may be +-inf."""
     _validate_interval(a, b, tol)
@@ -599,20 +597,20 @@ def expected_roots_interval(
 
 
 def expected_roots_interval_result(
-    family: PolynomialClass, n: int, a: float, b: float, tol: float = 1e-9
+    family: PolynomialClass, n: int, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> QuadratureResult:
     """``expected_roots_interval`` for ``family`` at degree ``n``, through ``kernel``."""
     _validate_interval(a, b, tol)
     return _integrate_legs(kernel(family, n), family.is_symmetric, a, b, tol)
 
 
-def kac_expected_roots_interval(n: int, a: float, b: float, tol: float = 1e-9) -> QuadratureResult:
+def kac_expected_roots_interval(n: int, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Interval root count for the Kac family via the closed-form density."""
     return expected_roots_interval_result(kac(), n, a, b, tol)
 
 
 def expected_roots_real_line_result(
-    family: PolynomialClass, n: int, tol: float = 1e-9
+    family: PolynomialClass, n: int, tol: float = DEFAULT_TOL
 ) -> QuadratureResult:
     """Full-line expected root count: the interval (-inf, inf).
 
@@ -622,7 +620,7 @@ def expected_roots_real_line_result(
     return expected_roots_interval_result(family, n, -math.inf, math.inf, tol)
 
 
-def expected_roots_real_line(family: PolynomialClass, n: int, tol: float = 1e-9) -> float:
+def expected_roots_real_line(family: PolynomialClass, n: int, tol: float = DEFAULT_TOL) -> float:
     result = expected_roots_real_line_result(family, n, tol)
     if not result.converged:
         raise QuadratureError(
@@ -632,32 +630,7 @@ def expected_roots_real_line(family: PolynomialClass, n: int, tol: float = 1e-9)
     return result.value
 
 
-def expected_internal_equilibria(family: PolynomialClass, n: int, tol: float = 1e-9) -> float:
+def expected_internal_equilibria(family: PolynomialClass, n: int, tol: float = DEFAULT_TOL) -> float:
     """Expected internal equilibria: half the expected number of real roots."""
     return 0.5 * expected_roots_real_line(family, n, tol)
 
-
-# ---------------------------------------------------------------------------
-# finite-difference residuals of the B = M'/2 and A = (x M')'/(4x) relations
-# ---------------------------------------------------------------------------
-
-def relation_residuals(table: CoefficientTable, x: float) -> tuple[float, float]:
-    """Residuals of the derivative relations, normalized by M(x).
-
-    r1 = |B/M - (finite difference of M)/(2M)| and r2 the analogue for
-    A = (x M')'/(4x), with central differences of step h = max(1e-6, 1e-8 x);
-    both should vanish to O(h^2) + roundoff.
-    """
-    if not x > 0:
-        raise ParameterDomainError(f"relation_residuals requires x > 0, got {x!r}")
-    h = max(1e-6, 1e-8 * x)
-    ys = np.array([x - h, x, x + h])
-    log_m, s1, f, _ = _table_kernel(table).rows(ys)
-    # M(y)/M(x) and y * M'(y)/M(x); M' = 2B so y*M'(y) = 2y*S1(y)*M(y)
-    ratio = np.exp(log_m - log_m[1])
-    g = 2.0 * ys * s1 * ratio
-    fd_mprime = (ratio[2] - ratio[0]) / (2.0 * h)       # M'(x)/M(x)
-    fd_xmprime = (g[2] - g[0]) / (2.0 * h)              # (x M'(x))'/M(x)
-    r1 = abs(s1[1] - 0.5 * fd_mprime)
-    r2 = abs(f[1] * f[1] + s1[1] * s1[1] - fd_xmprime / (4.0 * x))
-    return float(r1), float(r2)

@@ -5,6 +5,8 @@ node/weight constants below are validated in the test suite through the exact
 degree (22 resp. 13) of each rule.  Panels are bisected worst-error-first and
 the final sum runs over panels sorted by left endpoint, so results are
 deterministic for a given integrand.
+
+``DEFAULT_TOL`` is the default tolerance of ``adaptive_quadrature``, every root count and ``--tol``.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .errors import NumericError
 
 __all__ = ["QuadratureResult", "adaptive_quadrature"]
 
+DEFAULT_TOL = 1e-9
 MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
 MAX_DEPTH = 60  # bisections of a first panel before a panel is kept as it stands
 _EPS = float(np.finfo(float).eps)
@@ -89,7 +92,7 @@ def adaptive_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     *,
     splits: Sequence[float] = (),
 ) -> QuadratureResult:

@@ -3,6 +3,9 @@
 Each property cross-checks two independent routes to the same quantity
 (identity vs direct sum, closed form vs evaluation, substitution vs direct
 integration) and reports the worst deviation seen over its grid.
+
+``derivative_recurrence_residual``, the Jacobi recurrence held against the
+kernel's log M and B/M, lives here so that ``jacobi`` imports no kernel.
 """
 from __future__ import annotations
 
@@ -10,8 +13,9 @@ import math
 
 import numpy as np
 
+from .errors import ParameterDomainError
 from .families import alpha_beta_family, coefficient_table, gamma_family, reciprocal_table
-from .jacobi import density_endpoints, derivative_recurrence_residual, log_variance_via_jacobi
+from .jacobi import density_endpoints, log_variance_via_jacobi
 from .kacrice import density, expected_roots_interval, kernel
 from .quadrature import adaptive_quadrature
 
@@ -91,6 +95,35 @@ def _check_gram_identity(params) -> tuple[bool, str]:
                 brute = _brute_gram(log_sq, x)
                 worst = max(worst, abs(math.expm1(lse - brute)))
     return worst < 1e-11, f"worst rel dev {worst:.3e} (tol 1e-11)"
+
+
+def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
+    """Residual of the M_n'/M_n/M_{n-1} recurrence, normalized by M_n(x).
+
+    Checks x*(2n+a+b)*M_n'(x) = n*(2n+a+b+b-a)*M_n(x)
+    - 2*(1-x^2)*(n+a)*(n+b)*M_{n-1}(x), with M_n' = 2*B_n taken analytically.
+    (The asymmetry term carries the factor n: differentiating
+    (1-x^2)^n J_n((1+x^2)/(1-x^2)) and eliminating J_n' leaves n*(b-a), as
+    brute-force expansion at small n confirms.)  Scalar or array x > 0; a
+    scalar x gives a float.
+    """
+    if n < 2:
+        raise ParameterDomainError(f"recurrence residual needs n >= 2, got {n}")
+    arr = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(arr).ravel()
+    if not (xs > 0).all():
+        raise ParameterDomainError(f"need x > 0, got {x!r}")
+    family = alpha_beta_family(alpha, beta)
+    log_m_n, s1_n = kernel(family, n).rows(xs)[:2]
+    log_m_prev = kernel(family, n - 1).rows(xs)[0]
+    s = 2.0 * n + alpha + beta
+    ratio_prev = np.exp(log_m_prev - log_m_n)
+    residual = np.abs(
+        xs * s * 2.0 * s1_n
+        - n * (s + beta - alpha)
+        + 2.0 * (1.0 - xs * xs) * (n + alpha) * (n + beta) * ratio_prev
+    )
+    return float(residual[0]) if arr.ndim == 0 else residual.reshape(arr.shape)
 
 
 def _check_recurrence(params) -> tuple[bool, str]:

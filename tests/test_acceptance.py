@@ -21,7 +21,6 @@ from randroot.families import (
 from randroot.jacobi import (
     density_endpoints,
     density_via_roots,
-    derivative_recurrence_residual,
     jacobi_roots,
     log_variance_via_jacobi,
     root_bounds,
@@ -33,6 +32,7 @@ from randroot.kacrice import (
     kac_rice_eval,
 )
 from randroot.montecarlo import jensen_root_bound, mc_expected_roots, sample_polynomial
+from randroot.verify import derivative_recurrence_residual
 
 
 def report(tag: str, passed: bool, detail: str, elapsed: float, budget: float) -> None:

@@ -186,11 +186,11 @@ def test_density_grid_matches_pointwise(capsys, cls, family, n):
 
 
 def test_render_csv_fast_path_matches_fmt_csv():
-    row = (1.5, np.float64(2.5), 3, np.int64(-4), True, np.bool_(False), None, math.nan,
-           math.inf, -math.inf, -0.0, 0.1, 1e-300, 5e-324, np.float64(math.nan), "txt")
+    # a numpy float is a float, so it prints as its Python value would
+    row = (1.5, np.float64(2.5), 3, None, math.nan, math.inf, -math.inf, -0.0, 0.1, 1e-300,
+           5e-324, np.float64(math.nan), "txt")
     cols = tuple(f"c{i}" for i in range(len(row)))
-    want = ("1.5,2.5,3,-4,true,false,,nan,inf,-inf,-0,0.10000000000000001,1e-300,"
-            "4.9406564584124654e-324,nan,txt")
+    want = "1.5,2.5,3,,nan,inf,-inf,-0,0.10000000000000001,1e-300,4.9406564584124654e-324,nan,txt"
     assert render_csv([Table("t", cols, [row])]) == ",".join(cols) + "\n" + want + "\n"
 
 
@@ -431,6 +431,54 @@ def test_output_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("n,value,abs_err,evaluations\n")
     assert "\r" not in text
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_two(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "expect", "--class", "kac", "--n", "5", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("randroot: error: cannot open --output") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_PLAIN_RUNS = [
+    ["density", "--class", "gamma", "--gamma", "1", "--n", "30", "--grid", "-2:2:9"],
+    ["expect", "--class", "alpha-beta", "--alpha", "0.5", "--beta", "2", "--n", "40"],
+    ["expect", "--class", "kac", "--n", "40", "--interval", "-inf", "0.5"],
+    ["bounds", "--class", "legendre", "--n", "20"],
+    ["bounds", "--class", "alpha-beta", "--alpha", "0.5", "--beta", "2", "--n", "20"],
+    ["mc", "--class", "gamma", "--gamma", "1", "--n", "10", "--trials", "20"],
+    ["scaling", "--class", "kac", "--n-list", "10,20,40,80"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cells_and_diagnostics_are_plain_python_values(capsys, monkeypatch, fmt):
+    # the renderers print what they get: a bool cell would print as True in CSV
+    # and a numpy integer would break json.dumps, so runners hand over plain values
+    seen = {"tables": [], "diagnostics": []}
+    render_csv, render_json = cli.render_csv, cli.render_json
+
+    def csv_spy(tables):
+        seen["tables"] += tables
+        return render_csv(tables)
+
+    def json_spy(config, tables, diagnostics):
+        seen["tables"] += tables
+        seen["diagnostics"].append(diagnostics)
+        return render_json(config, tables, diagnostics)
+
+    monkeypatch.setattr(cli, "render_csv", csv_spy)
+    monkeypatch.setattr(cli, "render_json", json_spy)
+    for argv in _PLAIN_RUNS:
+        assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+    assert {table.name for table in seen["tables"]} == {
+        "density", "expect", "bounds", "summary", "histogram", "per_n", "fit"}
+    cells = {type(cell) for table in seen["tables"] for row in table.rows for cell in row}
+    assert cells <= {int, float, str, type(None)}
+    diagnostics = {type(v) for d in seen["diagnostics"] for v in d.values()}
+    assert diagnostics == ({bool, float, str} if fmt == "json" else set())
 
 
 def test_main_builds_its_parser_once_with_the_output_of_fresh_parsers(monkeypatch, capsys):

@@ -15,7 +15,6 @@ from randroot.families import (
     gamma_family,
     kac,
     legendre,
-    log_sq_coeff,
     reciprocal_class,
     reciprocal_table,
 )
@@ -51,9 +50,10 @@ def exact_log_sq(family, n, i):
 
 
 def test_log_sq_coeff_pinned_values():
-    assert log_sq_coeff(gamma_family(1.0), 2, 1) == pytest.approx(math.log(4.0), rel=1e-15)
-    assert log_sq_coeff(kac(), 7, 3) == 0.0
-    assert log_sq_coeff(legendre(), 2, 1) == pytest.approx(math.log(4.0), rel=1e-15)
+    log4 = pytest.approx(math.log(4.0), rel=1e-15)
+    assert coefficient_table(gamma_family(1.0), 2).log_sq_coeff[1] == log4
+    assert coefficient_table(kac(), 7).log_sq_coeff[3] == 0.0
+    assert coefficient_table(legendre(), 2).log_sq_coeff[1] == log4
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label())
@@ -231,8 +231,6 @@ def test_parameter_domain_validation():
         alpha_beta_family(0.0, -1.5)
     with pytest.raises(ParameterDomainError):
         coefficient_table(kac(), 0)
-    with pytest.raises(ParameterDomainError):
-        log_sq_coeff(kac(), 5, 6)
 
 
 def test_tables_are_immutable():

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +14,6 @@ from randroot.jacobi import (
     _value_and_derivative,
     density_endpoints,
     density_via_roots,
-    derivative_recurrence_residual,
     jacobi_derivative,
     jacobi_eval,
     jacobi_roots,
@@ -21,6 +22,7 @@ from randroot.jacobi import (
     ultraspherical_bounds,
 )
 from randroot.kacrice import density, expected_roots_real_line, kac_rice_eval
+from randroot.verify import derivative_recurrence_residual
 
 AB_GRID = [(0.0, 0.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5), (2.5, 2.5), (-0.6, -0.4)]
 
@@ -432,3 +434,15 @@ def test_derivative_recurrence_against_finite_difference():
     lhs = x * s * m_prime
     rhs = n * (s + beta - alpha) * m_of(n, x) - 2 * (1 - x * x) * (n + alpha) * (n + beta) * m_of(n - 1, x)
     assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def test_jacobi_imports_only_errors_from_the_package():
+    # jacobi is an oracle for the Kac-Rice kernel, so it must not import it
+    tree = ast.parse(pathlib.Path(jacobi.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("randroot")):
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package.update(alias.name for alias in node.names if alias.name.startswith("randroot"))
+    assert package == {".errors"}
