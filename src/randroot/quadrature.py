@@ -2,15 +2,24 @@
 
 15-point Kronrod rule with its embedded 7-point Gauss rule; the classical
 node/weight constants below are validated in the test suite through the exact
-degree (22 resp. 13) of each rule.  Panels are bisected worst-error-first and
-the final sum runs over panels sorted by left endpoint, so results are
-deterministic for a given integrand.
+degree (22 resp. 13) of each rule.
+
+Refinement works in rounds.  While the panel errors sum to more than the
+tolerance, a round bisects the fewest worst panels (by error, ties in order
+of creation) whose errors must go for the rest to sum to at most it.  That
+never takes more evaluations than bisecting one worst panel at a time: from
+the state a round starts in, that loop splits the state's panels worst first
+and cannot stop before it has split the round's set, for until then the
+errors of the rest exceed the tolerance.  Where the two end on the same
+partition, every panel's sums agree.  The final sum runs over panels sorted
+by left endpoint, so results are deterministic for a given integrand.
 
 ``DEFAULT_TOL`` is the default tolerance of ``adaptive_quadrature``, every root count and ``--tol``.
 """
 from __future__ import annotations
 
-import heapq
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +32,6 @@ __all__ = ["QuadratureResult", "adaptive_quadrature"]
 DEFAULT_TOL = 1e-9
 MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
 MAX_DEPTH = 60  # bisections of a first panel before a panel is kept as it stands
-_EPS = float(np.finfo(float).eps)
 
 # Kronrod-15 nodes on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
 _XGK = np.array([
@@ -99,13 +107,14 @@ def adaptive_quadrature(
     """Integrate the vectorized ``f`` over [a, b] to absolute tolerance ``tol``.
 
     The first panels are [a, b] cut at the increasing ``splits``, all strictly
-    inside it; one tolerance covers them all.  ``f`` is called once for all
-    first panels and once per bisection, for both halves, with 15 nodes per
-    panel: a leg of b bisections makes 1 + b calls.  Each panel's sums come
-    from its own 15 values, so a pointwise ``f`` gives the results of one
-    call per panel, bit for bit.  Never returns a silently wrong value: if
-    the subdivision budget runs out the result carries ``converged=False``
-    with the achieved error estimate.
+    inside it; one tolerance covers them all.  ``f`` is called once for the
+    first panels and once per round, for both halves of each panel it
+    bisects, with 15 nodes per panel in order of position.  Each panel's sums
+    come from its own 15 values, so a pointwise ``f`` gives the results of one
+    call per panel, bit for bit.  Never returns a silently wrong value: when
+    the evaluation budget runs short, a round bisects its worst panels up to
+    it, and the result carries ``converged=False`` with the achieved error
+    estimate.
     """
     if not tol > 0:
         raise NumericError(f"tolerance must be positive, got {tol!r}")
@@ -117,53 +126,39 @@ def adaptive_quadrature(
     edges = [a, *splits, b]
     if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
         raise NumericError(f"splits must increase strictly inside ({a!r}, {b!r}), got {splits!r}")
-    # heap entries: (-err, insertion seq for deterministic ties, depth, a, b, value, err)
-    heap = []
-    first = list(zip(edges, edges[1:]))
-    for seq, ((lo, hi), (value, err)) in enumerate(zip(first, _panels(f, first))):
-        heapq.heappush(heap, (-err, seq, 0, lo, hi, value, err))
-    evaluations = 15 * len(heap)
-    exhausted: list[tuple] = []  # panels at max depth, no longer splittable
-    # The stop test is the panel errors summed in heap order, then exhausted
-    # order.  A running total stands in for that O(panels) sum: after k
-    # additions of terms whose magnitudes add up to ``moved`` it is within
-    # k*eps*moved of the exact sum, and the ordered sum of p panels within
-    # p*eps*sum, so only a running total closer to tol than twice that is
-    # settled by the ordered sum, and every result stays bit-identical.
-    running = moved = sum(item[6] for item in heap)
-    additions = len(heap) - 1
-
+    # panels: (-err, seq, depth, a, b, value, err), seq numbering them in
+    # order of creation; ``kept`` ones are at MAX_DEPTH or too narrow to halve
+    live: list[tuple] = []
+    kept: list[tuple] = []
+    new = [(lo, hi, 0, seq) for seq, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    seq, evaluations = len(new), 0
     while True:
-        count = len(heap) + len(exhausted)
-        slack = 2.0 * _EPS * (additions * moved + count * max(running, tol))
-        if abs(running - tol) > slack:
-            done = running <= tol
-        else:
-            done = sum(item[6] for item in heap) + sum(item[6] for item in exhausted) <= tol
-        if done:
+        for (lo, hi, depth, created), (value, err) in zip(new, _panels(f, [p[:2] for p in new])):
+            mid = 0.5 * (lo + hi)
+            (live if depth < MAX_DEPTH and lo < mid < hi else kept).append(
+                (-err, created, depth, lo, hi, value, err))
+        evaluations += 15 * len(new)
+        live.sort()
+        kept_errors, errors = [p[6] for p in kept], [p[6] for p in live]
+        if math.fsum(kept_errors + errors) <= tol:
             converged = True
             break
-        if not heap or evaluations + 30 > MAX_EVALUATIONS:
+        room = (MAX_EVALUATIONS - evaluations) // 30
+        if not live or room <= 0:
             converged = False
             break
-        item = heapq.heappop(heap)
-        depth, pa, pb = item[2], item[3], item[4]
-        mid = 0.5 * (pa + pb)
-        if depth >= MAX_DEPTH or mid <= pa or mid >= pb:
-            exhausted.append(item)  # not splittable; keep its contribution
-            continue
-        running -= item[6]
-        moved += item[6]
-        halves = ((pa, mid), (mid, pb))
-        for (lo, hi), (v, e) in zip(halves, _panels(f, halves)):
-            evaluations += 15
-            seq += 1
-            heapq.heappush(heap, (-e, seq, depth + 1, lo, hi, v, e))
-            running += e
-            moved += e
-        additions += 3
+        # the fewest worst panels whose bisection leaves at most tol in the rest, or all
+        count = 1 + bisect.bisect_left(range(1, len(live)), True,
+                                       key=lambda k: math.fsum(kept_errors + errors[k:]) <= tol)
+        new = []
+        for _, _, depth, lo, hi, _, _ in live[:min(count, room)]:
+            mid = 0.5 * (lo + hi)
+            new += [(lo, mid, depth + 1, seq), (mid, hi, depth + 1, seq + 1)]
+            seq += 2
+        del live[:len(new) // 2]
+        new.sort()
 
-    panels = sorted(heap + exhausted, key=lambda item: item[3])
+    panels = sorted(live + kept, key=lambda item: item[3])
     value = float(sum(item[5] for item in panels))
     total_err = float(sum(item[6] for item in panels))
     return QuadratureResult(value, total_err, evaluations, converged)

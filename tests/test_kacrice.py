@@ -742,6 +742,42 @@ def test_counts_pinned_value_and_evaluations(family, n, value, evaluations):
     assert abs(res.value - value) <= 4 * np.spacing(value)
 
 
+@pytest.mark.parametrize("family,n,calls", [
+    (gamma_family(1.0), 4000, [4]),
+    (alpha_beta_family(0.5, 2.0), 2000, [3, 4]),
+    (elliptic(), 3000, [2]),
+    (gamma_family(20.0), 100, [8]),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_counts_pinned_integrand_calls(monkeypatch, family, n, calls):
+    # integrand calls per leg: one for the first panels, one per round of bisections
+    import randroot.kacrice as kr
+
+    legs = []
+    quad = kr.adaptive_quadrature
+
+    def counted(f, *args, **kwargs):
+        legs.append(0)
+
+        def g(s):
+            legs[-1] += 1
+            return f(s)
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(kr, "adaptive_quadrature", counted)
+    assert expected_roots_real_line_result(family, n).converged
+    assert legs == calls
+
+
+def test_unreachable_tolerance_fills_the_evaluation_budget():
+    # the last round bisects the worst panels up to the budget, even where the
+    # whole round does not fit, and the count reports converged=False
+    from randroot.quadrature import MAX_EVALUATIONS
+
+    res = expected_roots_real_line_result(gamma_family(1.0), 50, tol=1e-30)
+    assert not res.converged
+    assert MAX_EVALUATIONS - 30 < res.evaluations <= MAX_EVALUATIONS
+
+
 def test_kernel_blocks_stay_in_the_budget(monkeypatch):
     # every weights array of the expect_large_n counts and of n = 10^6 holds
     # at most _BUDGET points x half-width, unless it is one point whose own

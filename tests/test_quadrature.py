@@ -99,10 +99,10 @@ def _rule(f, edges):
 
 
 def _resum_each_step(f, a, b, tol=1e-9, splits=()):
-    """The adaptive loop as it was before the running error total: every step
-    re-sums all panel errors, heap order then exhausted order.  It calls ``f``
-    as ``adaptive_quadrature`` does: once for the first panels, once per
-    bisection."""
+    """The adaptive loop one bisection at a time: every step re-sums all panel
+    errors, heap order then exhausted order, and bisects the worst panel
+    (ties in creation order).  It calls ``f`` once for the first panels and
+    once per bisection."""
     import heapq
 
     from randroot.quadrature import MAX_EVALUATIONS, QuadratureResult
@@ -152,7 +152,9 @@ POINTWISE = pytest.mark.parametrize("f,a,b,tol,max_depth,splits", [
 
 
 @POINTWISE
-def test_running_error_total_is_bit_identical(monkeypatch, f, a, b, tol, max_depth, splits):
+def test_rounds_equal_the_sequential_oracle(monkeypatch, f, a, b, tol, max_depth, splits):
+    # the rounds end on the partition the one-bisection loop ends on, so every
+    # panel sum and the whole result agree bit for bit, unconverged one included
     monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
     assert adaptive_quadrature(f, a, b, tol, splits=splits) == _resum_each_step(f, a, b, tol, splits)
 
@@ -170,20 +172,49 @@ def test_grouped_calls_equal_one_call_per_panel(monkeypatch, f, a, b, tol, max_d
 
 
 @POINTWISE
-def test_a_leg_calls_once_then_once_per_bisection(monkeypatch, f, a, b, tol, max_depth, splits):
+def test_round_call_contract(monkeypatch, f, a, b, tol, max_depth, splits):
+    # one call for the first panels, then one per round holding both halves of
+    # each panel it bisects, in order of position; never more calls than the
+    # one-bisection loop makes
     monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
     calls = []
 
     def counted(x):
-        calls.append(len(x))
+        calls.append(np.array(x))
         return f(x)
 
     res = adaptive_quadrature(counted, a, b, tol, splits=splits)
-    assert calls == [15 * (len(splits) + 1)] + [30] * (len(calls) - 1)
-    assert res.evaluations == sum(calls)
+    assert len(calls[0]) == 15 * (len(splits) + 1)
+    for x in calls[1:]:
+        assert len(x) > 0 and len(x) % 30 == 0
+        nodes = x.reshape(-1, 2, 15)
+        center, half = nodes[:, :, 7], (nodes[:, :, 14] - nodes[:, :, 7]) / _XGK[14]
+        # the two panels of a pair are the halves of one panel, up to the
+        # rounding of the nodes, and the pairs increase
+        slack = 1e-9 * half[:, 0] + 4 * np.spacing(np.abs(center[:, 0]))
+        assert np.all(np.abs(half[:, 0] - half[:, 1]) <= slack)
+        assert np.all(np.abs(center[:, 0] + half[:, 0] - (center[:, 1] - half[:, 1])) <= slack)
+        assert np.all(np.diff(center.ravel()) > 0)
+    assert res.evaluations == sum(len(x) for x in calls)
+    oracle_calls = []
+    _resum_each_step(lambda x: oracle_calls.append(len(x)) or f(x), a, b, tol, splits)
+    assert len(calls) <= len(oracle_calls)
 
 
-def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
+def _leg_rounding_bound(value, abs_err):
+    """How far a leg's ``abs_err`` may move when its integrand values move by rounding.
+
+    A call that groups other points changes the kernel's BLAS summation
+    order, which moves a value of the positive integrand by up to m = 4 ulp
+    (relative m * eps).  A panel's Kronrod sum K and Gauss sum G are sums of
+    positive terms, so each moves by at most m * eps of itself, and
+    |K - G| by at most m * eps * (K + G) <= m * eps * (2 K + |K - G|).
+    Summed over the panels: 2 m eps (value + abs_err).
+    """
+    return 8 * float(np.finfo(float).eps) * (value + abs_err)
+
+
+def test_rounds_match_the_oracle_on_root_counts(monkeypatch):
     # every leg of the expect_large_n benchmark ops, of Kac up to n = 10^12
     # and of the large-gamma counts that bisection in x never settled
     import randroot.kacrice as kr
@@ -193,7 +224,10 @@ def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
 
     def both(f, a, b, tol=1e-9, splits=()):
         got = adaptive_quadrature(f, a, b, tol, splits=splits)
-        assert got == _resum_each_step(f, a, b, tol, splits)
+        want = _resum_each_step(f, a, b, tol, splits)
+        assert (got.value, got.evaluations, got.converged) == (want.value, want.evaluations, want.converged)
+        assert abs(got.abs_error_estimate - want.abs_error_estimate) <= _leg_rounding_bound(
+            want.value, want.abs_error_estimate)
         legs.append(got.evaluations)
         return got
 
@@ -205,3 +239,33 @@ def test_running_error_total_is_bit_identical_on_root_counts(monkeypatch):
     # one leg per count, two for alpha/beta; x-legs took 103995 evaluations
     # for Kac at n = 10^12, and never converged at gamma = 20 or 5
     assert len(legs) == 9 and max(legs[4:7]) <= 2000 and max(legs) < 5000
+
+
+def _lorentzians(rng):
+    """A sum of 1 to 4 narrow Lorentzians on [0, 1], with a tolerance and splits."""
+    k = int(rng.integers(1, 5))
+    at, width = rng.uniform(0.0, 1.0, k), 10.0 ** rng.uniform(-4.0, -1.5, k)
+    weight = rng.uniform(0.1, 1.0, k)
+
+    def f(x):
+        return sum(w * h / (h * h + (x - c) ** 2) for c, h, w in zip(at, width, weight))
+
+    splits = tuple(np.sort(rng.uniform(0.05, 0.95, int(rng.integers(0, 3)))).tolist())
+    return f, 10.0 ** rng.uniform(-11.0, -6.0), splits
+
+
+def test_rounds_never_take_more_evaluations_than_the_oracle(monkeypatch):
+    # every fourth sum gets a MAX_DEPTH of 2 to 11, so some panels are kept
+    # as they stand and some runs end unconverged
+    rng = np.random.default_rng(20201028)
+    equal = 0
+    for i in range(200):
+        f, tol, splits = _lorentzians(rng)
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 60 if i % 4 else int(rng.integers(2, 12)))
+        got = adaptive_quadrature(f, 0.0, 1.0, tol, splits=splits)
+        want = _resum_each_step(f, 0.0, 1.0, tol, splits)
+        assert got.evaluations <= want.evaluations
+        if got.evaluations == want.evaluations:
+            assert got == want
+            equal += 1
+    assert equal >= 150  # the equality branch is exercised
