@@ -42,7 +42,6 @@ from .jacobi import root_bounds, ultraspherical_bounds
 from .kacrice import expected_roots_interval_result, expected_roots_real_line_result, kernel
 from .montecarlo import mc_expected_roots
 from .quadrature import DEFAULT_TOL
-from . import verify as verify_mod
 
 # Nothing here calls these; benchmarks/layers.py patches them on this module to
 # trace the CLI.
@@ -342,9 +341,11 @@ def _write(text: str, path: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
-    if args.command == "verify":
+    if args.command == "verify":  # the suites load for this command alone: the others start without them
+        from . import verify
+
         failures = 0
-        for name, passed, detail in verify_mod.run_suite(args.level):
+        for name, passed, detail in verify.run_suite(args.level):
             status = "PASS" if passed else "FAIL"
             line = f"{status} {name}"
             if detail and not passed:

@@ -203,21 +203,24 @@ def jacobi_roots(n: int, alpha: float, beta: float) -> JacobiRootSet:
     return JacobiRootSet(n, float(alpha), float(beta), s, r)
 
 
-def log_variance_via_jacobi(n: int, alpha: float, beta: float, x: float) -> float:
-    """log M_n(x) through the (1 - x^2)^n * J_n((1+x^2)/(1-x^2)) identity.
+def log_variance_via_jacobi(n: int, alpha: float, beta: float, x):
+    """log M_n(x) through the (1 - x^2)^n * J_n((1+x^2)/(1-x^2)) identity; scalar or array x.
 
     The recurrence rescales as it runs, so degrees whose J_n overflows a
-    float stay representable.  Requires |x| < 1.
+    float stay representable.  Requires |x| < 1 at every point; an array
+    takes one recurrence for all its points.
     """
     _check_ab(alpha, beta)
-    if not abs(x) < 1.0:
+    arr = np.asarray(x, dtype=float)
+    if not (np.abs(arr) < 1.0).all():
         raise ParameterDomainError(f"identity requires |x| < 1, got {x!r}")
+    x, lib = (float(arr), math) if arr.ndim == 0 else (arr, np)  # a scalar keeps math's logs
     x2 = x * x
     arg = (1.0 + x2) / (1.0 - x2)
     p_cur, e = (1.0, 0) if n == 0 else _recurrence(n, alpha, beta, arg)[1:]
-    if p_cur <= 0.0:
+    if not np.all(p_cur > 0.0):
         raise NumericError(f"Jacobi value unexpectedly non-positive at arg={arg!r}")
-    return n * math.log1p(-x2) + e * _LN2 + math.log(p_cur)
+    return n * lib.log1p(-x2) + e * _LN2 + lib.log(p_cur)
 
 
 def density_via_roots(rootset: JacobiRootSet, x):

@@ -4,6 +4,14 @@ Each property cross-checks two independent routes to the same quantity
 (identity vs direct sum, closed form vs evaluation, substitution vs direct
 integration) and reports the worst deviation seen over its grid.
 
+A suite builds one table and one kernel per (family, n).  A kernel's rows
+come from one call on every x its checks read, as ``_reads`` lists them:
+``_X_GRID`` (variance identity), ``_GRAM_X`` (Gram sum), ``_RECURRENCE_X`` at
+n and n - 1 (recurrence; its x = 1 serves the endpoints) and ``_ENVELOPE_X``.
+The endpoint x = 0 takes a call of its own, as a call holding it takes the
+evaluator's masked limit-row path; so do the symmetry check's ``density`` at
+x and -x and the reciprocity quadratures.
+
 ``derivative_recurrence_residual``, the Jacobi recurrence held against the
 kernel's log M and B/M, lives here so that ``jacobi`` imports no kernel.
 """
@@ -16,13 +24,15 @@ import numpy as np
 from .errors import ParameterDomainError
 from .families import alpha_beta_family, coefficient_table, gamma_family, reciprocal_table
 from .jacobi import density_endpoints, log_variance_via_jacobi
-from .kacrice import density, expected_roots_interval, kernel
+from .kacrice import _table_kernel, density, expected_roots_interval, kernel
 from .quadrature import adaptive_quadrature
 
 _AB_GRID = ((0.0, 0.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5))
 _X_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _GRAM_X = (0.1, 0.5, 1.0, 2.0)
 _RECURRENCE_X = (0.3, 1.0, 1.7)
+_ENVELOPE_X = tuple(np.linspace(0.05, 3.0, 40).tolist())
+_ENVELOPE_ALPHA = (-0.5, 0.0, 1.0, 2.5)
 
 
 def _suite_params(level: str) -> dict:
@@ -43,8 +53,53 @@ def _suite_params(level: str) -> dict:
     }
 
 
+def _gram_families(params) -> list:
+    return [gamma_family(g) for g in (0.0, 0.5, 1.0)] + [alpha_beta_family(*ab) for ab in params["ab_grid"][:3]]
+
+
+def _reads(params):
+    """(family, n, xs) for every set of points a check reads off the shared kernel rows."""
+    for family in (alpha_beta_family(a, b) for a, b in params["ab_grid"]):
+        yield from ((family, n, _X_GRID) for n in params["identity_n"])
+        # the recurrence at n and n - 1; the endpoints read x = 1 of these
+        yield from ((family, n - k, _RECURRENCE_X) for n in params["recurrence_n"] for k in (0, 1))
+    yield from ((family, n, _GRAM_X) for family in _gram_families(params) for n in params["gram_n"])
+    yield from ((alpha_beta_family(a, a), n, _ENVELOPE_X) for a in _ENVELOPE_ALPHA for n in params["envelope_n"])
+
+
+class _Suite:
+    """The tables, kernels and kernel rows of one ``run_suite`` call, each made once per (family, n)."""
+
+    def __init__(self, params) -> None:
+        self.grids, self.tables, self.kernels, self.columns = {}, {}, {}, {}
+        for family, n, xs in _reads(params):
+            self.grids.setdefault((family, n), set()).update(xs)
+
+    def table(self, family, n):
+        table = self.tables.get((family, n))
+        if table is None:
+            table = self.tables[family, n] = coefficient_table(family, n)
+        return table
+
+    def kernel(self, family, n):
+        k = self.kernels.get((family, n))
+        if k is None:  # the Kac closed forms need no table
+            k = self.kernels[family, n] = kernel(family, n) if family.is_kac else _table_kernel(self.table(family, n))
+        return k
+
+    def rows(self, family, n, xs) -> np.ndarray:
+        """Rows (log M, B/M, f, log(A*M - B^2)) at ``xs``, from one call on all the x ``_reads`` names."""
+        columns = self.columns.get((family, n))
+        if columns is None:
+            grid = sorted(self.grids[family, n])
+            rows = self.kernel(family, n).rows(np.array(grid))
+            columns = self.columns[family, n] = dict(zip(grid, np.array(rows).T))
+        return np.array([columns[x] for x in xs]).T
+
+
 def run_suite(level: str) -> list[tuple[str, bool, str]]:
     params = _suite_params(level)
+    suite = _Suite(params)
     checks = [
         ("variance_jacobi_identity", _check_variance_identity),
         ("gram_double_sum_identity", _check_gram_identity),
@@ -54,47 +109,49 @@ def run_suite(level: str) -> list[tuple[str, bool, str]]:
         ("density_symmetry", _check_symmetry),
         ("quadrature_reciprocity", _check_reciprocity),
     ]
-    return [(name, *fn(params)) for name, fn in checks]
+    return [(name, *fn(suite, params)) for name, fn in checks]
 
 
-def _check_variance_identity(params) -> tuple[bool, str]:
+def _check_variance_identity(suite, params) -> tuple[bool, str]:
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
-            log_m = kernel(family, n).rows(np.array(_X_GRID))[0]
-            for x, direct in zip(_X_GRID, log_m.tolist()):
-                via_jacobi = log_variance_via_jacobi(n, alpha, beta, x)
-                worst = max(worst, abs(math.expm1(via_jacobi - direct)))
+            via_jacobi = log_variance_via_jacobi(n, alpha, beta, np.array(_X_GRID))
+            worst = max(worst, float(np.abs(np.expm1(via_jacobi - suite.rows(family, n, _X_GRID)[0])).max()))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 
-def _brute_gram(log_sq: np.ndarray, x: float) -> float:
-    """log of the double sum 1/2 sum (i-j)^2 a_i^2 a_j^2 x^(2(i+j-1)), directly.
+def _brute_gram(log_sq: np.ndarray, xs) -> np.ndarray:
+    """log of the double sum 1/2 sum (i-j)^2 a_i^2 a_j^2 x^(2(i+j-1)) at each x of ``xs``, directly.
 
-    Every term is formed on its own and ``fsum`` adds them exactly rounded.
+    Every term is formed on its own, from one outer product for all x, and
+    ``fsum`` adds each x's terms exactly rounded.
     """
     scale = float(log_sq.max())
     a_sq = np.exp(log_sq - scale)
     i = np.arange(len(log_sq))
     gap = np.subtract.outer(i, i)
-    powers = np.array([x ** (2 * (k - 1)) for k in range(2 * len(log_sq) - 1)])  # x^(2(i+j-1))
-    terms = gap * gap * a_sq[:, None] * a_sq[None, :] * powers[np.add.outer(i, i)]
-    return math.log(0.5 * math.fsum(terms[gap != 0])) + 2.0 * scale
+    powers = np.array([[x ** (2 * (k - 1)) for k in range(2 * len(log_sq) - 1)] for x in xs])  # x^(2(i+j-1))
+    terms = (gap * gap * a_sq[:, None] * a_sq[None, :])[gap != 0] * powers[:, np.add.outer(i, i)[gap != 0]]
+    return np.array([math.log(0.5 * math.fsum(row)) + 2.0 * scale for row in terms])
 
 
-def _check_gram_identity(params) -> tuple[bool, str]:
+def _check_gram_identity(suite, params) -> tuple[bool, str]:
     worst = 0.0
-    families = [gamma_family(0.0), gamma_family(0.5), gamma_family(1.0)]
-    families += [alpha_beta_family(a, b) for a, b in params["ab_grid"][:3]]
-    for family in families:
+    for family in _gram_families(params):
         for n in params["gram_n"]:
-            log_amb = kernel(family, n).rows(np.array(_GRAM_X))[3]
-            log_sq = coefficient_table(family, n).log_sq_coeff
-            for x, lse in zip(_GRAM_X, log_amb.tolist()):
-                brute = _brute_gram(log_sq, x)
-                worst = max(worst, abs(math.expm1(lse - brute)))
+            brute = _brute_gram(suite.table(family, n).log_sq_coeff, _GRAM_X)
+            worst = max(worst, float(np.abs(np.expm1(suite.rows(family, n, _GRAM_X)[3] - brute)).max()))
     return worst < 1e-11, f"worst rel dev {worst:.3e} (tol 1e-11)"
+
+
+def _recurrence_residual(n: int, alpha: float, beta: float, xs: np.ndarray, rows) -> np.ndarray:
+    """``derivative_recurrence_residual`` at ``xs``, from kernel rows ``rows(m)`` at ``xs``, m = n and n - 1."""
+    (log_m_n, s1_n), log_m_prev = rows(n)[:2], rows(n - 1)[0]
+    s = 2.0 * n + alpha + beta
+    return np.abs(xs * s * 2.0 * s1_n - n * (s + beta - alpha)
+                  + 2.0 * (1.0 - xs * xs) * (n + alpha) * (n + beta) * np.exp(log_m_prev - log_m_n))
 
 
 def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
@@ -114,45 +171,40 @@ def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
     if not (xs > 0).all():
         raise ParameterDomainError(f"need x > 0, got {x!r}")
     family = alpha_beta_family(alpha, beta)
-    log_m_n, s1_n = kernel(family, n).rows(xs)[:2]
-    log_m_prev = kernel(family, n - 1).rows(xs)[0]
-    s = 2.0 * n + alpha + beta
-    ratio_prev = np.exp(log_m_prev - log_m_n)
-    residual = np.abs(
-        xs * s * 2.0 * s1_n
-        - n * (s + beta - alpha)
-        + 2.0 * (1.0 - xs * xs) * (n + alpha) * (n + beta) * ratio_prev
-    )
+    residual = _recurrence_residual(n, alpha, beta, xs, lambda m: kernel(family, m).rows(xs))
     return float(residual[0]) if arr.ndim == 0 else residual.reshape(arr.shape)
 
 
-def _check_recurrence(params) -> tuple[bool, str]:
-    worst = 0.0
-    for alpha, beta in params["ab_grid"]:
-        for n in params["recurrence_n"]:
-            worst = max(worst, float(derivative_recurrence_residual(n, alpha, beta, _RECURRENCE_X).max()))
-    return worst < 1e-9, f"worst residual {worst:.3e} (tol 1e-9)"
-
-
-def _check_endpoints(params) -> tuple[bool, str]:
+def _check_recurrence(suite, params) -> tuple[bool, str]:
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["recurrence_n"]:
-            at_0, at_1 = density(coefficient_table(family, n), np.array([0.0, 1.0])).tolist()
+            residual = _recurrence_residual(n, alpha, beta, np.array(_RECURRENCE_X),
+                                            lambda m: suite.rows(family, m, _RECURRENCE_X))
+            worst = max(worst, float(residual.max()))
+    return worst < 1e-9, f"worst residual {worst:.3e} (tol 1e-9)"
+
+
+def _check_endpoints(suite, params) -> tuple[bool, str]:
+    worst = 0.0
+    for alpha, beta in params["ab_grid"]:
+        family = alpha_beta_family(alpha, beta)
+        for n in params["recurrence_n"]:
+            at_0 = float(suite.kernel(family, n).density(np.zeros(1))[0])
+            at_1 = float(suite.rows(family, n, (1.0,))[2, 0])
             f0, f1 = density_endpoints(n, alpha, beta)
             worst = max(worst, abs(at_0 / f0 - 1.0), abs(at_1 / f1 - 1.0))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 
-def _check_envelope(params) -> tuple[bool, str]:
-    xs = np.linspace(0.05, 3.0, 40)
+def _check_envelope(suite, params) -> tuple[bool, str]:
+    xs = np.array(_ENVELOPE_X)
     worst = 0.0
-    for alpha in (-0.5, 0.0, 1.0, 2.5):
+    for alpha in _ENVELOPE_ALPHA:
         family = alpha_beta_family(alpha, alpha)
         for n in params["envelope_n"]:
-            table = coefficient_table(family, n)
-            f = density(table, xs)
+            f = suite.rows(family, n, _ENVELOPE_X)[2]
             envelope = np.sqrt(n) / (2.0 * xs)
             worst = max(worst, float((f / envelope).max()) - 1.0)
             # sandwich on [0, 1] and monotone decay on (0, inf)
@@ -166,34 +218,34 @@ def _check_envelope(params) -> tuple[bool, str]:
     return worst < 1e-12, f"worst envelope excess {worst:.3e}"
 
 
-def _check_symmetry(params) -> tuple[bool, str]:
+def _check_symmetry(suite, params) -> tuple[bool, str]:
+    xs = np.array([0.2, 0.8, 1.6])
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
-            table = coefficient_table(family, n)
-            swapped = coefficient_table(alpha_beta_family(beta, alpha), n)
+            table = suite.table(family, n)
+            swapped = suite.table(alpha_beta_family(beta, alpha), n)
             if not np.array_equal(table.log_sq_coeff[::-1], swapped.log_sq_coeff):
                 return False, f"reversal contract broken at n={n}, ({alpha}, {beta})"
-            xs = np.array([0.2, 0.8, 1.6])
-            if not np.array_equal(density(table, xs), density(table, -xs)):
+            f = density(table, np.concatenate((xs, -xs)))
+            if not np.array_equal(f[:len(xs)], f[len(xs):]):
                 return False, "density not even"
     return True, ""
 
 
-def _check_reciprocity(params) -> tuple[bool, str]:
+def _check_reciprocity(suite, params) -> tuple[bool, str]:
     """E(1, inf) as E(0, 1) on the reversed table against u = 1/x on the direct one.
 
     ``expected_roots_interval`` integrates (0, 1) of the reversed table over
-    s = -ln x; the substitution integrates f(1/u)/u^2 with the direct table,
-    which evaluates it beyond x = 1.
+    s = -ln x; the substitution integrates f(1/u)/u^2 with the direct table's
+    kernel, which evaluates it beyond x = 1.
     """
     tol = 1e-9
     worst = 0.0
     for family in (gamma_family(1.0), gamma_family(0.5), alpha_beta_family(0.5, 2.0)):
         for n in params["envelope_n"]:
-            table = coefficient_table(family, n)
-            outer = expected_roots_interval(reciprocal_table(table), 0.0, 1.0, tol)
-            sub = adaptive_quadrature(
-                lambda us: density(table, 1.0 / us) / (math.pi * us * us), 0.0, 1.0, tol)
+            f = suite.kernel(family, n).density
+            outer = expected_roots_interval(reciprocal_table(suite.table(family, n)), 0.0, 1.0, tol)
+            sub = adaptive_quadrature(lambda us: f(1.0 / us) / (math.pi * us * us), 0.0, 1.0, tol)
             worst = max(worst, abs(outer.value - sub.value))
     return worst < 10 * tol, f"worst |E(1,inf) - E(u = 1/x)| = {worst:.3e} (tol {10 * tol:g})"

@@ -261,6 +261,21 @@ def test_variance_identity_domain():
         log_variance_via_jacobi(3, 0.0, 0.0, 1.0)
     with pytest.raises(ParameterDomainError):
         log_variance_via_jacobi(3, 0.0, 0.0, -1.2)
+    with pytest.raises(ParameterDomainError):  # every point of an array is checked
+        log_variance_via_jacobi(3, 0.0, 0.0, np.array([0.5, np.nan]))
+
+
+def test_variance_identity_arrays_match_scalar_calls():
+    # one recurrence for all points of an array; NumPy's log and log1p may
+    # round otherwise than math's
+    xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9, -0.5])
+    for alpha, beta in ((0.0, 0.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5)):
+        for n in range(0, 21):
+            got = log_variance_via_jacobi(n, alpha, beta, xs)
+            want = np.array([log_variance_via_jacobi(n, alpha, beta, x) for x in xs.tolist()])
+            assert got.shape == xs.shape
+            assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+    assert log_variance_via_jacobi(4, 0.5, 2.0, np.array(0.3)) == log_variance_via_jacobi(4, 0.5, 2.0, 0.3)
 
 
 def test_density_via_roots_pinned_values():

@@ -1,0 +1,80 @@
+import gc
+import weakref
+
+import pytest
+
+from randroot import cli, kacrice, verify
+
+def _count_tables(monkeypatch, built):
+    """Record (family, n) of every table that ``verify`` or ``kacrice`` builds, and pass the table to ``built``."""
+    build = verify.coefficient_table
+    keys = []
+
+    def counted(family, n, *args, **kwargs):
+        keys.append((family, n))
+        table = build(family, n, *args, **kwargs)
+        built(table)
+        return table
+
+    monkeypatch.setattr(verify, "coefficient_table", counted)
+    monkeypatch.setattr(kacrice, "coefficient_table", counted)
+    return keys
+
+
+def test_suite_builds_each_table_once(monkeypatch):
+    keys = _count_tables(monkeypatch, lambda table: None)
+    assert all(passed for _, passed, _ in verify.run_suite("full"))
+    assert len(keys) == len(set(keys)) == 126
+
+
+def test_nothing_the_suite_builds_outlives_it(monkeypatch):
+    # the tables, and the arrays a kernel keeps of them, die with the suite by
+    # reference counting alone: no cache or reference cycle holds them
+    refs = []
+
+    def keep(table):
+        refs.extend(weakref.ref(obj) for obj in (table, table.log_sq_coeff, table.log_ratio))
+        return table
+
+    _count_tables(monkeypatch, keep)
+    reverse = verify.reciprocal_table
+    monkeypatch.setattr(verify, "reciprocal_table", lambda table: keep(reverse(table)))
+    gc.disable()
+    try:
+        verify.run_suite("full")
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert refs and alive == 0
+
+
+def _shift_logs(log_m, s1, f, log_amb):
+    return log_m + 1e-8, s1, f, log_amb + 1e-8
+
+
+def _scale_ratio(log_m, s1, f, log_amb):
+    return log_m, s1 * (1 + 1e-6), f, log_amb
+
+
+def _scale_density(log_m, s1, f, log_amb):
+    return log_m, s1, f * (1 + 1e-8), log_amb
+
+
+@pytest.mark.parametrize("fault,failing", [
+    (_shift_logs, ["variance_jacobi_identity", "gram_double_sum_identity"]),
+    (_scale_ratio, ["derivative_recurrence"]),  # a shift of log M alone cancels in M_(n-1)/M_n
+    (_scale_density, ["density_endpoints"]),
+])
+def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, capsys):
+    build = verify._table_kernel
+
+    def faulty(table):
+        k = build(table)
+        rows = lambda xs: tuple(fault(*k.rows(xs)))
+        return k._replace(rows=rows, density=lambda xs: rows(xs)[2])
+
+    monkeypatch.setattr(verify, "_table_kernel", faulty)
+    assert cli.main(["verify", "--level", "fast"]) == 3
+    out = capsys.readouterr().out
+    assert all(f"FAIL {name}  (" in out for name in failing)
+
