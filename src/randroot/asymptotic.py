@@ -184,6 +184,8 @@ def scaling_fit(family: PolynomialClass, n_values: Sequence[int], tol: float = D
     ns = [int(v) for v in n_values]
     if len(ns) < 4 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterDomainError("need at least 4 strictly increasing n values")
+    if ns[0] < 2:  # the leading order needs n >= 2: fail before any quadrature
+        raise ParameterDomainError(f"scaling fit needs n >= 2, got {ns[0]}")
     rows: list[tuple[int, float]] = []
     for n in ns:
         try:

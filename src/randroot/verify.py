@@ -2,21 +2,28 @@
 
 Each property cross-checks two independent routes to the same quantity
 (identity vs direct sum, closed form vs evaluation, substitution vs direct
-integration) and reports the worst deviation seen over its grid.
+integration, a table vs its reversal) and reports the worst deviation seen
+over its grid.
 
-A suite builds one table and one kernel per (family, n).  A kernel's rows
-come from one call on every x its checks read, as ``_reads`` lists them:
-``_X_GRID`` (variance identity), ``_GRAM_X`` (Gram sum), ``_RECURRENCE_X`` at
-n and n - 1 (recurrence; its x = 1 serves the endpoints) and ``_ENVELOPE_X``.
-The endpoint x = 0 takes a call of its own, as a call holding it takes the
-evaluator's masked limit-row path; so do the symmetry check's ``density`` at
-x and -x and the reciprocity quadratures.
+A suite builds one table and one kernel per (family, n), and reads all the
+rows its checks take from one kernel call on the fixed grid ``_SUITE_X``, 48
+points: the union of ``_X_GRID`` (variance identity), ``_GRAM_X`` (Gram sum),
+``_RECURRENCE_X`` at n and n - 1 (recurrence; its x = 1 serves the
+endpoints) and ``_ENVELOPE_X``.  The endpoint x = 0 takes a call of its own,
+as a call holding it takes the evaluator's masked limit-row path; so do the
+reciprocity quadratures.
+
+The symmetry check holds the reversal contract bit for bit on both arrays a
+kernel sums: swapping alpha and beta reverses ``log_sq_coeff``, and reverses
+and negates ``log_ratio``.  Evenness, f(-x) = f(x), needs no check, as
+``density`` takes |x| before any kernel sees a point.
 
 ``derivative_recurrence_residual``, the Jacobi recurrence held against the
 kernel's log M and B/M, lives here so that ``jacobi`` imports no kernel.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,7 +31,7 @@ import numpy as np
 from .errors import ParameterDomainError
 from .families import alpha_beta_family, coefficient_table, gamma_family, reciprocal_table
 from .jacobi import density_endpoints, log_variance_via_jacobi
-from .kacrice import _table_kernel, density, expected_roots_interval, kernel
+from .kacrice import _table_kernel, expected_roots_interval, kernel
 from .quadrature import adaptive_quadrature
 
 _AB_GRID = ((0.0, 0.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5))
@@ -33,6 +40,8 @@ _GRAM_X = (0.1, 0.5, 1.0, 2.0)
 _RECURRENCE_X = (0.3, 1.0, 1.7)
 _ENVELOPE_X = tuple(np.linspace(0.05, 3.0, 40).tolist())
 _ENVELOPE_ALPHA = (-0.5, 0.0, 1.0, 2.5)
+_SUITE_X = sorted({*_X_GRID, *_GRAM_X, *_RECURRENCE_X, *_ENVELOPE_X})  # the x of every grid call
+_COLUMN = {x: i for i, x in enumerate(_SUITE_X)}
 
 
 def _suite_params(level: str) -> dict:
@@ -53,53 +62,19 @@ def _suite_params(level: str) -> dict:
     }
 
 
-def _gram_families(params) -> list:
-    return [gamma_family(g) for g in (0.0, 0.5, 1.0)] + [alpha_beta_family(*ab) for ab in params["ab_grid"][:3]]
-
-
-def _reads(params):
-    """(family, n, xs) for every set of points a check reads off the shared kernel rows."""
-    for family in (alpha_beta_family(a, b) for a, b in params["ab_grid"]):
-        yield from ((family, n, _X_GRID) for n in params["identity_n"])
-        # the recurrence at n and n - 1; the endpoints read x = 1 of these
-        yield from ((family, n - k, _RECURRENCE_X) for n in params["recurrence_n"] for k in (0, 1))
-    yield from ((family, n, _GRAM_X) for family in _gram_families(params) for n in params["gram_n"])
-    yield from ((alpha_beta_family(a, a), n, _ENVELOPE_X) for a in _ENVELOPE_ALPHA for n in params["envelope_n"])
-
-
-class _Suite:
-    """The tables, kernels and kernel rows of one ``run_suite`` call, each made once per (family, n)."""
-
-    def __init__(self, params) -> None:
-        self.grids, self.tables, self.kernels, self.columns = {}, {}, {}, {}
-        for family, n, xs in _reads(params):
-            self.grids.setdefault((family, n), set()).update(xs)
-
-    def table(self, family, n):
-        table = self.tables.get((family, n))
-        if table is None:
-            table = self.tables[family, n] = coefficient_table(family, n)
-        return table
-
-    def kernel(self, family, n):
-        k = self.kernels.get((family, n))
-        if k is None:  # the Kac closed forms need no table
-            k = self.kernels[family, n] = kernel(family, n) if family.is_kac else _table_kernel(self.table(family, n))
-        return k
-
-    def rows(self, family, n, xs) -> np.ndarray:
-        """Rows (log M, B/M, f, log(A*M - B^2)) at ``xs``, from one call on all the x ``_reads`` names."""
-        columns = self.columns.get((family, n))
-        if columns is None:
-            grid = sorted(self.grids[family, n])
-            rows = self.kernel(family, n).rows(np.array(grid))
-            columns = self.columns[family, n] = dict(zip(grid, np.array(rows).T))
-        return np.array([columns[x] for x in xs]).T
-
-
 def run_suite(level: str) -> list[tuple[str, bool, str]]:
     params = _suite_params(level)
-    suite = _Suite(params)
+    # memos of this call alone; no closure refers to itself or to an object
+    # that holds the memos, so all they hold dies with the call by reference counting
+    table = functools.cache(coefficient_table)
+    kernel_of = functools.cache(lambda family, n: kernel(family, n) if family.is_kac  # Kac needs no table
+                                else _table_kernel(table(family, n)))
+    grid_rows = functools.cache(lambda family, n: np.array(kernel_of(family, n).rows(np.array(_SUITE_X))))
+
+    def rows(family, n, xs) -> np.ndarray:
+        """Rows (log M, B/M, f, log(A*M - B^2)) at ``xs``, points of ``_SUITE_X``."""
+        return grid_rows(family, n)[:, [_COLUMN[x] for x in xs]]
+
     checks = [
         ("variance_jacobi_identity", _check_variance_identity),
         ("gram_double_sum_identity", _check_gram_identity),
@@ -109,16 +84,16 @@ def run_suite(level: str) -> list[tuple[str, bool, str]]:
         ("density_symmetry", _check_symmetry),
         ("quadrature_reciprocity", _check_reciprocity),
     ]
-    return [(name, *fn(suite, params)) for name, fn in checks]
+    return [(name, *fn(params, table, kernel_of, rows)) for name, fn in checks]
 
 
-def _check_variance_identity(suite, params) -> tuple[bool, str]:
+def _check_variance_identity(params, table, kernel, rows) -> tuple[bool, str]:
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
             via_jacobi = log_variance_via_jacobi(n, alpha, beta, np.array(_X_GRID))
-            worst = max(worst, float(np.abs(np.expm1(via_jacobi - suite.rows(family, n, _X_GRID)[0])).max()))
+            worst = max(worst, float(np.abs(np.expm1(via_jacobi - rows(family, n, _X_GRID)[0])).max()))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 
@@ -137,12 +112,13 @@ def _brute_gram(log_sq: np.ndarray, xs) -> np.ndarray:
     return np.array([math.log(0.5 * math.fsum(row)) + 2.0 * scale for row in terms])
 
 
-def _check_gram_identity(suite, params) -> tuple[bool, str]:
+def _check_gram_identity(params, table, kernel, rows) -> tuple[bool, str]:
     worst = 0.0
-    for family in _gram_families(params):
+    for family in ([gamma_family(g) for g in (0.0, 0.5, 1.0)]
+                   + [alpha_beta_family(*ab) for ab in params["ab_grid"][:3]]):
         for n in params["gram_n"]:
-            brute = _brute_gram(suite.table(family, n).log_sq_coeff, _GRAM_X)
-            worst = max(worst, float(np.abs(np.expm1(suite.rows(family, n, _GRAM_X)[3] - brute)).max()))
+            brute = _brute_gram(table(family, n).log_sq_coeff, _GRAM_X)
+            worst = max(worst, float(np.abs(np.expm1(rows(family, n, _GRAM_X)[3] - brute)).max()))
     return worst < 1e-11, f"worst rel dev {worst:.3e} (tol 1e-11)"
 
 
@@ -175,36 +151,36 @@ def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
     return float(residual[0]) if arr.ndim == 0 else residual.reshape(arr.shape)
 
 
-def _check_recurrence(suite, params) -> tuple[bool, str]:
+def _check_recurrence(params, table, kernel, rows) -> tuple[bool, str]:
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["recurrence_n"]:
             residual = _recurrence_residual(n, alpha, beta, np.array(_RECURRENCE_X),
-                                            lambda m: suite.rows(family, m, _RECURRENCE_X))
+                                            lambda m: rows(family, m, _RECURRENCE_X))
             worst = max(worst, float(residual.max()))
     return worst < 1e-9, f"worst residual {worst:.3e} (tol 1e-9)"
 
 
-def _check_endpoints(suite, params) -> tuple[bool, str]:
+def _check_endpoints(params, table, kernel, rows) -> tuple[bool, str]:
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["recurrence_n"]:
-            at_0 = float(suite.kernel(family, n).density(np.zeros(1))[0])
-            at_1 = float(suite.rows(family, n, (1.0,))[2, 0])
+            at_0 = float(kernel(family, n).density(np.zeros(1))[0])
+            at_1 = float(rows(family, n, (1.0,))[2, 0])
             f0, f1 = density_endpoints(n, alpha, beta)
             worst = max(worst, abs(at_0 / f0 - 1.0), abs(at_1 / f1 - 1.0))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 
-def _check_envelope(suite, params) -> tuple[bool, str]:
+def _check_envelope(params, table, kernel, rows) -> tuple[bool, str]:
     xs = np.array(_ENVELOPE_X)
     worst = 0.0
     for alpha in _ENVELOPE_ALPHA:
         family = alpha_beta_family(alpha, alpha)
         for n in params["envelope_n"]:
-            f = suite.rows(family, n, _ENVELOPE_X)[2]
+            f = rows(family, n, _ENVELOPE_X)[2]
             envelope = np.sqrt(n) / (2.0 * xs)
             worst = max(worst, float((f / envelope).max()) - 1.0)
             # sandwich on [0, 1] and monotone decay on (0, inf)
@@ -218,22 +194,18 @@ def _check_envelope(suite, params) -> tuple[bool, str]:
     return worst < 1e-12, f"worst envelope excess {worst:.3e}"
 
 
-def _check_symmetry(suite, params) -> tuple[bool, str]:
-    xs = np.array([0.2, 0.8, 1.6])
+def _check_symmetry(params, table, kernel, rows) -> tuple[bool, str]:
     for alpha, beta in params["ab_grid"]:
-        family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
-            table = suite.table(family, n)
-            swapped = suite.table(alpha_beta_family(beta, alpha), n)
-            if not np.array_equal(table.log_sq_coeff[::-1], swapped.log_sq_coeff):
+            direct = table(alpha_beta_family(alpha, beta), n)
+            swapped = table(alpha_beta_family(beta, alpha), n)
+            if not (np.array_equal(direct.log_sq_coeff[::-1], swapped.log_sq_coeff)
+                    and np.array_equal(-direct.log_ratio[::-1], swapped.log_ratio)):
                 return False, f"reversal contract broken at n={n}, ({alpha}, {beta})"
-            f = density(table, np.concatenate((xs, -xs)))
-            if not np.array_equal(f[:len(xs)], f[len(xs):]):
-                return False, "density not even"
     return True, ""
 
 
-def _check_reciprocity(suite, params) -> tuple[bool, str]:
+def _check_reciprocity(params, table, kernel, rows) -> tuple[bool, str]:
     """E(1, inf) as E(0, 1) on the reversed table against u = 1/x on the direct one.
 
     ``expected_roots_interval`` integrates (0, 1) of the reversed table over
@@ -244,8 +216,8 @@ def _check_reciprocity(suite, params) -> tuple[bool, str]:
     worst = 0.0
     for family in (gamma_family(1.0), gamma_family(0.5), alpha_beta_family(0.5, 2.0)):
         for n in params["envelope_n"]:
-            f = suite.kernel(family, n).density
-            outer = expected_roots_interval(reciprocal_table(suite.table(family, n)), 0.0, 1.0, tol)
+            f = kernel(family, n).density
+            outer = expected_roots_interval(reciprocal_table(table(family, n)), 0.0, 1.0, tol)
             sub = adaptive_quadrature(lambda us: f(1.0 / us) / (math.pi * us * us), 0.0, 1.0, tol)
             worst = max(worst, abs(outer.value - sub.value))
     return worst < 10 * tol, f"worst |E(1,inf) - E(u = 1/x)| = {worst:.3e} (tol {10 * tol:g})"

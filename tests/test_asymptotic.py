@@ -186,6 +186,8 @@ def test_scaling_fit_validation():
         scaling_fit(elliptic(), [25, 100, 400])  # too few points
     with pytest.raises(ParameterDomainError):
         scaling_fit(elliptic(), [25, 100, 100, 400])  # not strictly increasing
+    with pytest.raises(ParameterDomainError):
+        scaling_fit(elliptic(), [1, 100, 200, 400])  # no leading order at n = 1
 
 
 # ---------------------------------------------------------------------------

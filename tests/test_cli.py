@@ -363,6 +363,20 @@ def test_scaling_rejects_short_lists(capsys):
     assert "4" in err
 
 
+def test_scaling_rejects_degree_one_before_any_count(capsys, monkeypatch):
+    from randroot import asymptotic
+
+    def no_count(family, n, tol):
+        raise AssertionError(f"computed the count at n={n}")
+
+    monkeypatch.setattr(asymptotic, "expected_roots_real_line", no_count)
+    code, out, err = run_cli(
+        capsys, "scaling", "--class", "gamma", "--gamma", "1", "--n-list", "1,10000,1000000,4000000"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["randroot: error: scaling fit needs n >= 2, got 1"]
+
+
 def test_verify_fast(capsys):
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 0

@@ -1,9 +1,12 @@
 import gc
+import math
 import weakref
 
+import numpy as np
 import pytest
 
-from randroot import cli, kacrice, verify
+from randroot import cli, families, kacrice, verify
+
 
 def _count_tables(monkeypatch, built):
     """Record (family, n) of every table that ``verify`` or ``kacrice`` builds, and pass the table to ``built``."""
@@ -60,10 +63,27 @@ def _scale_density(log_m, s1, f, log_amb):
     return log_m, s1, f * (1 + 1e-8), log_amb
 
 
+def _reverse_density(log_m, s1, f, log_amb):
+    return log_m, s1, f[::-1], log_amb
+
+
+_CHECKS = ["variance_jacobi_identity", "gram_double_sum_identity", "derivative_recurrence", "density_endpoints",
+           "density_envelope", "density_symmetry", "quadrature_reciprocity"]
+
+
+def _failing(out):
+    """The checks that ``randroot verify`` prints as FAIL, after asserting that all others PASS."""
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines] == _CHECKS
+    assert all(line == f"PASS {line.split()[1]}" or line.startswith("FAIL ") for line in lines)
+    return {line.split()[1] for line in lines if line.startswith("FAIL ")}
+
+
 @pytest.mark.parametrize("fault,failing", [
-    (_shift_logs, ["variance_jacobi_identity", "gram_double_sum_identity"]),
-    (_scale_ratio, ["derivative_recurrence"]),  # a shift of log M alone cancels in M_(n-1)/M_n
-    (_scale_density, ["density_endpoints"]),
+    (_shift_logs, {"variance_jacobi_identity", "gram_double_sum_identity"}),
+    (_scale_ratio, {"derivative_recurrence"}),  # a shift of log M alone cancels in M_(n-1)/M_n
+    (_scale_density, {"density_endpoints", "quadrature_reciprocity"}),
+    (_reverse_density, {"density_endpoints", "density_envelope", "quadrature_reciprocity"}),
 ])
 def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, capsys):
     build = verify._table_kernel
@@ -75,6 +95,19 @@ def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, ca
 
     monkeypatch.setattr(verify, "_table_kernel", faulty)
     assert cli.main(["verify", "--level", "fast"]) == 3
-    out = capsys.readouterr().out
-    assert all(f"FAIL {name}  (" in out for name in failing)
+    assert _failing(capsys.readouterr().out) == failing
 
+
+def test_symmetry_fails_on_a_one_ulp_ratio(monkeypatch, capsys):
+    # one entry of log_ratio off by one ulp in every alpha != beta table breaks the reversal contract
+    def nudged(table):
+        if table.family.alpha == table.family.beta:
+            return table
+        log_ratio = table.log_ratio.copy()
+        log_ratio[0] = np.nextafter(log_ratio[0], math.inf)
+        return families._frozen_table(table.family, table.n, table.log_sq_coeff, log_ratio)
+
+    build = verify.coefficient_table
+    monkeypatch.setattr(verify, "coefficient_table", lambda family, n: nudged(build(family, n)))
+    assert cli.main(["verify", "--level", "fast"]) == 3
+    assert _failing(capsys.readouterr().out) == {"density_symmetry"}
