@@ -169,13 +169,8 @@ def _family_from_args(args: argparse.Namespace) -> PolynomialClass:
 
 
 def _parse_endpoint(token: str) -> float:
-    t = token.strip().lower()
-    if t in ("inf", "+inf"):
-        return math.inf
-    if t == "-inf":
-        return -math.inf
     try:
-        return float(t)
+        return float(token)
     except ValueError as exc:
         raise ParameterDomainError(f"bad interval endpoint {token!r}") from exc
 

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, _check_alpha_beta, _check_integer
 
 __all__ = [
     "FamilyKind",
@@ -70,9 +70,7 @@ class PolynomialClass:
         elif self.kind is FamilyKind.ALPHA_BETA:
             if self.gamma is not None:
                 raise ParameterDomainError("alpha/beta family takes no gamma")
-            for name, val in (("alpha", self.alpha), ("beta", self.beta)):
-                if val is None or not math.isfinite(val) or val <= -1.0:
-                    raise ParameterDomainError(f"alpha/beta family requires {name} > -1")
+            _check_alpha_beta(self.alpha, self.beta)
         else:  # pragma: no cover - enum exhausts the cases
             raise ParameterDomainError(f"unknown family kind {self.kind!r}")
 
@@ -218,11 +216,6 @@ def _log_ratio_array(family: PolynomialClass, n: int) -> np.ndarray:
     return np.copysign(size, num - den, out=size)
 
 
-def _check_degree(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterDomainError(f"degree n must be an integer >= 1, got {n!r}")
-
-
 def coefficient_table(
     family: PolynomialClass, n: int, with_convolution: bool = False
 ) -> CoefficientTable:
@@ -233,7 +226,7 @@ def coefficient_table(
     variance kernel needs none, and the benchmark harness still passes the
     keyword.
     """
-    _check_degree(n)
+    _check_integer(n)
     return _frozen_table(family, n, _log_sq_array(family, n), _log_ratio_array(family, n))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterDomainError
+from .errors import NumericError, ParameterDomainError, _check_alpha_beta, _check_integer
 
 __all__ = [
     "jacobi_eval",
@@ -49,11 +49,6 @@ def eigvalsh_tridiagonal(diag, off, **select):
 
 
 _ASYMMETRY_NOTE = "derivation of the bracket assumes alpha == beta; containment for alpha != beta is checked empirically"
-
-
-def _check_ab(alpha: float, beta: float) -> None:
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ParameterDomainError(f"need alpha, beta > -1, got ({alpha!r}, {beta!r})")
 
 
 _RESCALE = 1e120  # past this |J_k|, the recurrence divides by a power of two
@@ -99,9 +94,8 @@ def _recurrence(n: int, alpha: float, beta: float, x):
 
 def jacobi_eval(n: int, alpha: float, beta: float, x):
     """J_n^(alpha,beta)(x) by the three-term recurrence; scalar or array x."""
-    _check_ab(alpha, beta)
-    if n < 0:
-        raise ParameterDomainError(f"degree must be >= 0, got {n}")
+    _check_alpha_beta(alpha, beta)
+    _check_integer(n, 0)
     x = np.asarray(x, dtype=float)
     p = np.ones_like(x, dtype=float) if n == 0 else np.ldexp(*_recurrence(n, alpha, beta, x)[1:])
     return float(p) if x.ndim == 0 else p
@@ -131,9 +125,10 @@ def _newton(n: int, alpha: float, beta: float, s):
 
 def jacobi_derivative(n: int, alpha: float, beta: float, x):
     """d/dx J_n^(alpha,beta)(x) = (n + alpha + beta + 1)/2 * J_{n-1}^(alpha+1,beta+1)(x)."""
+    _check_alpha_beta(alpha, beta)
+    _check_integer(n, 0)
     if n == 0:
-        x = np.asarray(x, dtype=float)
-        return 0.0 if x.ndim == 0 else np.zeros_like(x)
+        return 0.0 * jacobi_eval(0, alpha, beta, x)
     return 0.5 * (n + alpha + beta + 1.0) * jacobi_eval(n - 1, alpha + 1.0, beta + 1.0, x)
 
 
@@ -173,9 +168,8 @@ class JacobiRootSet:
 
 def _matrix_eigenvalues(n: int, alpha: float, beta: float, **select) -> np.ndarray:
     """Eigenvalues of the recurrence matrix: all n, or those `select` picks."""
-    _check_ab(alpha, beta)
-    if n < 1:
-        raise ParameterDomainError(f"degree must be >= 1, got {n}")
+    _check_alpha_beta(alpha, beta)
+    _check_integer(n)
     diag, off = _recurrence_matrix(n, alpha, beta)
     try:
         return diag if n == 1 else eigvalsh_tridiagonal(diag, off, **select)
@@ -210,7 +204,8 @@ def log_variance_via_jacobi(n: int, alpha: float, beta: float, x):
     float stay representable.  Requires |x| < 1 at every point; an array
     takes one recurrence for all its points.
     """
-    _check_ab(alpha, beta)
+    _check_alpha_beta(alpha, beta)
+    _check_integer(n, 0)
     arr = np.asarray(x, dtype=float)
     if not (np.abs(arr) < 1.0).all():
         raise ParameterDomainError(f"identity requires |x| < 1, got {x!r}")
@@ -270,10 +265,8 @@ def root_bounds(n: int, alpha: float, beta: float) -> BoundsReport:
 
 def ultraspherical_bounds(n: int, alpha: float) -> BoundsReport:
     """Closed-form bracket for alpha = beta."""
-    if not alpha > -1.0:
-        raise ParameterDomainError(f"need alpha > -1, got {alpha!r}")
-    if n < 1:
-        raise ParameterDomainError(f"degree must be >= 1, got {n}")
+    _check_alpha_beta(alpha, alpha)
+    _check_integer(n)
     if n == 1:
         lower = 2.0 / math.pi  # (n+2a)/(2n+2a-1) is identically 1 at n = 1
     else:
@@ -286,7 +279,8 @@ def ultraspherical_bounds(n: int, alpha: float) -> BoundsReport:
 
 def density_endpoints(n: int, alpha: float, beta: float) -> tuple[float, float]:
     """Closed forms (f(0), f(1)) for the alpha/beta family."""
-    _check_ab(alpha, beta)
+    _check_alpha_beta(alpha, beta)
+    _check_integer(n)
     f0 = math.sqrt(n * (n + beta) / (1.0 + alpha))
     s = 2.0 * n + alpha + beta
     if n == 1:

@@ -51,8 +51,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, ParameterDomainError, QuadratureError
-from .families import CoefficientTable, PolynomialClass, _check_degree, coefficient_table, kac
+from .errors import NumericError, ParameterDomainError, QuadratureError, _check_integer
+from .families import CoefficientTable, PolynomialClass, coefficient_table, kac
 from .quadrature import DEFAULT_TOL, QuadratureResult, adaptive_quadrature
 
 # Nothing here calls it; benchmarks/layers.py patches it on this module.
@@ -499,7 +499,7 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
 
 
 def _kac_kernel(n: int) -> Kernel:
-    _check_degree(n)
+    _check_integer(n)
     end = (0.0, 0.0, 0.0 if n > 1 else -math.inf, 0.0)  # every a_i^2 = 1: each log and ratio is 0
     return _evaluator(partial(_kac_moments, n), n, end, end)
 

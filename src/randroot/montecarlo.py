@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterDomainError
-from .families import PolynomialClass, _check_degree, _log_sq_array
+from .errors import NumericError, ParameterDomainError, _check_integer
+from .families import PolynomialClass, _log_sq_array
 
 __all__ = [
     "SampledPolynomial",
@@ -92,7 +92,7 @@ def _draw_coefficients(log_weight: np.ndarray, rng: np.random.Generator) -> np.n
 
 def sample_polynomial(family: PolynomialClass, n: int, rng: np.random.Generator) -> SampledPolynomial:
     """Draw xi_i i.i.d. standard normal and form the rescaled coefficients."""
-    _check_degree(n)
+    _check_integer(n)
     log_weight = 0.5 * _log_sq_array(family, n)  # log |a_i|
     coeffs = _draw_coefficients(log_weight, rng)
     coeffs.flags.writeable = False
@@ -132,9 +132,8 @@ def mc_expected_roots(family: PolynomialClass, n: int, trials: int, seed: int,
     NumericError naming it.  ``threads`` is accepted and ignored; the
     benchmark harness still passes it.
     """
-    _check_degree(n)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ParameterDomainError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_integer(n)
+    _check_integer(trials, name="trials")
     log_weight = 0.5 * _log_sq_array(family, n)
     counts = np.empty(trials, dtype=np.int64)
     for trial in range(trials):

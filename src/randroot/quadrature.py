@@ -114,7 +114,9 @@ def adaptive_quadrature(
     call per panel, bit for bit.  Never returns a silently wrong value: when
     the evaluation budget runs short, a round bisects its worst panels up to
     it, and the result carries ``converged=False`` with the achieved error
-    estimate.
+    estimate.  So does a round that leaves the error total at the rounding
+    floor: no lower than the round before, within 64 ulps of the sums, and
+    over twice ``tol``, a gap that the total's rounding noise does not close.
     """
     if not tol > 0:
         raise NumericError(f"tolerance must be positive, got {tol!r}")
@@ -131,7 +133,7 @@ def adaptive_quadrature(
     live: list[tuple] = []
     kept: list[tuple] = []
     new = [(lo, hi, 0, seq) for seq, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-    seq, evaluations = len(new), 0
+    seq, evaluations, last = len(new), 0, math.inf
     while True:
         for (lo, hi, depth, created), (value, err) in zip(new, _panels(f, [p[:2] for p in new])):
             mid = 0.5 * (lo + hi)
@@ -140,13 +142,12 @@ def adaptive_quadrature(
         evaluations += 15 * len(new)
         live.sort()
         kept_errors, errors = [p[6] for p in kept], [p[6] for p in live]
-        if math.fsum(kept_errors + errors) <= tol:
-            converged = True
-            break
+        total = math.fsum(kept_errors + errors)
         room = (MAX_EVALUATIONS - evaluations) // 30
-        if not live or room <= 0:
-            converged = False
+        at_floor = 2.0 * tol < total and last <= total <= 2.0 ** -46 * sum(abs(p[5]) for p in live + kept)
+        if total <= tol or not live or room <= 0 or at_floor:
             break
+        last = total
         # the fewest worst panels whose bisection leaves at most tol in the rest, or all
         count = 1 + bisect.bisect_left(range(1, len(live)), True,
                                        key=lambda k: math.fsum(kept_errors + errors[k:]) <= tol)
@@ -161,4 +162,4 @@ def adaptive_quadrature(
     panels = sorted(live + kept, key=lambda item: item[3])
     value = float(sum(item[5] for item in panels))
     total_err = float(sum(item[6] for item in panels))
-    return QuadratureResult(value, total_err, evaluations, converged)
+    return QuadratureResult(value, total_err, evaluations, total <= tol)

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, _check_integer
 from .families import alpha_beta_family, coefficient_table, gamma_family, reciprocal_table
 from .jacobi import density_endpoints, log_variance_via_jacobi
 from .kacrice import _table_kernel, expected_roots_interval, kernel
@@ -140,8 +140,7 @@ def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
     brute-force expansion at small n confirms.)  Scalar or array x > 0; a
     scalar x gives a float.
     """
-    if n < 2:
-        raise ParameterDomainError(f"recurrence residual needs n >= 2, got {n}")
+    _check_integer(n, 2)
     arr = np.asarray(x, dtype=float)
     xs = np.atleast_1d(arr).ravel()
     if not (xs > 0).all():
@@ -176,7 +175,7 @@ def _check_endpoints(params, table, kernel, rows) -> tuple[bool, str]:
 
 def _check_envelope(params, table, kernel, rows) -> tuple[bool, str]:
     xs = np.array(_ENVELOPE_X)
-    worst = 0.0
+    worst = -math.inf
     for alpha in _ENVELOPE_ALPHA:
         family = alpha_beta_family(alpha, alpha)
         for n in params["envelope_n"]:

@@ -426,6 +426,30 @@ def test_validation_errors_exit_two(capsys):
         assert code == 2 and out == "" and err.startswith("randroot: error: "), argv
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["density", "--class", "kac", "--n", "5", "--grid", "0:1:x"], "bad grid '0:1:x'"),
+    (["density", "--class", "kac", "--n", "5", "--grid", "1:0:5"], "bad grid '1:0:5'"),
+    (["density", "--class", "kac", "--n", "5", "--grid", "0:inf:5"], "bad grid '0:inf:5'"),
+    (["scaling", "--class", "kac", "--n-list", "10,x,30,40"], "bad n list '10,x,30,40'"),
+    (["scaling", "--class", "kac", "--n-list", ","], "empty n list"),
+    (["expect", "--class", "alpha-beta", "--alpha", "1", "--n", "5"],
+     "--class alpha-beta takes exactly --alpha and --beta"),
+    (["expect", "--class", "legendre", "--n", "5", "--interval", "1", "bogus"],
+     "bad interval endpoint 'bogus'"),
+    # the one degree rule's line, which `bounds` printed as "degree must be >= 1, got 0"
+    (["bounds", "--class", "legendre", "--n", "0"], "degree n must be an integer >= 1, got 0"),
+])
+def test_validation_error_lines(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", f"randroot: error: {line}\n")
+
+
+@pytest.mark.parametrize("token,want", [
+    ("inf", math.inf), ("+INF", math.inf), (" -Inf ", -math.inf), ("Infinity", math.inf), (" 2.5 ", 2.5),
+])
+def test_interval_endpoints_read_as_floats(token, want):
+    assert cli._parse_endpoint(token) == want
+
+
 def test_unknown_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["expect", "--class", "elliptic", "--n", "5", "--bogus"])

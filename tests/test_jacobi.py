@@ -265,6 +265,38 @@ def test_variance_identity_domain():
         log_variance_via_jacobi(3, 0.0, 0.0, np.array([0.5, np.nan]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: log_variance_via_jacobi(-3, 0.0, 0.0, 0.5),
+    lambda: log_variance_via_jacobi(-1, 0.0, 0.0, 0.5),
+    lambda: density_endpoints(0, 0.0, 0.0),
+    lambda: density_endpoints(-1, 0.0, 0.0),
+    lambda: density_endpoints(2.5, 0.0, 0.0),
+    lambda: density_endpoints(5, math.inf, 0.0),
+    lambda: ultraspherical_bounds(2.5, 0.0),
+    lambda: ultraspherical_bounds(10, math.inf),
+    lambda: root_bounds(2.5, 0.0, 0.0),
+    lambda: jacobi_roots(2.5, 0.0, 0.0),
+    lambda: jacobi_eval(2.5, 0.0, 0.0, 0.5),
+    lambda: root_bounds(10, math.inf, 0.0),
+    lambda: jacobi_roots(10, math.inf, 0.0),
+    lambda: jacobi_derivative(3, -1.5, 0.0, 0.2),
+    lambda: jacobi_derivative(0, 0.0, math.nan, 0.2),
+], ids=["logvar-n-3", "logvar-n-1", "endpoints-n0", "endpoints-n-1", "endpoints-n2.5",
+        "endpoints-inf", "ultra-n2.5", "ultra-inf", "bounds-n2.5", "roots-n2.5", "eval-n2.5",
+        "bounds-inf", "roots-inf", "derivative-a-1.5", "derivative-b-nan"])
+def test_bad_degree_or_parameter_raises_domain_error(call):
+    # one degree rule and one alpha/beta rule for every function: an integer n
+    # at or above its least, and finite alpha, beta > -1
+    with pytest.raises(ParameterDomainError):
+        call()
+
+
+def test_degree_zero_where_it_is_allowed():
+    assert jacobi_eval(0, 0.5, 2.0, 0.3) == 1.0
+    assert log_variance_via_jacobi(0, 0.5, 2.0, 0.3) == 0.0
+    assert jacobi_derivative(0, 0.5, 2.0, 0.3) == 0.0
+
+
 def test_variance_identity_arrays_match_scalar_calls():
     # one recurrence for all points of an array; NumPy's log and log1p may
     # round otherwise than math's

@@ -768,14 +768,27 @@ def test_counts_pinned_integrand_calls(monkeypatch, family, n, calls):
     assert legs == calls
 
 
-def test_unreachable_tolerance_fills_the_evaluation_budget():
+def test_unreachable_tolerance_fills_the_evaluation_budget(monkeypatch):
     # the last round bisects the worst panels up to the budget, even where the
-    # whole round does not fit, and the count reports converged=False
-    from randroot.quadrature import MAX_EVALUATIONS
+    # whole round does not fit, and the count reports converged=False; a budget
+    # of 500 runs out while the error total is still above the rounding floor
+    import randroot.quadrature as quadrature
 
+    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 500)
     res = expected_roots_real_line_result(gamma_family(1.0), 50, tol=1e-30)
     assert not res.converged
-    assert MAX_EVALUATIONS - 30 < res.evaluations <= MAX_EVALUATIONS
+    assert 500 - 30 < res.evaluations <= 500
+    assert res.abs_error_estimate > 2.0 ** -46 * res.value
+
+
+def test_unreachable_tolerance_stops_at_the_rounding_floor():
+    # below the floor more bisection gains nothing: both counts stop far inside
+    # the 2,000,000-evaluation budget (it took all of it before the floor stop)
+    for tol in (1e-30, 1e-14):
+        res = expected_roots_real_line_result(gamma_family(1.0), 50, tol=tol)
+        assert not res.converged
+        assert res.evaluations <= 10**4
+        assert abs(res.value - 9.38826623329811) < 1e-12
 
 
 def test_kernel_blocks_stay_in_the_budget(monkeypatch):

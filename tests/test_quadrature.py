@@ -66,6 +66,38 @@ def test_budget_exhaustion_reports_not_converged(monkeypatch):
     assert res.abs_error_estimate > 1e-13
 
 
+def test_rounding_floor_ends_refinement():
+    # once a round leaves the error total no lower, within 64 ulps of the sums
+    # and over twice tol, the loop stops with converged=False, far inside the
+    # budget; a tolerance above the floor still converges
+    for f, a, b in ((np.exp, -1.0, 2.0), (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0)):
+        res = adaptive_quadrature(f, a, b, tol=1e-30)
+        assert not res.converged and res.evaluations < 1000
+        assert 0.0 < res.abs_error_estimate <= 2.0 ** -46 * res.value
+    assert adaptive_quadrature(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-14).converged
+
+
+@pytest.mark.parametrize("totals,calls,converged", [
+    ((1e-3, 3e-15, 3.1e-15, 0.9e-15), 3, False),  # stalls at the floor, over 2 tol: stop
+    ((1e-3, 3e-15, 2.9e-15, 3.0e-15, 0.9e-15), 4, False),  # stops once the total is no lower
+    ((1e-3, 1.5e-15, 1.6e-15, 0.9e-15), 4, True),  # stalls within 2 tol: noise may close it
+    ((1e-3, 1e-13, 1.1e-13, 0.9e-15), 4, True),  # stalls above the floor: not at it
+])
+def test_rounding_floor_rule(monkeypatch, totals, calls, converged):
+    # scripted panels, each of value 1: call k gives its first panel the error
+    # totals[k] and the rest none, so each round bisects that panel alone and
+    # leaves totals[k] as the error total; the floor is 64 ulps of the panel count
+    made = []
+
+    def scripted(f, panels):
+        made.append(len(panels))
+        return [(1.0, totals[len(made) - 1] if i == 0 else 0.0) for i in range(len(panels))]
+
+    monkeypatch.setattr(quadrature, "_panels", scripted)
+    res = adaptive_quadrature(np.exp, 0.0, 1.0, tol=1e-15)
+    assert (len(made), res.converged) == (calls, converged)
+
+
 def test_degenerate_and_invalid_intervals():
     assert adaptive_quadrature(np.exp, 1.0, 1.0).value == 0.0
     with pytest.raises(NumericError):

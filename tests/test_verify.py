@@ -111,3 +111,12 @@ def test_symmetry_fails_on_a_one_ulp_ratio(monkeypatch, capsys):
     monkeypatch.setattr(verify, "coefficient_table", lambda family, n: nudged(build(family, n)))
     assert cli.main(["verify", "--level", "fast"]) == 3
     assert _failing(capsys.readouterr().out) == {"density_symmetry"}
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_envelope_reports_its_real_margin(level):
+    # the PASS detail is the largest f/envelope - 1 over the check's keys, at
+    # alpha = beta = 2.5, n = 2 for both levels; a fault that raised f by up to
+    # 6% would show in it
+    details = {name: (passed, detail) for name, passed, detail in verify.run_suite(level)}
+    assert details["density_envelope"] == (True, "worst envelope excess -6.490e-02")
