@@ -23,19 +23,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError
-from .families import (
-    FamilyKind,
-    PolynomialClass,
-    alpha_beta_family,
-    coefficient_table,
-    legendre,
-)
+from .families import FamilyKind, PolynomialClass
 from .kacrice import expected_roots_real_line
 from .quadrature import DEFAULT_TOL
 
 __all__ = [
-    "EntropyTerms",
-    "entropy_terms",
     "ConcentrationParams",
     "concentration_params",
     "LaplaceApprox",
@@ -46,30 +38,7 @@ __all__ = [
     "ScalingFit",
     "ScalingFitError",
     "scaling_fit",
-    "alpha_beta_ratio_check",
 ]
-
-
-class EntropyTerms(NamedTuple):
-    entropy: float          # I(t)
-    action: float           # J(t) = gamma*I(t) + t*log(x)
-    action_prime: float     # J'(t) = gamma*log((1-t)/t) + log(x)
-    action_double_prime: float  # J''(t) = -gamma/(t*(1-t))
-
-
-def entropy_terms(t: float, gamma: float, x: float) -> EntropyTerms:
-    if not 0.0 < t < 1.0:
-        raise ParameterDomainError(f"need t in (0, 1), got {t!r}")
-    if not x > 0:
-        raise ParameterDomainError(f"need x > 0, got {x!r}")
-    entropy = -t * math.log(t) - (1.0 - t) * math.log(1.0 - t)
-    log_x = math.log(x)
-    return EntropyTerms(
-        entropy,
-        gamma * entropy + t * log_x,
-        gamma * math.log((1.0 - t) / t) + log_x,
-        -gamma / (t * (1.0 - t)),
-    )
 
 
 @dataclass(frozen=True)
@@ -85,11 +54,14 @@ class ConcentrationParams:
     width: float
 
 
-def concentration_params(gamma: float, x: float, n: int) -> ConcentrationParams:
-    if not gamma > 0:
-        raise ParameterDomainError(f"need gamma > 0, got {gamma!r}")
+def concentration_params(gamma: float, x: float, n: float) -> ConcentrationParams:
+    """The Laplace point at a finite gamma > 0, 0 < x <= 1 and a finite real n >= 1."""
+    if not 0.0 < gamma < math.inf:
+        raise ParameterDomainError(f"need finite gamma > 0, got {gamma!r}")
     if not 0.0 < x <= 1.0:
         raise ParameterDomainError(f"need 0 < x <= 1, got {x!r}")
+    if not 1.0 <= n < math.inf:
+        raise ParameterDomainError(f"need a finite real n >= 1, got {n!r}")
     power = x ** (1.0 / gamma)
     t = power / (1.0 + power)
     width = n * power / (gamma * (1.0 + power) ** 2)
@@ -206,21 +178,3 @@ def scaling_fit(family: PolynomialClass, n_values: Sequence[int], tol: float = D
     dev = max(abs(v / leading_order(family, n) - 1.0) for n, v in rows)
     return ScalingFit(family, tuple(ns), tuple(float(v) for v in en),
                       float(slope), float(intercept), float(r_squared), float(dev))
-
-
-def alpha_beta_ratio_check(alpha: float, beta: float, n: int, i: int) -> tuple[float, float]:
-    """(exact a_i^2 ratio against alpha=beta=0, exp(h(i/n)) approximant).
-
-    h(t) = (alpha+beta)*I(t) + I'(t)*(alpha*(1-t) - beta*t) with
-    I'(t) = log((1-t)/t).  Diagnostic only; both values are returned with no
-    pass/fail contract.
-    """
-    if not 1 <= i <= n - 1:
-        raise ParameterDomainError(f"need 1 <= i <= n-1, got i={i}, n={n}")
-    log_ab = coefficient_table(alpha_beta_family(alpha, beta), n).log_sq_coeff[i]
-    log_00 = coefficient_table(legendre(), n).log_sq_coeff[i]
-    exact = math.exp(float(log_ab - log_00))
-    t = i / n
-    terms = entropy_terms(t, 1.0, 1.0)  # at gamma = 1, x = 1, J' = I'
-    h = (alpha + beta) * terms.entropy + terms.action_prime * (alpha * (1.0 - t) - beta * t)
-    return exact, math.exp(h)

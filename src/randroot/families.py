@@ -39,7 +39,6 @@ __all__ = [
     "coefficient_table",
     "reciprocal_class",
     "reciprocal_table",
-    "equilibrium_fraction",
 ]
 
 
@@ -71,7 +70,7 @@ class PolynomialClass:
             if self.gamma is not None:
                 raise ParameterDomainError("alpha/beta family takes no gamma")
             _check_alpha_beta(self.alpha, self.beta)
-        else:  # pragma: no cover - enum exhausts the cases
+        else:  # a kind from outside the enum, such as the string "gamma"
             raise ParameterDomainError(f"unknown family kind {self.kind!r}")
 
     @property
@@ -256,10 +255,3 @@ def reciprocal_table(table: CoefficientTable) -> CoefficientTable:
     """Reverse a table in place of rebuilding it (the reversal contract above)."""
     return _frozen_table(reciprocal_class(table.family), table.n,
                          table.log_sq_coeff[::-1].copy(), -table.log_ratio[::-1])
-
-
-def equilibrium_fraction(x: float) -> float:
-    """Strategy-A frequency y = x/(1+x) corresponding to a positive root x."""
-    if not x > 0:
-        raise ParameterDomainError(f"root transform needs x > 0, got {x!r}")
-    return x / (1.0 + x)

@@ -219,8 +219,10 @@ def log_variance_via_jacobi(n: int, alpha: float, beta: float, x):
 
 
 def density_via_roots(rootset: JacobiRootSet, x):
-    """f(x) = sqrt(sum_k r_k / (x^2 + r_k)^2); scalar or array x."""
+    """f(x) = sqrt(sum_k r_k / (x^2 + r_k)^2); scalar or array x, f(+-inf) = 0, NaN raises."""
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ParameterDomainError("density is undefined at x = nan")
     scalar = x.ndim == 0
     x2 = np.atleast_1d(x) ** 2
     r = rootset.r

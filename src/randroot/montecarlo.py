@@ -55,9 +55,9 @@ class SampledPolynomial:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or len(c) < 2:
             raise ParameterDomainError("need at least two coefficients")
-        scale = np.abs(c).max()
-        if scale == 0.0:
-            raise ParameterDomainError("zero polynomial")
+        scale = np.abs(c).max()  # NaN if any coefficient is
+        if not 0.0 < scale < math.inf:
+            raise ParameterDomainError(f"need finite coefficients, not all zero, got {c!r}")
         c = c / scale
         c.flags.writeable = False
         return cls(None, len(c) - 1, c)
@@ -155,10 +155,11 @@ def jensen_root_bound(p: SampledPolynomial, r: float, R: float) -> float:
 
     Circle maxima are taken over a uniform angular grid (the maximum-modulus
     principle puts them on the circle); if the bound lands within 0.5 of the
-    observed count the grid is refined 4x once.
+    observed count the grid is refined 4x once.  A bound past the double range
+    raises ``NumericError``.
     """
-    if not 0 < r < R:
-        raise ParameterDomainError(f"need 0 < r < R, got ({r!r}, {R!r})")
+    if not 0 < r < R < math.inf:
+        raise ParameterDomainError(f"need 0 < r < R < inf, got ({r!r}, {R!r})")
     desc = p.coeffs[::-1]
     denominator = math.log((R * R + r * r) / (2.0 * R * r))
 
@@ -167,10 +168,12 @@ def jensen_root_bound(p: SampledPolynomial, r: float, R: float) -> float:
         ring = np.exp(1j * theta)
         max_r = float(np.abs(np.polyval(desc, r * ring)).max())
         max_big = float(np.abs(np.polyval(desc, R * ring)).max())
-        return math.log(max_big / max_r) / denominator
+        return math.log(max_big / max_r) / denominator if max_r > 0.0 else math.inf
 
     bound = bound_at(JENSEN_GRID)
     observed = int((np.abs(np.roots(desc)) <= r).sum())
     if bound - observed < 0.5:
         bound = bound_at(4 * JENSEN_GRID)
+    if not math.isfinite(bound):
+        raise NumericError(f"Jensen bound at r = {r!r}, R = {R!r} does not fit in a double")
     return bound

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterDomainError, _check_integer
+from .errors import NumericError, ParameterDomainError, _check_integer
 from .families import alpha_beta_family, coefficient_table, gamma_family, reciprocal_table
 from .jacobi import density_endpoints, log_variance_via_jacobi
 from .kacrice import _table_kernel, expected_roots_interval, kernel
@@ -137,16 +137,20 @@ def derivative_recurrence_residual(n: int, alpha: float, beta: float, x):
     - 2*(1-x^2)*(n+a)*(n+b)*M_{n-1}(x), with M_n' = 2*B_n taken analytically.
     (The asymmetry term carries the factor n: differentiating
     (1-x^2)^n J_n((1+x^2)/(1-x^2)) and eliminating J_n' leaves n*(b-a), as
-    brute-force expansion at small n confirms.)  Scalar or array x > 0; a
-    scalar x gives a float.
+    brute-force expansion at small n confirms.)  Scalar or array finite x > 0, a
+    scalar giving a float; a residual past the double range raises NumericError.
     """
     _check_integer(n, 2)
     arr = np.asarray(x, dtype=float)
     xs = np.atleast_1d(arr).ravel()
-    if not (xs > 0).all():
-        raise ParameterDomainError(f"need x > 0, got {x!r}")
+    if not ((xs > 0) & (xs < math.inf)).all():
+        raise ParameterDomainError(f"need finite x > 0, got {x!r}")
     family = alpha_beta_family(alpha, beta)
-    residual = _recurrence_residual(n, alpha, beta, xs, lambda m: kernel(family, m).rows(xs))
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the double range raises below
+        residual = _recurrence_residual(n, alpha, beta, xs, lambda m: kernel(family, m).rows(xs))
+    if not np.isfinite(residual).all():
+        bad = float(xs[~np.isfinite(residual)][0])
+        raise NumericError(f"recurrence residual at x = {bad!r} does not fit in a double")
     return float(residual[0]) if arr.ndim == 0 else residual.reshape(arr.shape)
 
 

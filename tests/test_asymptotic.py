@@ -1,13 +1,10 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
 from randroot.asymptotic import (
-    alpha_beta_ratio_check,
     concentration_params,
-    entropy_terms,
     leading_order,
     log_gram_approx,
     log_variance_approx,
@@ -34,41 +31,14 @@ def exact_log_variance(gamma, n, x):
 # entropy / saddle point
 # ---------------------------------------------------------------------------
 
-def test_entropy_terms_symmetric_point():
-    terms = entropy_terms(0.5, 1.0, 1.0)
-    assert terms.entropy == pytest.approx(math.log(2.0), rel=1e-15)
-    assert terms.action == pytest.approx(math.log(2.0), rel=1e-15)
-    assert terms.action_prime == 0.0
-    assert terms.action_double_prime == -4.0
-
-
-def test_entropy_terms_against_high_precision():
-    mp.mp.dps = 40
-    t, g, x = mp.mpf("0.25"), mp.mpf(2), mp.mpf("0.5")
-    entropy = -t * mp.log(t) - (1 - t) * mp.log(1 - t)
-    action = g * entropy + t * mp.log(x)
-    got = entropy_terms(0.25, 2.0, 0.5)
-    assert got.entropy == pytest.approx(float(entropy), rel=1e-15)
-    assert got.action == pytest.approx(float(action), rel=1e-15)
-    assert got.action_prime == pytest.approx(float(g * mp.log((1 - t) / t) + mp.log(x)), rel=1e-15)
-    assert got.action_double_prime == pytest.approx(float(-g / (t * (1 - t))), rel=1e-15)
-
-
 def test_action_prime_vanishes_at_saddle():
     rng = np.random.Generator(np.random.Philox(key=3))
     for _ in range(25):
         gamma = float(rng.uniform(0.2, 3.0))
         x = float(rng.uniform(0.05, 1.0))
         t = concentration_params(gamma, x, 100).t
-        assert abs(entropy_terms(t, gamma, x).action_prime) < 1e-14
-
-
-def test_entropy_terms_domain():
-    for bad_t in (0.0, 1.0, -0.1):
-        with pytest.raises(ParameterDomainError):
-            entropy_terms(bad_t, 1.0, 0.5)
-    with pytest.raises(ParameterDomainError):
-        entropy_terms(0.5, 1.0, 0.0)
+        # J'(t) = gamma*ln((1 - t)/t) + ln x vanishes at the saddle
+        assert abs(gamma * math.log((1.0 - t) / t) + math.log(x)) < 1e-14
 
 
 def test_concentration_params_pinned_values():
@@ -188,26 +158,3 @@ def test_scaling_fit_validation():
         scaling_fit(elliptic(), [25, 100, 100, 400])  # not strictly increasing
     with pytest.raises(ParameterDomainError):
         scaling_fit(elliptic(), [1, 100, 200, 400])  # no leading order at n = 1
-
-
-# ---------------------------------------------------------------------------
-# alpha/beta coefficient ratio diagnostic
-# ---------------------------------------------------------------------------
-
-def test_ratio_check_trivial_and_symmetric_midpoint():
-    exact, approx = alpha_beta_ratio_check(0.0, 0.0, 64, 17)
-    assert exact == pytest.approx(1.0, rel=1e-12)
-    assert approx == pytest.approx(1.0, rel=1e-15)
-    # midpoint of (1,1) at n=200: exact (201/101)^2, approximant exp(2 ln 2) = 4
-    exact, approx = alpha_beta_ratio_check(1.0, 1.0, 200, 100)
-    assert exact == pytest.approx((201.0 / 101.0) ** 2, rel=1e-10)
-    assert approx == pytest.approx(4.0, rel=1e-14)
-    assert abs(exact / approx - 1.0) < 0.10
-
-
-def test_ratio_check_reports_both_values():
-    exact, approx = alpha_beta_ratio_check(2.0, 0.0, 500, 250)
-    assert exact > 0 and approx > 0
-    assert math.isfinite(exact) and math.isfinite(approx)
-    with pytest.raises(ParameterDomainError):
-        alpha_beta_ratio_check(1.0, 0.0, 10, 0)

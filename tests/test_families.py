@@ -7,11 +7,11 @@ import pytest
 
 from randroot.errors import ParameterDomainError
 from randroot.families import (
+    PolynomialClass,
     _lgamma_shifted,
     alpha_beta_family,
     coefficient_table,
     elliptic,
-    equilibrium_fraction,
     gamma_family,
     kac,
     legendre,
@@ -212,16 +212,6 @@ def test_gamma_family_end_coefficients_are_exactly_one(gamma, n):
     assert log_sq[0] == 0.0 and log_sq[n] == 0.0
 
 
-def test_equilibrium_fraction():
-    assert equilibrium_fraction(1.0) == 0.5
-    assert equilibrium_fraction(3.0) == 0.75
-    assert equilibrium_fraction(0.25) == pytest.approx(0.2, rel=1e-15)
-    with pytest.raises(ParameterDomainError):
-        equilibrium_fraction(0.0)
-    with pytest.raises(ParameterDomainError):
-        equilibrium_fraction(-2.0)
-
-
 def test_parameter_domain_validation():
     with pytest.raises(ParameterDomainError):
         gamma_family(-0.1)
@@ -231,6 +221,12 @@ def test_parameter_domain_validation():
         alpha_beta_family(0.0, -1.5)
     with pytest.raises(ParameterDomainError):
         coefficient_table(kac(), 0)
+
+
+def test_unknown_family_kind_is_rejected():
+    # the kind must be a FamilyKind: its string value alone is not one
+    with pytest.raises(ParameterDomainError, match="unknown family kind 'gamma'"):
+        PolynomialClass("gamma", gamma=1.0)
 
 
 def test_tables_are_immutable():
