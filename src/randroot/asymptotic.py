@@ -55,7 +55,11 @@ class ConcentrationParams:
 
 
 def concentration_params(gamma: float, x: float, n: float) -> ConcentrationParams:
-    """The Laplace point at a finite gamma > 0, 0 < x <= 1 and a finite real n >= 1."""
+    """The Laplace point at a finite gamma > 0, 0 < x <= 1 and a finite real n >= 1.
+
+    Where x^(1/gamma) underflows to 0, t and the width would be 0, whose log
+    the approximants take: that raises ``NumericError``.
+    """
     if not 0.0 < gamma < math.inf:
         raise ParameterDomainError(f"need finite gamma > 0, got {gamma!r}")
     if not 0.0 < x <= 1.0:
@@ -63,13 +67,16 @@ def concentration_params(gamma: float, x: float, n: float) -> ConcentrationParam
     if not 1.0 <= n < math.inf:
         raise ParameterDomainError(f"need a finite real n >= 1, got {n!r}")
     power = x ** (1.0 / gamma)
+    if power == 0.0:
+        raise NumericError(f"x^(1/gamma) underflows to 0 at x = {x!r}, gamma = {gamma!r}: no Laplace point")
     t = power / (1.0 + power)
     width = n * power / (gamma * (1.0 + power) ** 2)
     return ConcentrationParams(gamma, x, n, t, int(math.floor(n * t)), width)
 
 
-def _in_window(gamma: float, n: int, x: float) -> bool:
-    return x >= math.log(n) ** (4.0 * gamma) / n**gamma
+def _in_window(gamma: float, n: float, x: float) -> bool:
+    """x >= (log n)^(4 gamma) / n^gamma, compared in logs, where neither power overflows."""
+    return n == 1.0 or math.log(x) >= gamma * (4.0 * math.log(math.log(n)) - math.log(n))
 
 
 def _log_binom(n: float, k: float) -> float:

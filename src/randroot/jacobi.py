@@ -219,14 +219,20 @@ def log_variance_via_jacobi(n: int, alpha: float, beta: float, x):
 
 
 def density_via_roots(rootset: JacobiRootSet, x):
-    """f(x) = sqrt(sum_k r_k / (x^2 + r_k)^2); scalar or array x, f(+-inf) = 0, NaN raises."""
+    """f(x) = sqrt(sum_k r_k / (x^2 + r_k)^2); scalar or array x, f(+-inf) = 0, NaN raises.
+
+    Past |x| = 1 the sum is taken as y^2 sqrt(sum_k r_k / (1 + r_k y^2)^2) at
+    y = 1/|x|, so no square overflows at a huge finite x.
+    """
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ParameterDomainError("density is undefined at x = nan")
     scalar = x.ndim == 0
-    x2 = np.atleast_1d(x) ** 2
+    ax = np.abs(np.atleast_1d(x))
+    outer = ax > 1.0
+    x2, y2 = np.where(outer, 1.0, ax) ** 2, (1.0 / np.where(outer, ax, 1.0)) ** 2
     r = rootset.r
-    f = np.sqrt((r[None, :] / (x2[:, None] + r[None, :]) ** 2).sum(axis=1))
+    f = y2 * np.sqrt((r[None, :] / (x2[:, None] + r[None, :] * y2[:, None]) ** 2).sum(axis=1))
     return float(f[0]) if scalar else f.reshape(x.shape)
 
 

@@ -293,21 +293,29 @@ def _end_rows(end: tuple, y: np.ndarray) -> tuple[np.ndarray, ...]:
     return la + y * s, s, np.full_like(y, g), amb + 4.0 * (y * math.exp(0.5 * r_next)) ** 2
 
 
+# A root count's quadrature starts from panels split at these s, which widen
+# away from s = 0 (|x| = 1), where g varies fastest.
+_SPLITS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+
 class Kernel(NamedTuple):
     """Array kernels of one family at one degree, through its one evaluator (``_evaluator``).
 
     ``rows`` gives (log M, B/M, f, log(A*M - B^2)) and ``density`` f alone at
     any x >= 0; ``spread`` gives g = x f at x = e^-s for s strictly between
-    ``edges`` = (s_high, s_low), past which g is e^-20 e^-|s - edge|.
+    ``edges`` = (s_high, s_low), past which g is e^-20 e^-|s - edge|.  A root
+    count's first panels are cut at the increasing ``splits`` that lie inside
+    its leg.
     """
 
     rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     density: Callable[[np.ndarray], np.ndarray]
     spread: Callable[[np.ndarray], np.ndarray]
     edges: tuple[float, float]
+    splits: tuple[float, ...]
 
 
-def _evaluator(moments: Callable, n: int, low: tuple, high: tuple) -> Kernel:
+def _evaluator(moments: Callable, n: int, low: tuple, high: tuple, splits: tuple) -> Kernel:
     """The one evaluator of a family: ``moments`` at ln x, served to x and to s.
 
     ``moments(lx)`` gives g, and ``moments(lx, xs, rows)`` the rows or f at
@@ -355,7 +363,7 @@ def _evaluator(moments: Callable, n: int, low: tuple, high: tuple) -> Kernel:
             raise NumericError(f"f or B/M at x = {float(xs[~finite][0])!r} does not fit in a double")
         return out
 
-    return Kernel(evaluate, partial(evaluate, rows=False), lambda s: moments(-s), (s_high, s_low))
+    return Kernel(evaluate, partial(evaluate, rows=False), lambda s: moments(-s), (s_high, s_low), splits)
 
 
 def _table_kernel(table: CoefficientTable) -> Kernel:
@@ -363,7 +371,7 @@ def _table_kernel(table: CoefficientTable) -> Kernel:
     low = (c.la[0], c.right[1], c.right[2], 2.0 * c.la[0] + c.right[1])
     # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x: both ends take one constant
     amb = low[3] if table.n == 1 else 2.0 * c.la[-1] + c.left[-2]
-    return _evaluator(partial(_moments, c), table.n, low, (c.la[-1], c.left[-2], c.left[-3], amb))
+    return _evaluator(partial(_moments, c), table.n, low, (c.la[-1], c.left[-2], c.left[-3], amb), _SPLITS)
 
 
 def _triple(x: float, rows: tuple[np.ndarray, ...]) -> KacRiceTriple:
@@ -501,7 +509,12 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
 def _kac_kernel(n: int) -> Kernel:
     _check_integer(n)
     end = (0.0, 0.0, 0.0 if n > 1 else -math.inf, 0.0)  # every a_i^2 = 1: each log and ratio is 0
-    return _evaluator(partial(_kac_moments, n), n, end, end)
+    # g peaks at s = 0 with a width of about 1/(n+1): the first panels step
+    # down to it at s = +-2^-k for every 2^-k >= 2/(n+1), so no round of
+    # bisections is spent halving its way there
+    ladder = [2.0 ** -k for k in range(1, (n + 1).bit_length() - 1)]
+    splits = tuple(sorted((*_SPLITS, *ladder, *(-h for h in ladder))))
+    return _evaluator(partial(_kac_moments, n), n, end, end, splits)
 
 
 def kac_density(n: int, x) -> float | np.ndarray:
@@ -533,25 +546,23 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
 # expected root counts
 # ---------------------------------------------------------------------------
 
-# Every leg's quadrature starts from panels split at these s, which widen away
-# from s = 0 (|x| = 1), where g varies fastest: the Kac peak there is 1/n wide.
-_SPLITS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 _TAIL = math.exp(-0.5 * _EDGE_LOG)  # g at either edge, and its integral over s past it
 
 
 def _legs(a: float, b: float, symmetric: bool) -> Counter[tuple[float, float]]:
-    """Decompose (a, b) into legs (s1, s2) of s = -ln |x|, none across s = 0, counted.
+    """Decompose (a, b) into legs (s1, s2) of s = -ln |x|, counted.
 
-    f is even in x, and a symmetric family's g is even in s, so its legs at
-    s < 0 fold onto s > 0: the full line is (0, inf) four times for a
-    symmetric family, and (-inf, 0) and (0, inf) twice each otherwise.
+    f is even in x, so each side of x = 0 is one leg, across s = 0 if it
+    holds |x| = 1.  A symmetric family's g is even in s, so its legs are cut
+    at s = 0 and those at s < 0 fold onto s > 0: the full line is (0, inf)
+    four times for a symmetric family, and (-inf, inf) twice otherwise.
     """
     legs: Counter[tuple[float, float]] = Counter()
     for lo, hi in ((max(-b, 0.0), -a), (max(a, 0.0), b)):
         if lo < hi:
             s1 = -math.log(hi) if hi < math.inf else -math.inf
             s2 = -math.log(lo) if lo > 0.0 else math.inf
-            for leg in ((s1, min(s2, 0.0)), (max(s1, 0.0), s2)):
+            for leg in ((s1, min(s2, 0.0)), (max(s1, 0.0), s2)) if symmetric else ((s1, s2),):
                 if leg[0] < leg[1]:
                     legs[(abs(leg[1]), abs(leg[0])) if symmetric and leg[1] <= 0.0 else leg] += 1
     return legs
@@ -575,7 +586,7 @@ def _integrate_legs(k: Kernel, symmetric: bool, a: float, b: float, tol: float) 
         lo, hi = max(s1, s_high), min(s2, s_low)
         if lo < hi:
             leg = leg + adaptive_quadrature(lambda s: k.spread(s) / math.pi, lo, hi, tol=per_leg,
-                                            splits=[p for p in _SPLITS if lo < p < hi])
+                                            splits=[p for p in k.splits if lo < p < hi])
         total = total + QuadratureResult(count * leg.value, count * leg.abs_error_estimate,
                                          leg.evaluations, leg.converged)
     return total

@@ -87,13 +87,18 @@ def run_suite(level: str) -> list[tuple[str, bool, str]]:
     return [(name, *fn(params, table, kernel_of, rows)) for name, fn in checks]
 
 
+def _worst(*deviations: float) -> float:
+    """The largest deviation, NaN if any is NaN, where Python's ``max`` may drop it: a check fails on it."""
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+
+
 def _check_variance_identity(params, table, kernel, rows) -> tuple[bool, str]:
     worst = 0.0
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["identity_n"]:
             via_jacobi = log_variance_via_jacobi(n, alpha, beta, np.array(_X_GRID))
-            worst = max(worst, float(np.abs(np.expm1(via_jacobi - rows(family, n, _X_GRID)[0])).max()))
+            worst = _worst(worst, float(np.abs(np.expm1(via_jacobi - rows(family, n, _X_GRID)[0])).max()))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 
@@ -118,7 +123,7 @@ def _check_gram_identity(params, table, kernel, rows) -> tuple[bool, str]:
                    + [alpha_beta_family(*ab) for ab in params["ab_grid"][:3]]):
         for n in params["gram_n"]:
             brute = _brute_gram(table(family, n).log_sq_coeff, _GRAM_X)
-            worst = max(worst, float(np.abs(np.expm1(rows(family, n, _GRAM_X)[3] - brute)).max()))
+            worst = _worst(worst, float(np.abs(np.expm1(rows(family, n, _GRAM_X)[3] - brute)).max()))
     return worst < 1e-11, f"worst rel dev {worst:.3e} (tol 1e-11)"
 
 
@@ -161,7 +166,7 @@ def _check_recurrence(params, table, kernel, rows) -> tuple[bool, str]:
         for n in params["recurrence_n"]:
             residual = _recurrence_residual(n, alpha, beta, np.array(_RECURRENCE_X),
                                             lambda m: rows(family, m, _RECURRENCE_X))
-            worst = max(worst, float(residual.max()))
+            worst = _worst(worst, float(residual.max()))
     return worst < 1e-9, f"worst residual {worst:.3e} (tol 1e-9)"
 
 
@@ -173,7 +178,7 @@ def _check_endpoints(params, table, kernel, rows) -> tuple[bool, str]:
             at_0 = float(kernel(family, n).density(np.zeros(1))[0])
             at_1 = float(rows(family, n, (1.0,))[2, 0])
             f0, f1 = density_endpoints(n, alpha, beta)
-            worst = max(worst, abs(at_0 / f0 - 1.0), abs(at_1 / f1 - 1.0))
+            worst = _worst(worst, abs(at_0 / f0 - 1.0), abs(at_1 / f1 - 1.0))
     return worst < 1e-10, f"worst rel dev {worst:.3e} (tol 1e-10)"
 
 
@@ -185,7 +190,7 @@ def _check_envelope(params, table, kernel, rows) -> tuple[bool, str]:
         for n in params["envelope_n"]:
             f = rows(family, n, _ENVELOPE_X)[2]
             envelope = np.sqrt(n) / (2.0 * xs)
-            worst = max(worst, float((f / envelope).max()) - 1.0)
+            worst = _worst(worst, float((f / envelope).max()) - 1.0)
             # sandwich on [0, 1] and monotone decay on (0, inf)
             f0, f1 = density_endpoints(n, alpha, alpha)
             inside = xs <= 1.0
@@ -222,5 +227,5 @@ def _check_reciprocity(params, table, kernel, rows) -> tuple[bool, str]:
             f = kernel(family, n).density
             outer = expected_roots_interval(reciprocal_table(table(family, n)), 0.0, 1.0, tol)
             sub = adaptive_quadrature(lambda us: f(1.0 / us) / (math.pi * us * us), 0.0, 1.0, tol)
-            worst = max(worst, abs(outer.value - sub.value))
+            worst = _worst(worst, abs(outer.value - sub.value))
     return worst < 10 * tol, f"worst |E(1,inf) - E(u = 1/x)| = {worst:.3e} (tol {10 * tol:g})"

@@ -10,7 +10,7 @@ from randroot.asymptotic import (
     log_variance_approx,
     scaling_fit,
 )
-from randroot.errors import ParameterDomainError
+from randroot.errors import NumericError, ParameterDomainError
 from randroot.families import (
     alpha_beta_family,
     coefficient_table,
@@ -89,6 +89,19 @@ def test_validity_window_flag():
     assert not log_variance_approx(1.0, 1000, 0.5).in_validity_window
     assert log_variance_approx(1.0, 10**5, 0.5).in_validity_window
     assert not log_variance_approx(1.0, 10**4, 0.5).in_validity_window
+    # n^gamma and (ln n)^(4 gamma) past the double range flag the point, not overflow
+    for approx in (log_variance_approx(1000.0, 10, 0.5), log_gram_approx(1000.0, 10, 1.0)):
+        assert math.isfinite(approx.log_value) and not approx.in_validity_window
+    assert log_variance_approx(1000.0, 1, 0.5).in_validity_window  # (ln 1)^(4 gamma) = 0
+
+
+@pytest.mark.parametrize("approx", [log_variance_approx, log_gram_approx])
+def test_approximants_name_x_where_the_laplace_point_underflows(approx):
+    # x^(1/gamma) = 0.5^(1e300) is 0 in a double: t and the width would be 0,
+    # and their log a bare "math domain error"
+    with pytest.raises(NumericError, match=r"x = 0\.5"):
+        approx(1e-300, 10, 0.5)
+    assert math.isfinite(approx(1e-300, 10, 1.0).log_value)  # 1^(1/gamma) = 1
 
 
 def test_gram_approx_squared_prefactor_matches_exact():

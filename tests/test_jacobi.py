@@ -317,6 +317,18 @@ def test_density_via_roots_pinned_values():
     assert density_via_roots(rs, 1.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
 
 
+def test_density_via_roots_at_huge_x():
+    # past x ~ 1.2e77, (x^2 + r)^2 overflowed: a RuntimeWarning, and 0 in place
+    # of f ~ sqrt(sum r_k)/x^2 at 1e100; at 1e200 that limit is below the
+    # double range, and 0 is right
+    rs = jacobi_roots(10, 0.0, 0.0)
+    tail = math.sqrt(math.fsum(rs.r.tolist()))
+    for x in (1e20, 1e100, -1e150):
+        assert density_via_roots(rs, x) == pytest.approx(tail / (x * x), rel=1e-14)
+    assert density_via_roots(rs, 1e200) == 0.0
+    np.testing.assert_array_equal(density_via_roots(rs, [1e200, -1e300, math.inf]), 0.0)
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.5, 2.0), (-0.5, -0.5)])
 def test_density_via_roots_cross_route(alpha, beta):
     family = alpha_beta_family(alpha, beta)

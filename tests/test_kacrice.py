@@ -479,7 +479,8 @@ def test_interval_full_line_elliptic(monkeypatch):
     assert res.value == pytest.approx(10.0, abs=2e-9)
     # each distinct leg is integrated once, in s = -ln |x| up to the edge where
     # the limit rows take over: a symmetric family's legs at |x| > 1 fold onto
-    # |x| < 1, so the full line and (-1, 1) are one leg each
+    # |x| < 1, so the full line and (-1, 1) are one leg each; any other
+    # family's full line is one leg across s = 0
     expected_roots_interval(table, -1.0, 1.0, tol=1e-9)
     expected_roots_real_line_result(gamma_family(1.0), 20)
     edges = [kr._table_kernel(coefficient_table(f, n)).edges
@@ -487,7 +488,7 @@ def test_interval_full_line_elliptic(monkeypatch):
     assert calls == [(0.0, edges[0][1])] * 2 + [(0.0, edges[1][1])]
     calls.clear()
     expected_roots_real_line_result(alpha_beta_family(0.5, 2.0), 20)
-    assert calls == [(edges[2][0], 0.0), (0.0, edges[2][1])]
+    assert calls == [edges[2]]
 
 
 def test_interval_composition_and_symmetry():
@@ -621,9 +622,10 @@ def test_large_gamma_counts_against_30_digit_direct_sums():
 def test_kac_at_n_10_to_the_12_against_its_asymptotic_constant():
     # (2/pi) ln n + C1, C1 = 0.625735807205270 (Edelman & Kostlan 1995,
     # section 3), with an O(1/n) rest below 1e-12.  The peak at x = 1 is 1/n
-    # wide: bisection in x took 103995 evaluations and landed 2e-11 off.
+    # wide: bisection in x took 103995 evaluations and landed 2e-11 off, and
+    # first panels that met the peak only by bisection took 1260.
     res = expected_roots_real_line_result(kac(), 10**12)
-    assert res.converged and res.evaluations <= 2000
+    assert res.converged and res.evaluations <= 690
     assert abs(res.value - 18.216190180311536) < 1e-11
 
 
@@ -730,7 +732,7 @@ def test_density_log_m_against_30_digit_sums(family, n):
 
 @pytest.mark.parametrize("family,n,value,evaluations", [
     (gamma_family(1.0), 4000, 88.788419341846094, 270),
-    (alpha_beta_family(0.5, 2.0), 2000, 62.217158065140836, 450),
+    (alpha_beta_family(0.5, 2.0), 2000, 62.217158065140836, 420),
     (elliptic(), 3000, 54.77225575051645, 120),
     (gamma_family(1.0), 10**6, 1413.5540479400981, 345),
 ], ids=lambda v: v.label() if hasattr(v, "label") else None)
@@ -742,14 +744,8 @@ def test_counts_pinned_value_and_evaluations(family, n, value, evaluations):
     assert abs(res.value - value) <= 4 * np.spacing(value)
 
 
-@pytest.mark.parametrize("family,n,calls", [
-    (gamma_family(1.0), 4000, [4]),
-    (alpha_beta_family(0.5, 2.0), 2000, [3, 4]),
-    (elliptic(), 3000, [2]),
-    (gamma_family(20.0), 100, [8]),
-], ids=lambda v: v.label() if hasattr(v, "label") else None)
-def test_counts_pinned_integrand_calls(monkeypatch, family, n, calls):
-    # integrand calls per leg: one for the first panels, one per round of bisections
+def _integrand_calls(monkeypatch) -> list[int]:
+    """The integrand calls of each leg the counts make from here on, one entry per leg."""
     import randroot.kacrice as kr
 
     legs = []
@@ -764,8 +760,50 @@ def test_counts_pinned_integrand_calls(monkeypatch, family, n, calls):
         return quad(g, *args, **kwargs)
 
     monkeypatch.setattr(kr, "adaptive_quadrature", counted)
+    return legs
+
+
+@pytest.mark.parametrize("family,n,calls", [
+    (gamma_family(1.0), 4000, [4]),
+    (alpha_beta_family(0.5, 2.0), 2000, [3]),
+    (elliptic(), 3000, [2]),
+    (gamma_family(20.0), 100, [8]),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_counts_pinned_integrand_calls(monkeypatch, family, n, calls):
+    # integrand calls per leg: one for the first panels, one per round of bisections
+    legs = _integrand_calls(monkeypatch)
     assert expected_roots_real_line_result(family, n).converged
     assert legs == calls
+
+
+@pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**12])
+def test_kac_first_panels_meet_the_peak(monkeypatch, n):
+    # the Kac g peaks 1/n wide at s = 0, and the kernel's splits step down to
+    # it, so no count spends a round per halving on the way there: at most one
+    # call for the first panels and one round per leg, on the full line and
+    # on intervals that hold or touch |x| = 1 (one round per halving took 20
+    # calls at n = 10^6)
+    import randroot.kacrice as kr
+
+    k = kr.kernel(kac(), n)
+    ladder = [p for p in k.splits if 0.0 < p < 1.0]
+    assert min(ladder) >= 2.0 / (n + 1) > 0.5 * min(ladder)
+    assert sorted(-p for p in k.splits) == list(k.splits)
+    assert set(kr._SPLITS) <= set(k.splits)
+    legs = _integrand_calls(monkeypatch)
+    for a, b in ((-math.inf, math.inf), (0.0, 1.0), (0.5, 2.0), (1.0, math.inf)):
+        assert expected_roots_interval_result(kac(), n, a, b).converged
+    assert legs and max(legs) <= 2, legs
+
+
+def test_table_kernels_split_where_they_did():
+    # only the Kac kernel adds splits: every table kernel keeps the fixed ones
+    import randroot.kacrice as kr
+
+    for family in (gamma_family(1.0), elliptic(), alpha_beta_family(0.5, 2.0), legendre()):
+        for n in (1, 50, 4000):
+            assert kr.kernel(family, n).splits == kr._SPLITS
+    assert kr.kernel(kac(), 2).splits == kr._SPLITS  # no 2^-k >= 2/3
 
 
 def test_unreachable_tolerance_fills_the_evaluation_budget(monkeypatch):
@@ -822,6 +860,6 @@ def test_kernel_blocks_stay_in_the_budget(monkeypatch):
         for rows, h in shapes:
             assert rows // 2 * h <= kr._BUDGET or rows == 2, (family.label(), n, rows, h)
         if n == 4000:
-            s_low = kr.kernel(family, n).edges[1]
-            first = 1 + sum(0.0 < p < s_low for p in kr._SPLITS)
+            k = kr.kernel(family, n)
+            first = 1 + sum(0.0 < p < k.edges[1] for p in k.splits)
             assert shapes[0][0] == 2 * 15 * first

@@ -268,9 +268,9 @@ def test_rounds_match_the_oracle_on_root_counts(monkeypatch):
                       (elliptic(), 3000), (kac(), 10**6), (kac(), 10**9), (kac(), 10**12),
                       (gamma_family(20.0), 100), (gamma_family(5.0), 20_000)]:
         assert kr.expected_roots_real_line_result(family, n).converged
-    # one leg per count, two for alpha/beta; x-legs took 103995 evaluations
-    # for Kac at n = 10^12, and never converged at gamma = 20 or 5
-    assert len(legs) == 9 and max(legs[4:7]) <= 2000 and max(legs) < 5000
+    # one leg per count, the alpha/beta one across s = 0; x-legs took 103995
+    # evaluations for Kac at n = 10^12, and never converged at gamma = 20 or 5
+    assert len(legs) == 8 and max(legs[3:6]) <= 2000 and max(legs) < 5000
 
 
 def _lorentzians(rng):

@@ -67,6 +67,10 @@ def _reverse_density(log_m, s1, f, log_amb):
     return log_m, s1, f[::-1], log_amb
 
 
+def _nan_ratio(log_m, s1, f, log_amb):
+    return log_m, np.full_like(s1, math.nan), f, log_amb
+
+
 _CHECKS = ["variance_jacobi_identity", "gram_double_sum_identity", "derivative_recurrence", "density_endpoints",
            "density_envelope", "density_symmetry", "quadrature_reciprocity"]
 
@@ -84,6 +88,7 @@ def _failing(out):
     (_scale_ratio, {"derivative_recurrence"}),  # a shift of log M alone cancels in M_(n-1)/M_n
     (_scale_density, {"density_endpoints", "quadrature_reciprocity"}),
     (_reverse_density, {"density_endpoints", "density_envelope", "quadrature_reciprocity"}),
+    (_nan_ratio, {"derivative_recurrence"}),  # a NaN deviation fails; max(0.0, nan) kept 0.0
 ])
 def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, capsys):
     build = verify._table_kernel
