@@ -506,15 +506,19 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     return log_m, s1, f, 2.0 * (log_m + log_f)
 
 
+@lru_cache(maxsize=32)
+def _kac_splits(bits: int) -> tuple[float, ...]:
+    """``_SPLITS`` with s = +-2^-k for every 2^-k >= 2/(n+1), where bits = (n+1).bit_length()."""
+    ladder = [2.0 ** -k for k in range(1, bits - 1)]
+    return tuple(sorted((*_SPLITS, *ladder, *(-h for h in ladder))))
+
+
 def _kac_kernel(n: int) -> Kernel:
     _check_integer(n)
     end = (0.0, 0.0, 0.0 if n > 1 else -math.inf, 0.0)  # every a_i^2 = 1: each log and ratio is 0
     # g peaks at s = 0 with a width of about 1/(n+1): the first panels step
-    # down to it at s = +-2^-k for every 2^-k >= 2/(n+1), so no round of
-    # bisections is spent halving its way there
-    ladder = [2.0 ** -k for k in range(1, (n + 1).bit_length() - 1)]
-    splits = tuple(sorted((*_SPLITS, *ladder, *(-h for h in ladder))))
-    return _evaluator(partial(_kac_moments, n), n, end, end, splits)
+    # down to it, so no round of bisections is spent halving its way there
+    return _evaluator(partial(_kac_moments, n), n, end, end, _kac_splits((n + 1).bit_length()))
 
 
 def kac_density(n: int, x) -> float | np.ndarray:

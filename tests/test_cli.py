@@ -126,10 +126,10 @@ def test_density_past_the_double_range_exits_three(capsys):
 
 def test_mc_eigen_solve_failure_exits_three(capsys, monkeypatch):
     # a companion eigen-solve that does not converge stops the run; it is not redrawn
-    def fail(coeffs):
+    def fail(companions):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np, "roots", fail)
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
     code, out, err = run_cli(capsys, "mc", "--class", "gamma", "--gamma", "1", "--n", "20",
                              "--trials", "5")
     assert code == 3

@@ -221,7 +221,8 @@ def test_numpy_integer_trials_are_accepted():
 
 def test_unpaired_complex_root_raises(monkeypatch):
     # degree 3 with no real root: a complex root without its conjugate
-    monkeypatch.setattr(montecarlo.np, "roots", lambda c: np.array([1j, -1j, 2.0 + 1j]))
+    monkeypatch.setattr(montecarlo, "_companion_roots",
+                        lambda c: np.tile([1j, -1j, 2.0 + 1j], (len(c), 1)))
     with pytest.raises(NumericError, match="not paired"):
         count_real_roots(poly(1.0, 2.0, 3.0, 4.0))
     with pytest.raises(NumericError, match="trial 0: 0 real roots at degree 3"):
@@ -237,6 +238,123 @@ def test_leading_coefficient_below_floor_raises_not_redraws():
                 if abs(_draw_coefficients(log_weight, _trial_rng(s, 0))[-1]) < LEADING_COEFF_FLOOR)
     with pytest.raises(NumericError, match="trial 0: leading coefficient"):
         mc_expected_roots(gamma_family(1.0), 1000, 3, seed)
+
+
+def _chunk(n: int) -> int:
+    return max(1, montecarlo._CHUNK_ENTRIES // (n * n))
+
+
+def _plant(monkeypatch, family, n, seed, floor=(), unpaired=(), failed=()):
+    """Make the given trials of (family, n, seed) fail: a zero leading coefficient,
+    n - 1 real roots from the stacked solve, or an eigen-solve that raises."""
+    log_weight = 0.5 * montecarlo._log_sq_array(family, n)
+    rows = {t: _draw_coefficients(log_weight, _trial_rng(seed, t)) for t in (*floor, *unpaired, *failed)}
+    rescaled, solve, eigvals = montecarlo._rescaled, montecarlo._companion_roots, np.linalg.eigvals
+
+    def matching(coeffs, trials):
+        return [i for i, c in enumerate(coeffs) if any(np.array_equal(c, rows[t]) for t in trials)]
+
+    def planted_rescaled(xi, lw):
+        coeffs = rescaled(xi, lw)
+        coeffs[matching(coeffs, floor), -1] = 0.0
+        return coeffs
+
+    def planted_solve(coeffs):
+        roots = solve(coeffs)
+        roots[matching(coeffs, unpaired)] = [0.0] * (n - 1) + [1j]
+        return roots
+
+    companions = [np.diag(np.ones(n - 1), -1) for _ in failed]
+    for companion, t in zip(companions, failed):
+        companion[0] = -rows[t][-2::-1] / rows[t][-1]
+
+    def planted_eigvals(a):
+        if any(np.array_equal(m, c) for m in a for c in companions):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(montecarlo, "_rescaled", planted_rescaled)
+    monkeypatch.setattr(montecarlo, "_companion_roots", planted_solve)
+    monkeypatch.setattr(montecarlo.np.linalg, "eigvals", planted_eigvals)
+
+
+def _reference_summary(family, n, trials, seed):
+    """The summary from a fresh _trial_rng and one numpy.roots call per trial."""
+    log_weight = 0.5 * montecarlo._log_sq_array(family, n)
+    counts = []
+    for trial in range(trials):
+        coeffs = _draw_coefficients(log_weight, _trial_rng(seed, trial))
+        roots = np.roots(coeffs[::-1])
+        counts.append(int((np.abs(roots.imag) / np.maximum(1.0, np.abs(roots))
+                           <= montecarlo.REAL_AXIS_TOL).sum()))
+    counts = np.array(counts)
+    values, freqs = np.unique(counts, return_counts=True)
+    return montecarlo.McSummary(trials, float(counts.mean()),
+                                float(counts.std(ddof=1) / math.sqrt(trials)),
+                                {int(v): int(c) for v, c in zip(values, freqs)}, 0, seed)
+
+
+@pytest.mark.parametrize("family", [gamma_family(1.0), alpha_beta_family(0.5, 2.0), kac()],
+                         ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [1, 2, 20, 100])
+def test_mc_matches_one_numpy_roots_call_per_trial(monkeypatch, family, n):
+    # at n <= 2 a chunk would hold thousands of trials, so take smaller chunks there
+    if n <= 2:
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 64)
+    trials = 3 * _chunk(n) + _chunk(n) // 2 + 1  # past three chunks, ending mid-chunk
+    seed = 4000 + n
+    assert mc_expected_roots(family, n, trials, seed) == _reference_summary(family, n, trials, seed)
+
+
+def test_first_failing_trial_is_named_in_a_later_chunk(monkeypatch):
+    family, n, seed = gamma_family(1.0), 20, 77
+    late = 2 * _chunk(n) + 5  # in the third chunk
+    trials = 3 * _chunk(n)
+    with monkeypatch.context() as m:
+        _plant(m, family, n, seed, floor=[late, late + 3])
+        with pytest.raises(NumericError, match=f"^trial {late}: leading coefficient below trim threshold$"):
+            mc_expected_roots(family, n, trials, seed)
+    with monkeypatch.context() as m:
+        _plant(m, family, n, seed, unpaired=[late, late + 3])
+        with pytest.raises(NumericError, match=f"^trial {late}: 19 real roots at degree 20: complex roots not paired$"):
+            mc_expected_roots(family, n, trials, seed)
+    with monkeypatch.context() as m:
+        _plant(m, family, n, seed, failed=[late, late + 3])
+        with pytest.raises(NumericError, match=f"^trial {late}: companion eigen-solve failed: Eigenvalues did not"):
+            mc_expected_roots(family, n, trials, seed)
+
+
+@pytest.mark.parametrize("plants, message", [
+    ({"unpaired": [105], "floor": [110]}, "19 real roots at degree 20"),
+    ({"floor": [105], "unpaired": [110]}, "leading coefficient below trim threshold"),
+    ({"unpaired": [105], "failed": [110]}, "19 real roots at degree 20"),
+    ({"failed": [105], "unpaired": [110]}, "companion eigen-solve failed"),
+    ({"failed": [105], "floor": [110]}, "companion eigen-solve failed"),
+    ({"floor": [105], "failed": [110]}, "leading coefficient below trim threshold"),
+], ids=["unpaired-before-floor", "floor-before-unpaired", "unpaired-before-failed",
+        "failed-before-unpaired", "failed-before-floor", "floor-before-failed"])
+def test_earlier_failure_wins_within_a_chunk(monkeypatch, plants, message):
+    assert _chunk(20) > 110  # both trials in the first chunk
+    _plant(monkeypatch, gamma_family(1.0), 20, 78, **plants)
+    with pytest.raises(NumericError, match=f"^trial 105: {message}"):
+        mc_expected_roots(gamma_family(1.0), 20, 200, 78)
+
+
+def test_zero_low_order_coefficients_give_exact_zero_roots():
+    # x^2 (x^2 - 1) and x^2 (x^2 + 1): c_0 = c_1 = 0 give two exact zero roots
+    assert count_real_roots(poly(0.0, 0.0, -1.0, 0.0, 1.0)) == 4
+    assert count_positive_roots(poly(0.0, 0.0, -1.0, 0.0, 1.0)) == 1
+    assert count_real_roots(poly(0.0, 0.0, 1.0, 0.0, 1.0)) == 2
+    assert count_real_roots(poly(0.0, 0.0, 0.0, 0.0, 1.0)) == 4
+    # one stack mixing k = 0, 1, 2, 5 and 7 zero low-order coefficients, row by row as numpy.roots
+    rng = np.random.Generator(np.random.Philox(key=3))
+    stack = rng.standard_normal((10, 8))
+    for row, k in enumerate((0, 1, 2, 0, 5, 2, 7, 1, 0, 2)):
+        stack[row, :k] = 0.0
+    roots = montecarlo._classified_roots(stack)[0]
+    for row, c in enumerate(stack):
+        expected = np.roots(c[::-1])
+        assert np.array_equal(roots[row], expected.astype(complex)), row
 
 
 # ---------------------------------------------------------------------------
