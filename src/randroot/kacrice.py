@@ -102,21 +102,21 @@ _EDGE_LOG = 40.0  # below e^-40 of an end peak, the next weight moves no row: li
 class _Ratios(NamedTuple):
     """A coefficient table laid out for the window kernel.
 
-    ``right`` is r_0 .. r_(n-1) (r_i = log(a_(i+1)^2 / a_i^2)) between +inf
-    and -inf, and ``left`` is -``right``: a walk from a peak that steps past
-    either end of the table gathers an infinity and gets weight 0.  A window
-    ends where the log-weights fall below -``cut``.
+    ``left`` is -r_0 .. -r_(n-1) (r_i = log(a_(i+1)^2 / a_i^2)) between -inf
+    and +inf, so it increases.  A walk right of a peak steps by d0 - left[j],
+    which is r_j + d0 to the bit, and a walk left by left[j] - d0; one that
+    steps past either end of the table gathers an infinity and gets weight 0.
+    A window ends where the log-weights fall below -``cut``.
     """
 
     la: np.ndarray
-    right: np.ndarray
     left: np.ndarray
     cut: float
 
 
 def _ratios(table: CoefficientTable) -> _Ratios:
-    right = np.concatenate(([math.inf], table.log_ratio, [-math.inf]))
-    return _Ratios(table.log_sq_coeff, right, -right, 40.0 + 3.0 * math.log(table.n + 1.0))
+    left = np.concatenate(([-math.inf], -table.log_ratio, [math.inf]))
+    return _Ratios(table.log_sq_coeff, left, 40.0 + 3.0 * math.log(table.n + 1.0))
 
 
 def _exp_weights(t: np.ndarray) -> np.ndarray:
@@ -143,16 +143,16 @@ def _half_widths(c: _Ratios, peak: np.ndarray, d0: np.ndarray) -> np.ndarray:
     than max(n - i*, i*) steps, which reach both table ends; small tables take
     that many.
     """
-    n = len(c.right) - 2
+    n = len(c.left) - 2
     whole = np.maximum(n - peak, peak)
     if n <= _WHOLE_TABLE_N:
         return whole
     at = np.clip(peak, 1, n - 1)
-    k = np.maximum(c.right[at] - c.right[at + 1], 0.0)
+    k = np.maximum(c.left[at + 1] - c.left[at], 0.0)
     with np.errstate(divide="ignore"):  # k = 0 or a flat step: the whole table
         m = np.minimum(np.floor(np.sqrt(2.0 * c.cut / k)) + 2.0, whole).astype(int)
         u = c.la.take((peak + m, peak - m), mode="clip") - c.la[peak] + (m * d0, -m * d0)
-        step = (c.right.take(peak + m, mode="clip") + d0, c.left.take(peak - m + 1, mode="clip") - d0)
+        step = (d0 - c.left.take(peak + m, mode="clip"), c.left.take(peak - m + 1, mode="clip") - d0)
         need = np.ceil((u + c.cut + 1.0) / np.abs(step)).max(axis=0)
     return np.minimum(m + need + 1.0, whole).astype(int)
 
@@ -176,9 +176,9 @@ def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int) -> np.ndarray:
     p = len(peak)
     q = _steps(h)[0]
     g = np.empty((2 * p, h))
-    c.right.take(peak[:, None] + q, mode="clip", out=g[:p])       # r_(i*+q-1)
+    c.left.take(peak[:, None] + q, mode="clip", out=g[:p])        # -r_(i*+q-1)
     c.left.take((peak + 1)[:, None] - q, mode="clip", out=g[p:])  # -r_(i*-q)
-    g[:p] += d0[:, None]
+    np.subtract(d0[:, None], g[:p], out=g[:p])
     g[p:] -= d0[:, None]
     return np.cumsum(g, axis=1, out=g)
 
@@ -212,8 +212,8 @@ def _log_sq_at(c: _Ratios, peak: np.ndarray) -> np.ndarray:
     """
     lo, hi = int(peak.min()), int(peak.max())
     steps = np.zeros(hi - lo + 1)
-    np.cumsum(c.right[lo + 1:hi + 1], out=steps[1:])  # r_lo .. r_(hi-1)
-    return c.la[lo] + steps[peak - lo]
+    np.cumsum(c.left[lo + 1:hi + 1], out=steps[1:])  # -r_lo .. -r_(hi-1)
+    return c.la[lo] - steps[peak - lo]
 
 
 _BUDGET = 1 << 15  # points x half-width per weights array
@@ -293,9 +293,12 @@ def _end_rows(end: tuple, y: np.ndarray) -> tuple[np.ndarray, ...]:
     return la + y * s, s, np.full_like(y, g), amb + 4.0 * (y * math.exp(0.5 * r_next)) ** 2
 
 
-# A root count's quadrature starts from panels split at these s, which widen
-# away from s = 0 (|x| = 1), where g varies fastest.
-_SPLITS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+@lru_cache(maxsize=32)
+def _splits(finest: int) -> tuple[float, ...]:
+    """s = 0 and +-2^k for k = finest .. 5: a root count's first panels widen away from
+    s = 0 (|x| = 1), where g varies fastest."""
+    ladder = [2.0 ** k for k in range(finest, 6)]
+    return (*(-h for h in reversed(ladder)), 0.0, *ladder)
 
 
 class Kernel(NamedTuple):
@@ -368,10 +371,10 @@ def _evaluator(moments: Callable, n: int, low: tuple, high: tuple, splits: tuple
 
 def _table_kernel(table: CoefficientTable) -> Kernel:
     c = _ratios(table)
-    low = (c.la[0], c.right[1], c.right[2], 2.0 * c.la[0] + c.right[1])
+    low = (c.la[0], -c.left[1], -c.left[2], 2.0 * c.la[0] - c.left[1])
     # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x: both ends take one constant
     amb = low[3] if table.n == 1 else 2.0 * c.la[-1] + c.left[-2]
-    return _evaluator(partial(_moments, c), table.n, low, (c.la[-1], c.left[-2], c.left[-3], amb), _SPLITS)
+    return _evaluator(partial(_moments, c), table.n, low, (c.la[-1], c.left[-2], c.left[-3], amb), _splits(0))
 
 
 def _triple(x: float, rows: tuple[np.ndarray, ...]) -> KacRiceTriple:
@@ -440,48 +443,30 @@ def _log1mexp(t: np.ndarray) -> np.ndarray:
     return np.where(t > -_LN2, np.log(-np.expm1(t)), np.log1p(-np.exp(t)))
 
 
-def _kac_terms(n: int, s: np.ndarray):
-    """(near, ln X, 1 - X, 1 - X^(n+1), X^n) at X = y^2, y = e^-s <= 1.
+def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
+    """g = x f of the Kac family at each ln x of ``lx``; at x = ``xs``, its rows or f as in ``_moments``.
 
-    ``near`` marks the points with (n+1)s < ``_SERIES_CUT``, which the series
-    serve; they get X = e^-2 in place, which keeps x = 1 out of 0/0.
-    """
-    near = (n + 1.0) * s < _SERIES_CUT
-    t = -2.0 * (np.where(near, 1.0, s) if near.any() else s)  # ln X
-    return near, t, -np.expm1(t), -np.expm1((n + 1.0) * t), np.exp(n * t)
-
-
-def _kac_f2(n: int, s: np.ndarray, terms) -> np.ndarray:
-    """f(y)^2 at y = e^-s <= 1.
-
-    f^2 = 1/(1 - X)^2 - (n+1)^2 X^n / (1 - X^(n+1))^2, which is
-    e^(2s)/4 (csch^2 s - (n+1)^2 csch^2((n+1)s)); where the two terms cancel,
-    the 1/s^2 poles are taken out and the series of the rest take over.
+    Every closed form is taken at y = min(x, 1/x) = e^-s, s = |ln x|, where its
+    terms stay bounded, and reflected through the palindromic coefficients:
+    M(x) = x^(2n) M(1/x), the mean index phi = x B/M is n - phi(1/x), and
+    f(x) = f(1/x)/x^2, so g = y f(y).  With X = y^2,
+    M = (1 - X^(n+1))/(1 - X), phi = X (1/(1 - X) - (n+1) X^n/(1 - X^(n+1))) and
+    f(y)^2 = 1/(1 - X)^2 - (n+1)^2 X^n / (1 - X^(n+1))^2
+           = e^(2s)/4 (csch^2 s - (n+1)^2 csch^2((n+1)s)).
+    Where (n+1)s < ``_SERIES_CUT`` the terms cancel: there the 1/s^2 poles are
+    taken out and the series of the rest serve, and the closed forms run at
+    X = e^-2 in their place, which keeps x = 1 out of 0/0.
     """
     big = n + 1.0
-    near, _, one_m_x, one_m_xbig, x_n = terms
+    s = np.abs(lx)
+    near = big * s < _SERIES_CUT
+    t = -2.0 * (np.where(near, 1.0, s) if near.any() else s)  # ln X
+    one_m_x, one_m_xbig, x_n = -np.expm1(t), -np.expm1(big * t), np.exp(n * t)
     f2 = 1.0 / (one_m_x * one_m_x) - big * big * x_n / (one_m_xbig * one_m_xbig)
     if near.any():
         sn = s[near]
         vn = big * sn
-        residue = _horner(_CSCH2, sn * sn) - big * big * _horner(_CSCH2, vn * vn)
-        f2[near] = np.exp(2.0 * sn) / 4.0 * residue
-    return f2
-
-
-def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
-    """g = x f of the Kac family at each ln x of ``lx``; at x = ``xs``, its rows or f as in ``_moments``.
-
-    Every closed form is taken at y = min(x, 1/x) = e^-|ln x|, where its terms
-    stay bounded, and reflected through the palindromic coefficients:
-    M(x) = x^(2n) M(1/x), the mean index phi = x B/M is n - phi(1/x), and
-    f(x) = f(1/x)/x^2, so g = y f(y).  With X = y^2,
-    M = (1 - X^(n+1))/(1 - X) and phi = X (1/(1 - X) - (n+1) X^n/(1 - X^(n+1))).
-    """
-    big = n + 1.0
-    s = np.abs(lx)
-    terms = near, t, one_m_x, one_m_xbig, x_n = _kac_terms(n, s)
-    f2 = _kac_f2(n, s, terms)
+        f2[near] = np.exp(2.0 * sn) / 4.0 * (_horner(_CSCH2, sn * sn) - big * big * _horner(_CSCH2, vn * vn))
     if xs is None:
         return np.exp(-s) * np.sqrt(f2)
     high, f = lx > 0.0, np.sqrt(f2)
@@ -496,7 +481,6 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
         w = big * u
         phi = 0.5 * n + big * w * _horner(_EXPM1_INV, w * w) - u * _horner(_EXPM1_INV, u * u)
         s1[near] = phi / xs[near]
-        sn = s[near]
         ratio = np.divide(np.expm1(-2.0 * big * sn), np.expm1(-2.0 * sn),
                           out=np.full_like(sn, big), where=sn > 0.0)
         log_m[near] = np.log(ratio)
@@ -506,19 +490,12 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     return log_m, s1, f, 2.0 * (log_m + log_f)
 
 
-@lru_cache(maxsize=32)
-def _kac_splits(bits: int) -> tuple[float, ...]:
-    """``_SPLITS`` with s = +-2^-k for every 2^-k >= 2/(n+1), where bits = (n+1).bit_length()."""
-    ladder = [2.0 ** -k for k in range(1, bits - 1)]
-    return tuple(sorted((*_SPLITS, *ladder, *(-h for h in ladder))))
-
-
 def _kac_kernel(n: int) -> Kernel:
     _check_integer(n)
     end = (0.0, 0.0, 0.0 if n > 1 else -math.inf, 0.0)  # every a_i^2 = 1: each log and ratio is 0
-    # g peaks at s = 0 with a width of about 1/(n+1): the first panels step
-    # down to it, so no round of bisections is spent halving its way there
-    return _evaluator(partial(_kac_moments, n), n, end, end, _kac_splits((n + 1).bit_length()))
+    # g peaks at s = 0 with a width of about 1/(n+1): the first panels step down to
+    # the finest 2^-k >= 2/(n+1), so no round of bisections is spent halving its way there
+    return _evaluator(partial(_kac_moments, n), n, end, end, _splits(2 - (int(n) + 1).bit_length()))
 
 
 def kac_density(n: int, x) -> float | np.ndarray:

@@ -97,15 +97,11 @@ def _rescaled(xi: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
     return np.sign(xi) * np.exp(log_mag - log_mag.max(axis=-1, keepdims=True))
 
 
-def _draw_coefficients(log_weight: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return _rescaled(np.asarray(rng.standard_normal(len(log_weight)), dtype=float), log_weight)
-
-
 def sample_polynomial(family: PolynomialClass, n: int, rng: np.random.Generator) -> SampledPolynomial:
     """Draw xi_i i.i.d. standard normal and form the rescaled coefficients."""
     _check_integer(n)
     log_weight = 0.5 * _log_sq_array(family, n)  # log |a_i|
-    coeffs = _draw_coefficients(log_weight, rng)
+    coeffs = _rescaled(rng.standard_normal(n + 1), log_weight)
     coeffs.flags.writeable = False
     return SampledPolynomial(family, n, coeffs)
 

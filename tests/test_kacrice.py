@@ -776,6 +776,10 @@ def test_counts_pinned_integrand_calls(monkeypatch, family, n, calls):
     assert legs == calls
 
 
+# the first-panel splits of every table kernel
+TABLE_SPLITS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+
 @pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**12])
 def test_kac_first_panels_meet_the_peak(monkeypatch, n):
     # the Kac g peaks 1/n wide at s = 0, and the kernel's splits step down to
@@ -789,11 +793,20 @@ def test_kac_first_panels_meet_the_peak(monkeypatch, n):
     ladder = [p for p in k.splits if 0.0 < p < 1.0]
     assert min(ladder) >= 2.0 / (n + 1) > 0.5 * min(ladder)
     assert sorted(-p for p in k.splits) == list(k.splits)
-    assert set(kr._SPLITS) <= set(k.splits)
+    assert set(TABLE_SPLITS) <= set(k.splits)
     legs = _integrand_calls(monkeypatch)
     for a, b in ((-math.inf, math.inf), (0.0, 1.0), (0.5, 2.0), (1.0, math.inf)):
         assert expected_roots_interval_result(kac(), n, a, b).converged
     assert legs and max(legs) <= 2, legs
+
+
+def test_kac_kernel_takes_a_numpy_integer_degree():
+    # the degree check admits numpy integers, so the Kac ladder takes one as it takes an int
+    import randroot.kacrice as kr
+
+    for n in (1, 5, 10**6):
+        assert kr.kernel(kac(), np.int64(n)).splits == kr.kernel(kac(), n).splits
+    assert expected_roots_real_line(kac(), np.int64(5)) == expected_roots_real_line(kac(), 5)
 
 
 def test_table_kernels_split_where_they_did():
@@ -802,8 +815,8 @@ def test_table_kernels_split_where_they_did():
 
     for family in (gamma_family(1.0), elliptic(), alpha_beta_family(0.5, 2.0), legendre()):
         for n in (1, 50, 4000):
-            assert kr.kernel(family, n).splits == kr._SPLITS
-    assert kr.kernel(kac(), 2).splits == kr._SPLITS  # no 2^-k >= 2/3
+            assert kr.kernel(family, n).splits == TABLE_SPLITS
+    assert kr.kernel(kac(), 2).splits == TABLE_SPLITS  # no 2^-k >= 2/3
 
 
 def test_unreachable_tolerance_fills_the_evaluation_budget(monkeypatch):

@@ -11,7 +11,6 @@ from randroot.kacrice import expected_roots_real_line, kac_density, kac_triple, 
 from randroot.montecarlo import (
     LEADING_COEFF_FLOOR,
     SampledPolynomial,
-    _draw_coefficients,
     _trial_rng,
     count_positive_roots,
     count_real_roots,
@@ -233,9 +232,9 @@ def test_leading_coefficient_below_floor_raises_not_redraws():
     # at gamma=1, n=1000 the leading weight a_n = 1 is 1/C(1000, 500) ~ 4e-300
     # of the largest, so about half the draws fall below the floor; take a
     # seed whose trial 0 does, so the run stops before any eigen-solve
-    log_weight = 0.5 * montecarlo._log_sq_array(gamma_family(1.0), 1000)
     seed = next(s for s in range(100)
-                if abs(_draw_coefficients(log_weight, _trial_rng(s, 0))[-1]) < LEADING_COEFF_FLOOR)
+                if abs(sample_polynomial(gamma_family(1.0), 1000, _trial_rng(s, 0)).coeffs[-1])
+                < LEADING_COEFF_FLOOR)
     with pytest.raises(NumericError, match="trial 0: leading coefficient"):
         mc_expected_roots(gamma_family(1.0), 1000, 3, seed)
 
@@ -247,8 +246,7 @@ def _chunk(n: int) -> int:
 def _plant(monkeypatch, family, n, seed, floor=(), unpaired=(), failed=()):
     """Make the given trials of (family, n, seed) fail: a zero leading coefficient,
     n - 1 real roots from the stacked solve, or an eigen-solve that raises."""
-    log_weight = 0.5 * montecarlo._log_sq_array(family, n)
-    rows = {t: _draw_coefficients(log_weight, _trial_rng(seed, t)) for t in (*floor, *unpaired, *failed)}
+    rows = {t: sample_polynomial(family, n, _trial_rng(seed, t)).coeffs for t in (*floor, *unpaired, *failed)}
     rescaled, solve, eigvals = montecarlo._rescaled, montecarlo._companion_roots, np.linalg.eigvals
 
     def matching(coeffs, trials):
@@ -280,10 +278,9 @@ def _plant(monkeypatch, family, n, seed, floor=(), unpaired=(), failed=()):
 
 def _reference_summary(family, n, trials, seed):
     """The summary from a fresh _trial_rng and one numpy.roots call per trial."""
-    log_weight = 0.5 * montecarlo._log_sq_array(family, n)
     counts = []
     for trial in range(trials):
-        coeffs = _draw_coefficients(log_weight, _trial_rng(seed, trial))
+        coeffs = sample_polynomial(family, n, _trial_rng(seed, trial)).coeffs
         roots = np.roots(coeffs[::-1])
         counts.append(int((np.abs(roots.imag) / np.maximum(1.0, np.abs(roots))
                            <= montecarlo.REAL_AXIS_TOL).sum()))
@@ -369,6 +366,22 @@ def test_jensen_hand_cases():
     # p(z) = z: M_t = t, bound = log(4)/log(4.25/2) ~ 1.839 >= 1 actual root
     bound = jensen_root_bound(poly(0.0, 1.0), 0.5, 2.0)
     assert bound == pytest.approx(math.log(4.0) / math.log(4.25 / 2.0), rel=1e-12)
+    assert bound >= 1.0
+
+
+def test_jensen_refines_its_grid_near_the_observed_count(monkeypatch):
+    # p(z) = z - 0.5 has its root in |z| <= 0.6, and the first bound,
+    # log(10.5/1.1)/log(100.36/12) ~ 1.062, lies within 0.5 of it
+    sizes, polyval = [], np.polyval
+
+    def recorded(desc, z):
+        sizes.append(len(z))
+        return polyval(desc, z)
+
+    monkeypatch.setattr(np, "polyval", recorded)
+    bound = jensen_root_bound(poly(-0.5, 1.0), 0.6, 10.0)
+    assert sizes == [montecarlo.JENSEN_GRID] * 2 + [4 * montecarlo.JENSEN_GRID] * 2
+    assert bound == pytest.approx(math.log(10.5 / 1.1) / math.log(100.36 / 12.0), rel=1e-12)
     assert bound >= 1.0
 
 

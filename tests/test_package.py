@@ -4,13 +4,16 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import randroot
 from randroot.asymptotic import concentration_params, log_variance_approx
 from randroot.errors import NumericError, ParameterDomainError
+from randroot.families import FamilyKind, PolynomialClass
 from randroot.jacobi import density_via_roots, jacobi_roots
 from randroot.montecarlo import SampledPolynomial, jensen_root_bound
+from randroot.quadrature import adaptive_quadrature
 from randroot.verify import derivative_recurrence_residual
 
 
@@ -66,9 +69,14 @@ _Z = SampledPolynomial.from_coefficients([0.0, 1.0])
     (lambda: SampledPolynomial.from_coefficients([1.0, math.inf, 2.0]), ParameterDomainError),
     (lambda: jensen_root_bound(_Z_MINUS_2, 1.0, math.inf), ParameterDomainError),
     (lambda: jensen_root_bound(_Z, 1e-160, 1e160), NumericError),
+    (lambda: PolynomialClass(FamilyKind.GAMMA, gamma=1.0, alpha=0.0), ParameterDomainError),
+    (lambda: PolynomialClass(FamilyKind.ALPHA_BETA, gamma=1.0, alpha=0.0, beta=0.0), ParameterDomainError),
+    (lambda: SampledPolynomial.from_coefficients([1.0]), ParameterDomainError),
+    (lambda: adaptive_quadrature(np.exp, 0.0, 1.0, tol=0.0), NumericError),
 ], ids=["roots-density-nan", "roots-density-array-nan", "laplace-n0", "laplace-n-5", "laplace-n-nan",
         "laplace-n-inf", "concentration-n-3", "laplace-gamma-inf", "recurrence-x-inf",
-        "recurrence-x-1e200", "coefficients-nan", "coefficients-inf", "jensen-R-inf", "jensen-not-finite"])
+        "recurrence-x-1e200", "coefficients-nan", "coefficients-inf", "jensen-R-inf", "jensen-not-finite",
+        "gamma-with-alpha", "alpha-beta-with-gamma", "one-coefficient", "quadrature-tol-0"])
 def test_bad_input_fails_loudly(call, error):
     # a NaN, a bare ValueError or a NumPy warning here would be a quiet or unnamed failure
     with pytest.raises(error):

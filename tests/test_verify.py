@@ -71,6 +71,18 @@ def _nan_ratio(log_m, s1, f, log_amb):
     return log_m, np.full_like(s1, math.nan), f, log_amb
 
 
+def _swap_density(log_m, s1, f, log_amb):
+    # f at two neighbouring envelope points of the suite grid, x ~ 0.58 and 0.66,
+    # swapped: it rises between them, inside the sandwich and under the envelope
+    if len(f) != len(verify._SUITE_X):
+        return log_m, s1, f, log_amb
+    i = verify._COLUMN[verify._ENVELOPE_X[7]]
+    assert verify._SUITE_X[i + 1] == verify._ENVELOPE_X[8] < 1.0
+    f = f.copy()
+    f[i], f[i + 1] = f[i + 1], f[i]
+    return log_m, s1, f, log_amb
+
+
 _CHECKS = ["variance_jacobi_identity", "gram_double_sum_identity", "derivative_recurrence", "density_endpoints",
            "density_envelope", "density_symmetry", "quadrature_reciprocity"]
 
@@ -89,6 +101,7 @@ def _failing(out):
     (_scale_density, {"density_endpoints", "quadrature_reciprocity"}),
     (_reverse_density, {"density_endpoints", "density_envelope", "quadrature_reciprocity"}),
     (_nan_ratio, {"derivative_recurrence"}),  # a NaN deviation fails; max(0.0, nan) kept 0.0
+    (_swap_density, {"density_envelope"}),
 ])
 def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, capsys):
     build = verify._table_kernel
@@ -100,7 +113,10 @@ def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, ca
 
     monkeypatch.setattr(verify, "_table_kernel", faulty)
     assert cli.main(["verify", "--level", "fast"]) == 3
-    assert _failing(capsys.readouterr().out) == failing
+    out = capsys.readouterr().out
+    assert _failing(out) == failing
+    if fault is _swap_density:  # the monotone-decay test, the last of the envelope check's three
+        assert "FAIL density_envelope  (density not nonincreasing on (0, inf))" in out.splitlines()
 
 
 def test_symmetry_fails_on_a_one_ulp_ratio(monkeypatch, capsys):
