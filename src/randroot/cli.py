@@ -290,10 +290,15 @@ def _fmt_csv(value) -> str:
 
 
 def render_csv(tables: list[Table]) -> str:
+    """CSV blocks; a row of floats alone goes through one "%.17g" template, which
+    formats each cell as ``format(value, ".17g")`` does, and any other row through
+    ``_fmt_csv`` a cell at a time."""
     blocks = []
     for table in tables:
+        floats = ",".join(["%.17g"] * len(table.columns))
         lines = [",".join(table.columns)]
-        lines.extend(",".join(map(_fmt_csv, row)) for row in table.rows)
+        lines.extend(floats % row if all(type(v) is float for v in row) else ",".join(map(_fmt_csv, row))
+                     for row in table.rows)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

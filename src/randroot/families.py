@@ -11,11 +11,15 @@ xi_i i.i.d. standard normal:
 
 All coefficient work happens in log scale; C(n, n/2)^(2*gamma) overflows a
 double near n ~ 1030/gamma, its log does not.  A table holds two O(n) arrays:
-the n+1 logs log(a_i^2), from log-gamma, and the n neighbour log-ratios
+the n+1 logs log(a_i^2) and the n neighbour log-ratios
 r_i = log(a_(i+1)^2 / a_i^2).  Each ratio is rational in i, so r_i is exact
-to a few ulps, while log-gamma differences near n log n carry an absolute
-error that grows with n.  The density evaluation (see kacrice) sums its
-weights from the ratios and reads log(a_i^2) only to place log M.
+to a few ulps.  Each log(a_i^2) comes from one routine over index arrays
+(``_log_sq``), as logs of binomials written as products of few factors, or
+in Loader's (2000) entropy form, so it is good to a few ulps of itself
+rather than of lgamma(n), and depends on (family, n, i) alone: a table and a
+read at a few indices agree bit for bit.  The density evaluation (see
+kacrice) sums its weights from the ratios and reads log(a_i^2) at no more
+than three indices a call, to place log M; it builds no table.
 """
 from __future__ import annotations
 
@@ -130,68 +134,137 @@ class CoefficientTable:
     log_ratio: np.ndarray
 
 
-# Stirling's series (Abramowitz & Stegun 6.1.41) for x >= 24:
-#   lgamma(x) = (x - 1/2)(ln x - 1) - 1/2 + ln(2 pi)/2 + sum_k c_k / x^(2k-1),
-# c_k = B_2k / (2k(2k-1)).  From x = 24 on, these five terms leave out less
-# than 2^-60 |lgamma(x)|.  Below 24, math.lgamma.
+# Stirling's series (Abramowitz & Stegun 6.1.41) for z >= 24:
+#   lgamma(z + 1) = (z + 1/2) ln z - z + ln(2 pi)/2 + S(z),  S(z) = sum_k c_k / z^(2k-1),
+# c_k = B_2k / (2k(2k-1)); S(z) is Loader's (2000) Stirling error.  From z = 24
+# on, the first term these five leave out is below 1.3e-18, under 1/100 of
+# an ulp of 1.  Below 24, products of at most 24 rational factors serve
+# instead.
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 _STIRLING_FROM = 24.0
-_STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
+_FACTORS = np.arange(1.0, _STIRLING_FROM + 1.0)  # j = 1 .. 24
 
 
-def _lgamma_shifted(p: float, count: int) -> np.ndarray:
-    """lgamma(p + k) for k = 1..count, p > -1; each argument k + p is rounded once.
-
-    Every value depends on its argument alone, not on p, count or its
-    position, so an integer p gives the entries of the p = 0 array.
-    """
-    head = []
-    for k in range(1, count + 1):
-        arg = k + p
-        if arg >= _STIRLING_FROM:
-            break
-        head.append(math.lgamma(arg))
-    if len(head) == count:
-        return np.array(head, dtype=float)
-    x = np.arange(len(head) + 1.0, count + 1.0)
-    x += p
-    r = 1.0 / x
+def _stirling_error(z: np.ndarray) -> np.ndarray:
+    """S(z) = lgamma(z + 1) - (z + 1/2) ln z + z - ln(2 pi)/2 for z >= 24, Horner in 1/z^2."""
+    r = 1.0 / z
     r2 = r * r
-    series = _STIRLING[-1] * r2  # Horner in 1/x^2
+    series = _STIRLING[-1] * r2
     for c in _STIRLING[-2:0:-1]:
         series += c
         series *= r2
     series += _STIRLING[0]
     series *= r
-    series += _STIRLING_CONST
-    out = np.empty(count)
-    out[:len(head)] = head
-    tail = out[len(head):]
-    np.log(x, out=tail)
-    tail -= 1.0
-    tail *= x - 0.5
-    tail += series
+    return series
+
+
+_TAIL_FROM = _STIRLING_FROM + 1.0  # the first factor a product of 24 leaves out
+_S_TAIL_FROM = float(_stirling_error(np.array([_TAIL_FROM]))[0])
+
+
+def _log_products(k: np.ndarray, m: np.ndarray, width: int = len(_FACTORS)) -> np.ndarray:
+    """sum_(j <= min(k, width)) log1p(m/j), width <= 24: ``width`` columns whatever the count, so each row sums alike."""
+    factors = _FACTORS[:width]
+    terms = np.log1p(m[:, None] / factors)
+    terms *= factors <= k[:, None]
+    return terms.sum(axis=1)
+
+
+def _log_tail(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log prod_(25 <= j <= k) (1 + m/j) = log(Gamma(k + 1 + m) Gamma(25) / (Gamma(k + 1) Gamma(25 + m))), k > 24.
+
+    The difference of the Stirling differences lgamma(x + m) - lgamma(x) =
+    (x - 1/2) log1p(m/x) + m ln(x + m) - m + S(x + m) - S(x) at x = k + 1 and
+    x = 25, with the two m ln(x + m) taken as one log1p.  It has the sign of
+    m, and m = 0 gives 0 exactly.
+    """
+    x = k + 1.0
+    s = _stirling_error(np.concatenate((x + m, x, _TAIL_FROM + m))).reshape(3, -1)
+    return ((x - 0.5) * np.log1p(m / x) - (_TAIL_FROM - 0.5) * np.log1p(m / _TAIL_FROM)
+            + m * np.log1p((x - _TAIL_FROM) / (_TAIL_FROM + m)) + ((s[0] - s[1]) - (s[2] - _S_TAIL_FROM)))
+
+
+def _log_entropy(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log C(k + m, k) for k, m >= 24 in Loader's (2000) entropy form.
+
+    k log1p(m/k) + m log1p(k/m) - ln(2 pi k m/(k + m))/2 + S(k + m) - S(k) - S(m):
+    two positive terms and corrections far below them.
+    """
+    total = k + m
+    s = _stirling_error(np.concatenate((total, k, m))).reshape(3, -1)
+    return (k * np.log1p(m / k) + m * np.log1p(k / m) - 0.5 * np.log(2.0 * math.pi * k * m / total)
+            + (s[0] - (s[1] + s[2])))
+
+
+def _log_binom(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log C(k + m, k) = lgamma(k + m + 1) - lgamma(k + 1) - lgamma(m + 1), each to a few ulps of itself.
+
+    ``k`` holds integers >= 0 and ``m`` reals > -1, as float arrays.  Each
+    value depends on its own (k, m) alone, and no form subtracts numbers much
+    larger than itself:
+
+    * k <= 24, or m < 24: the product C(k + m, k) = prod_(j <= k) (1 + m/j),
+      its first min(k, 24) factors summed as log1p(m/j), terms of one sign
+      (``_log_products``), and for k > 24 the rest from Stirling's series
+      (``_log_tail``), of the same sign.  libm's lgamma(1 + m) is off by a
+      few ulps of 1 near its zeros, so no form uses it.
+    * k > 24 and m >= 24: Loader's entropy form (``_log_entropy``).
+    """
+    far = k > _STIRLING_FROM
+    if not np.count_nonzero(far):
+        return _log_products(k, m)
+    out = np.empty_like(m)
+    entropy = far & (m >= _STIRLING_FROM)
+    if np.count_nonzero(entropy):
+        out[entropy] = _log_entropy(k[entropy], m[entropy])
+    short = ~entropy
+    if np.count_nonzero(short):
+        k, m, far = k[short], m[short], far[short]
+        values = _log_products(k, m)
+        if np.count_nonzero(far):
+            values[far] += _log_tail(k[far], m[far])
+        out[short] = values
     return out
 
 
-def _log_sq_array(family: PolynomialClass, n: int) -> np.ndarray:
-    # Three log-gamma arrays over i = 0..n: fact[i] = log i!, la[i] =
-    # lgamma(alpha + i + 1) and lb[i] = lgamma(beta + i + 1), with j = n - i
-    # read off them reversed and the i = n entries standing in for the
-    # n-dependent terms.  Swapping alpha <-> beta swaps la and lb, so the
-    # swapped table's entry at n - i adds the same two sums in the other
-    # order: the reversal contract holds bit-for-bit for any alpha, beta.
-    # log a_0^2 of the gamma family is fact[n] - (0 + fact[n]) = 0 exactly.
-    fact = _lgamma_shifted(0.0, n + 1)
+# Up to this degree every C(n, i) is an integer below 2^53, an exact double.
+_EXACT_N = 56
+
+
+def _log_sq(family: PolynomialClass, n: int, i: np.ndarray) -> np.ndarray:
+    """log(a_i^2) at each index 0 <= i <= n of the integer array ``i``, to a few ulps of itself.
+
+    gamma:      2 gamma log C(n, i): up to n = 56 the log of the exact
+                integer, above it log C(k + m, k) with k = min(i, n - i) and
+                m = max(i, n - i), so a_i^2 = a_(n-i)^2 bit for bit;
+    alpha/beta: log C(n + alpha, n - i) + log C(n + beta, i), the first with
+                k = n - i and m = alpha + i, the second with k = i and
+                m = beta + (n - i), each m rounded once, and, above n = 24, k
+                and m swapped where the larger is k and the parameter is an
+                integer.
+    Each value depends on (family, n, i) alone, so a table and a read at a few
+    indices agree bit for bit.  Swapping alpha <-> beta and i <-> n - i swaps
+    the two terms, which add in the other order: the reversal contract holds
+    bit for bit.  The gamma family's log a_0^2 and log a_n^2 are 0 exactly.
+    """
     if family.kind is FamilyKind.GAMMA:
-        log_binom = fact[n] - (fact + fact[::-1])
+        if n <= _EXACT_N:
+            log_binom = np.log([float(math.comb(n, v)) for v in i.tolist()])
+        else:
+            x = i.astype(float)
+            log_binom = _log_binom(np.minimum(x, n - x), np.maximum(x, n - x))
         return 2.0 * family.gamma * log_binom
-    a, b = float(family.alpha), float(family.beta)
-    la = _lgamma_shifted(a, n + 1)
-    lb = la if b == a else _lgamma_shifted(b, n + 1)
-    left = la[n] - (fact[::-1] + la)
-    right = lb[n] - (fact + lb[::-1])
-    return left + right
+    j = n - i
+    k, m = np.concatenate((j, i)), np.concatenate((family.alpha + i, family.beta + j))
+    if n <= _STIRLING_FROM:  # products of at most n factors
+        terms = _log_products(k, m, n)
+    else:
+        k = k.astype(float)
+        for side, p in ((slice(None, len(i)), family.alpha), (slice(len(i), None), family.beta)):
+            if float(p).is_integer():  # a binomial over either side: the shorter product
+                k[side], m[side] = np.minimum(k[side], m[side]), np.maximum(k[side], m[side])
+        terms = _log_binom(k, m)
+    return terms[:len(i)] + terms[len(i):]
 
 
 def _log_ratio_array(family: PolynomialClass, n: int) -> np.ndarray:
@@ -202,17 +275,20 @@ def _log_ratio_array(family: PolynomialClass, n: int) -> np.ndarray:
     # num, den is divided by the smaller and the sign set after the log, so
     # swapping them (the reversal i <-> n-1-i with alpha <-> beta) negates an
     # entry bit for bit.
+    # The gamma family is its own reversal, so its second half is the first
+    # negated, where num > den (= 0 at the middle of an odd n).
     low = np.arange(1.0, n + 1.0)  # i + 1
     up = low[::-1]                 # n - i
     if family.kind is FamilyKind.GAMMA:
-        num, den, power = up, low, 2.0 * family.gamma
-    else:
-        num, den, power = up * (up + family.beta), (low + family.alpha) * low, 1.0
+        half = (n + 1) // 2
+        ratio = np.empty(n)
+        np.log(up[:half] / low[:half], out=ratio[:half])
+        ratio[:half] *= 2.0 * family.gamma
+        np.negative(ratio[:n - half][::-1], out=ratio[half:])
+        return ratio
+    num, den = up * (up + family.beta), (low + family.alpha) * low
     size = np.log(np.maximum(num, den) / np.minimum(num, den))
-    if power != 1.0:
-        size *= power
-    # num - den is correctly rounded, so it has the sign of the exact difference
-    return np.copysign(size, num - den, out=size)
+    return np.negative(size, out=size, where=num < den)
 
 
 def coefficient_table(
@@ -226,7 +302,7 @@ def coefficient_table(
     keyword.
     """
     _check_integer(n)
-    return _frozen_table(family, n, _log_sq_array(family, n), _log_ratio_array(family, n))
+    return _frozen_table(family, n, _log_sq(family, n, np.arange(n + 1)), _log_ratio_array(family, n))
 
 
 def _frozen_table(family: PolynomialClass, n: int, log_sq: np.ndarray,

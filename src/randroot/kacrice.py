@@ -15,7 +15,7 @@ subtraction.  With the weights p_x(i) = a_i^2 x^(2i) / M (Edelman & Kostlan),
 and the variance is taken about the index i* where the weights peak, never
 as S2 - S1^2 about 0, which near x = 1 would lose ~log10(n) digits.  log a_i^2
 is concave, so the weights are log-concave in i: a binary search on the
-table's neighbour log-ratios r_i = log(a_(i+1)^2 / a_i^2) finds i*, the
+neighbour log-ratios r_i = log(a_(i+1)^2 / a_i^2) finds i*, the
 log-weights are partial sums of r_i + 2 ln x walking out from it, and only
 the window where they stay above e^-(40 + 3 ln(n+1)) is summed, O(sqrt(n))
 terms per point, its width bounded by concavity before the walk starts.
@@ -52,11 +52,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError, QuadratureError, _check_integer
-from .families import CoefficientTable, PolynomialClass, coefficient_table, kac
+from .families import CoefficientTable, PolynomialClass, _log_ratio_array, _log_sq, kac
 from .quadrature import DEFAULT_TOL, QuadratureResult, adaptive_quadrature
 
-# Nothing here calls it; benchmarks/layers.py patches it on this module.
-from .families import reciprocal_table  # noqa: F401
+# Nothing here calls them; benchmarks/layers.py patches them on this module.
+from .families import coefficient_table, reciprocal_table  # noqa: F401
 
 __all__ = [
     "KacRiceTriple",
@@ -100,23 +100,37 @@ _EDGE_LOG = 40.0  # below e^-40 of an end peak, the next weight moves no row: li
 
 
 class _Ratios(NamedTuple):
-    """A coefficient table laid out for the window kernel.
+    """The neighbour log-ratios of one family at one degree, laid out for the window kernel.
 
     ``left`` is -r_0 .. -r_(n-1) (r_i = log(a_(i+1)^2 / a_i^2)) between -inf
     and +inf, so it increases.  A walk right of a peak steps by d0 - left[j],
     which is r_j + d0 to the bit, and a walk left by left[j] - d0; one that
     steps past either end of the table gathers an infinity and gets weight 0.
-    A window ends where the log-weights fall below -``cut``.
+    ``sink`` holds its prefix sums, sink[i] = -(r_0 + ... + r_(i-1)) for
+    i = 0..n, which size the windows (``_half_widths``) above
+    ``_WHOLE_TABLE_N``; below, it is None.  A window ends where
+    the log-weights fall below -``cut``.  ``log_sq`` gives log(a_i^2) at an
+    index array; the kernel reads it at no more than three indices a call
+    (``_log_sq_at`` and the limit rows), so no (n+1)-entry log a_i^2 array is
+    formed.
     """
 
-    la: np.ndarray
     left: np.ndarray
+    sink: np.ndarray | None
     cut: float
+    log_sq: Callable[[np.ndarray], np.ndarray]
 
 
-def _ratios(table: CoefficientTable) -> _Ratios:
-    left = np.concatenate(([-math.inf], -table.log_ratio, [math.inf]))
-    return _Ratios(table.log_sq_coeff, left, 40.0 + 3.0 * math.log(table.n + 1.0))
+def _ratios(n: int, log_ratio: np.ndarray, log_sq: Callable[[np.ndarray], np.ndarray]) -> _Ratios:
+    left = np.empty(n + 2)
+    left[0], left[-1] = -math.inf, math.inf
+    np.negative(log_ratio, out=left[1:-1])
+    sink = None
+    if n > _WHOLE_TABLE_N:
+        sink = np.empty(n + 1)
+        sink[0] = 0.0
+        np.cumsum(left[1:-1], out=sink[1:])
+    return _Ratios(left, sink, 40.0 + 3.0 * math.log(n + 1.0), log_sq)
 
 
 def _exp_weights(t: np.ndarray) -> np.ndarray:
@@ -137,33 +151,59 @@ def _half_widths(c: _Ratios, peak: np.ndarray, d0: np.ndarray) -> np.ndarray:
     so past its m-th step s it falls by at least |s| a step, and before it by at
     most |s| a step: from u_m = log(a_(i*+-m)^2 / a_(i*)^2) +- 2 m ln x it is at
     or below -cut (u_m + cut) / |s| steps further out (further in, where that is
-    negative).  One step and one unit of log-weight more cover the rounding of
-    u_m and s.  A side past a table end takes an infinite step of ``_Ratios``
-    and needs none; a flat step takes the whole table.  No window needs more
-    than max(n - i*, i*) steps, which reach both table ends; small tables take
-    that many.
+    negative).  u_m is a difference of the prefix sums ``sink``, which carry
+    the rounding of up to n additions, far below the unit of log-weight that,
+    with one step more, covers the rounding of u_m and s.  A side past a table
+    end takes an infinite step of ``_Ratios`` and needs none; a flat step
+    takes the whole table.  No window needs more than max(n - i*, i*) steps,
+    which reach both table ends; small tables take that many.
     """
     n = len(c.left) - 2
     whole = np.maximum(n - peak, peak)
     if n <= _WHOLE_TABLE_N:
         return whole
-    at = np.clip(peak, 1, n - 1)
+    at = np.minimum(np.maximum(peak, 1), n - 1)
     k = np.maximum(c.left[at + 1] - c.left[at], 0.0)
     with np.errstate(divide="ignore"):  # k = 0 or a flat step: the whole table
         m = np.minimum(np.floor(np.sqrt(2.0 * c.cut / k)) + 2.0, whole).astype(int)
-        u = c.la.take((peak + m, peak - m), mode="clip") - c.la[peak] + (m * d0, -m * d0)
-        step = (d0 - c.left.take(peak + m, mode="clip"), c.left.take(peak - m + 1, mode="clip") - d0)
-        need = np.ceil((u + c.cut + 1.0) / np.abs(step)).max(axis=0)
+        ends = np.empty((2, len(peak)), dtype=int)  # i* + m and i* - m, then the steps there
+        np.add(peak, m, out=ends[0])
+        np.subtract(peak, m, out=ends[1])
+        u = c.sink[peak] - c.sink.take(ends, mode="clip")
+        m_d0 = m * d0
+        u[0] += m_d0
+        u[1] -= m_d0
+        ends[1] += 1
+        step = c.left.take(ends, mode="clip")
+        step -= d0  # |d0 - left[i* + m]| and |left[i* - m + 1] - d0|
+        u += c.cut
+        u += 1.0
+        u /= np.abs(step, out=step)
+        need = np.ceil(np.maximum(u[0], u[1], out=u[0]), out=u[0])
     return np.minimum(m + need + 1.0, whole).astype(int)
 
 
-@lru_cache(maxsize=32)
-def _steps(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """The step counts q = 1..h, and the columns (1, q, q^2) that sum a walk's moments."""
+def _step_columns(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step counts q = 1..h, and the columns (1, q, q^2) that sum a walk's moments, read-only."""
     q = np.arange(1, h + 1)
     powers = np.stack((np.ones(h), q, q * q), axis=1).astype(float)
     q.flags.writeable = powers.flags.writeable = False
     return q, powers
+
+
+_STEPS = _step_columns(0)  # grown to the widest half-width asked for, by rebinding
+
+
+def _steps(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first h rows of the step columns: views of one pair of arrays, grown when h exceeds them.
+
+    A reader that holds the old pair keeps it, so growing by rebinding needs no lock.
+    """
+    global _STEPS
+    if len(_STEPS[0]) < h:
+        _STEPS = _step_columns(h)
+    q, powers = _STEPS
+    return q[:h], powers[:h]
 
 
 def _walks(c: _Ratios, peak: np.ndarray, d0: np.ndarray, h: int) -> np.ndarray:
@@ -204,16 +244,17 @@ def _centred(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _log_sq_at(c: _Ratios, peak: np.ndarray) -> np.ndarray:
     """log(a_i^2) at each index of ``peak``.
 
-    ``log_sq_coeff`` is read at one index per call, the lowest peak, and the
-    others add a cumulative sum of the exact ratios from there, so log M
-    differences within one call carry no table noise, however the call is
-    cut into blocks.  (For the gamma family and alpha = 0, log a_0^2 = 0
-    exactly, so log M near x = 0 keeps its relative precision.)
+    ``c.log_sq`` is read at one index per call, the lowest peak, where it is
+    good to a few ulps of itself, and the others add a cumulative sum of the
+    exact ratios from there, so log M differences within one call carry no
+    table noise, however the call is cut into blocks.  (For the gamma family
+    and alpha = 0, log a_0^2 = 0 exactly, so log M near x = 0 keeps its
+    relative precision.)
     """
     lo, hi = int(peak.min()), int(peak.max())
     steps = np.zeros(hi - lo + 1)
     np.cumsum(c.left[lo + 1:hi + 1], out=steps[1:])  # -r_lo .. -r_(hi-1)
-    return c.la[lo] - steps[peak - lo]
+    return c.log_sq(np.array([lo]))[0] - steps[peak - lo]
 
 
 _BUDGET = 1 << 15  # points x half-width per weights array
@@ -235,6 +276,35 @@ def _blocks(widths: np.ndarray):
         start = stop
 
 
+# One more block costs about as much as walking this many more terms.
+_SPLIT_TERMS = 3000
+
+
+def _width_classes(widths: np.ndarray, max_width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The points to walk apart, those under a third of the widest half-width and the rest, or None.
+
+    Walked with the widest, each narrow point would carry at least
+    widest - widest/3 steps of padding a side; below ``_SPLIT_TERMS`` of
+    them in all, one class (None: every point) is cheaper.  ``max_width``
+    bounds the half-widths: no window needs more than n steps.
+    """
+    if len(widths) * max_width < _SPLIT_TERMS:  # too few points for the padding to add up
+        return None
+    widest = int(widths.max())
+    narrow = 3 * widths < widest
+    if np.count_nonzero(narrow) * (widest - widest // 3) < _SPLIT_TERMS:
+        return None
+    return np.flatnonzero(narrow), np.flatnonzero(~narrow)
+
+
+def _class_sums(c: _Ratios, peak: np.ndarray, d0: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The rows of ``_centred`` for points of one width class, walked in ``_blocks``."""
+    sums = np.empty((3, len(peak)))
+    for i in _blocks(widths):
+        sums[:, i] = _centred(_walks(c, peak[i], d0[i], int(widths[i].max())))
+    return sums
+
+
 def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
     """g = sqrt(Var) = x f at each ln x of ``lx``; at x = ``xs``, rows (log M, B/M, f, log(A*M - B^2)) or f.
 
@@ -252,16 +322,23 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     h the widest half-width, walked once; a call whose points x widest
     half-width exceeds ``_BUDGET`` is cut into blocks of consecutive points
     (``_blocks``), so memory stays bounded however many points are asked
-    for, and one flat peak widens only the windows of its own block.  A call
-    within the budget, such as the first panels of a leg at n = 4000, is one
-    block.
+    for, and one flat peak widens only the windows of its own block.  Points
+    whose windows are under a third of the call's widest are walked in
+    blocks of their own where the padding they would carry outweighs one
+    more block (``_width_classes``): the first panels of a leg at n = 4000,
+    whose windows narrow away from |x| = 1, are two blocks.
     """
     d0 = 2.0 * lx
     peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
     widths = _half_widths(c, peak, d0)
-    s0, mean, var = sums = np.empty((3, len(lx)))
-    for i in _blocks(widths):
-        sums[:, i] = _centred(_walks(c, peak[i], d0[i], int(widths[i].max())))
+    classes = _width_classes(widths, len(c.left) - 2)
+    if classes is None:
+        sums = _class_sums(c, peak, d0, widths)
+    else:
+        sums = np.empty((3, len(lx)))
+        for part in classes:
+            sums[:, part] = _class_sums(c, peak[part], d0[part], widths[part])
+    s0, mean, var = sums
     g = np.sqrt(var)
     if xs is None:
         return g
@@ -318,20 +395,25 @@ class Kernel(NamedTuple):
     splits: tuple[float, ...]
 
 
-def _evaluator(moments: Callable, n: int, low: tuple, high: tuple, splits: tuple) -> Kernel:
+def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tuple[float, float]],
+               splits: tuple) -> Kernel:
     """The one evaluator of a family: ``moments`` at ln x, served to x and to s.
 
     ``moments(lx)`` gives g, and ``moments(lx, xs, rows)`` the rows or f at
     xs = e^lx, between x_low = e^-((40 + r_0)/2) and x_high =
-    e^((40 - r_(n-1))/2).  x up to x_low take the limit rows (``_end_rows``)
-    of ``low`` = (log a_0^2, r_0, r_1, log(a_0^2 a_1^2)), finite x from x_high
-    those of ``high`` = (log a_n^2, -r_(n-1), -r_(n-2), log(a_(n-1)^2 a_n^2))
-    at y = 1/x, reflected through M(x) = x^(2n) M_rev(y), mean index
-    n - mean_rev, f(x) = f_rev(y)/x^2 and A*M - B^2 = x^(4n-4) (A*M - B^2)_rev,
-    and x = inf the limits.  NaN or x < 0 raises ``ParameterDomainError``, and
-    an f or B/M past the double range at a finite x ``NumericError``.
+    e^((40 - r_(n-1))/2), from ``ratios`` = (r_0, r_1, -r_(n-1), -r_(n-2)).
+    x up to x_low take the limit rows (``_end_rows``) of (log a_0^2, r_0, r_1,
+    log(a_0^2 a_1^2)), finite x from x_high those of (log a_n^2, -r_(n-1),
+    -r_(n-2), log(a_(n-1)^2 a_n^2)) at y = 1/x, reflected through
+    M(x) = x^(2n) M_rev(y), mean index n - mean_rev, f(x) = f_rev(y)/x^2 and
+    A*M - B^2 = x^(4n-4) (A*M - B^2)_rev, and x = inf the limits.
+    ``ends()`` gives (log a_0^2, log a_n^2); only rows past the edges read it,
+    so f alone and root counts never do.  NaN or x < 0 raises
+    ``ParameterDomainError``, and an f or B/M past the double range at a
+    finite x ``NumericError``.
     """
-    s_low, s_high = 0.5 * (_EDGE_LOG + low[1]), -0.5 * (_EDGE_LOG + high[1])
+    r_0, r_1, r_n, r_n1 = ratios
+    s_low, s_high = 0.5 * (_EDGE_LOG + r_0), -0.5 * (_EDGE_LOG + r_n)
     x_low, y_high = math.exp(-s_low), math.exp(s_high)  # y_high = 1/x_high: 0 past the double range
     x_high = 1.0 / y_high if y_high > 0.0 else math.inf
     x_min = max(x_low, (n + 1.0) / sys.float_info.max)  # above it no f or B/M (<= n/x) overflows
@@ -348,6 +430,10 @@ def _evaluator(moments: Callable, n: int, low: tuple, high: tuple, splits: tuple
             below, infinite = xs <= x_low, xs == math.inf
             above = (xs >= x_high) & ~infinite
             inside = ~(below | above | infinite)
+            la_0, la_n = ends() if rows and not inside.all() else (0.0, 0.0)  # f alone reads no log a_i^2
+            low = (la_0, r_0, r_1, 2.0 * la_0 + r_0)
+            # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x: both ends take one constant
+            high = (la_n, r_n, r_n1, low[3] if n == 1 else 2.0 * la_n + r_n)
             out = np.empty((4, len(xs)))
             if below.any():
                 out[:, below] = _end_rows(low, xs[below])
@@ -369,12 +455,16 @@ def _evaluator(moments: Callable, n: int, low: tuple, high: tuple, splits: tuple
     return Kernel(evaluate, partial(evaluate, rows=False), lambda s: moments(-s), (s_high, s_low), splits)
 
 
+def _ratio_kernel(n: int, log_ratio: np.ndarray, log_sq: Callable[[np.ndarray], np.ndarray]) -> Kernel:
+    """The window kernel of the ratios r_0 .. r_(n-1), with log a_i^2 read from ``log_sq`` at an index array."""
+    c = _ratios(n, log_ratio, log_sq)
+    ratios = (-c.left[1], -c.left[2], c.left[-2], c.left[-3])
+    return _evaluator(partial(_moments, c), n, ratios, lambda: tuple(log_sq(np.array([0, n])).tolist()),
+                      _splits(0))
+
+
 def _table_kernel(table: CoefficientTable) -> Kernel:
-    c = _ratios(table)
-    low = (c.la[0], -c.left[1], -c.left[2], 2.0 * c.la[0] - c.left[1])
-    # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x: both ends take one constant
-    amb = low[3] if table.n == 1 else 2.0 * c.la[-1] + c.left[-2]
-    return _evaluator(partial(_moments, c), table.n, low, (c.la[-1], c.left[-2], c.left[-3], amb), _splits(0))
+    return _ratio_kernel(table.n, table.log_ratio, table.log_sq_coeff.take)
 
 
 def _triple(x: float, rows: tuple[np.ndarray, ...]) -> KacRiceTriple:
@@ -492,10 +582,11 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
 
 def _kac_kernel(n: int) -> Kernel:
     _check_integer(n)
-    end = (0.0, 0.0, 0.0 if n > 1 else -math.inf, 0.0)  # every a_i^2 = 1: each log and ratio is 0
+    r_next = 0.0 if n > 1 else -math.inf  # every a_i^2 = 1: each log and ratio is 0
     # g peaks at s = 0 with a width of about 1/(n+1): the first panels step down to
     # the finest 2^-k >= 2/(n+1), so no round of bisections is spent halving its way there
-    return _evaluator(partial(_kac_moments, n), n, end, end, _splits(2 - (int(n) + 1).bit_length()))
+    return _evaluator(partial(_kac_moments, n), n, (0.0, r_next, 0.0, r_next), lambda: (0.0, 0.0),
+                      _splits(2 - (int(n) + 1).bit_length()))
 
 
 def kac_density(n: int, x) -> float | np.ndarray:
@@ -516,11 +607,14 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
     """The evaluation kernels for ``family`` at degree ``n``.
 
     This is the one place that picks the Kac closed forms (gamma = 0, O(1)
-    per point, no table) over the generic table kernel.
+    per point, no table) over the generic window kernel, which builds the n
+    neighbour log-ratios and reads log a_i^2 at no more than three indices a
+    call (``_Ratios``).
     """
     if family.is_kac:
         return _kac_kernel(n)
-    return _table_kernel(coefficient_table(family, n))
+    _check_integer(n)
+    return _ratio_kernel(n, _log_ratio_array(family, n), partial(_log_sq, family, n))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError, _check_integer
-from .families import PolynomialClass, _log_sq_array
+from .families import PolynomialClass, _log_sq
 
 __all__ = [
     "SampledPolynomial",
@@ -100,7 +100,7 @@ def _rescaled(xi: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
 def sample_polynomial(family: PolynomialClass, n: int, rng: np.random.Generator) -> SampledPolynomial:
     """Draw xi_i i.i.d. standard normal and form the rescaled coefficients."""
     _check_integer(n)
-    log_weight = 0.5 * _log_sq_array(family, n)  # log |a_i|
+    log_weight = 0.5 * _log_sq(family, n, np.arange(n + 1))  # log |a_i|
     coeffs = _rescaled(rng.standard_normal(n + 1), log_weight)
     coeffs.flags.writeable = False
     return SampledPolynomial(family, n, coeffs)
@@ -179,7 +179,7 @@ def mc_expected_roots(family: PolynomialClass, n: int, trials: int, seed: int,
     """
     _check_integer(n)
     _check_integer(trials, name="trials")
-    log_weight = 0.5 * _log_sq_array(family, n)
+    log_weight = 0.5 * _log_sq(family, n, np.arange(n + 1))
     # one generator, re-keyed to the stream of _trial_rng(seed, trial) by setting
     # its fresh state (empty buffer) with counter [0, 0, 0, trial]: building a
     # Philox per trial would draw OS entropy it never uses

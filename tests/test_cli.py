@@ -194,6 +194,18 @@ def test_render_csv_fast_path_matches_fmt_csv():
     assert render_csv([Table("t", cols, [row])]) == ",".join(cols) + "\n" + want + "\n"
 
 
+def test_render_csv_float_rows_match_fmt_csv():
+    # a row of floats goes through one template, any other cell by cell: the
+    # bytes are those of _fmt_csv in both cases
+    rng = np.random.default_rng(8)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300, 0.1, 1e300, 2.0**53, -1.5]
+    floats = [tuple(rng.choice(specials + rng.normal(0.0, 1e3, 5).tolist(), 5).tolist()) for _ in range(50)]
+    mixed = [(3, 0.5, None, "txt", np.float64(0.25)), (1.0, 2.0, 3.0, 4.0, 10**20), (True, 1.0, 1.0, 1.0, 1.0)]
+    table = Table("t", tuple("abcde"), floats + mixed)
+    want = "a,b,c,d,e\n" + "\n".join(",".join(map(cli._fmt_csv, row)) for row in table.rows) + "\n"
+    assert render_csv([table]) == want
+
+
 def test_bounds_runs_one_eigensolve(capsys, monkeypatch):
     calls = {"eig": [], "roots": 0}
     eig, roots = jacobi.eigvalsh_tridiagonal, jacobi.jacobi_roots

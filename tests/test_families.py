@@ -8,7 +8,7 @@ import pytest
 from randroot.errors import ParameterDomainError
 from randroot.families import (
     PolynomialClass,
-    _lgamma_shifted,
+    _log_sq,
     alpha_beta_family,
     coefficient_table,
     elliptic,
@@ -151,43 +151,56 @@ def test_reversal_contract_bit_for_bit(family, n):
     assert np.array_equal(mirrored.log_ratio, swapped.log_ratio)
 
 
-def _lgamma_ulps(got: float, x: float) -> float:
-    """|got - lgamma(x)| in ulps of max(1, |lgamma(x)|), against 40-digit mpmath."""
-    with mp.workdps(40):
-        want = mp.loggamma(mp.mpf(x))
-        return float(abs(mp.mpf(got) - want)) / np.spacing(max(1.0, abs(float(want))))
+# the families and indices of the pointwise routine's accuracy matrix: weights
+# near flat and steep, alpha near -1, large alpha = beta, and the indices where
+# its forms meet (products up to 24 factors, Stirling's series from 24 on)
+POINTWISE_FAMILIES = [gamma_family(g) for g in (1e-6, 0.5, 1.0, 5.0)] + [
+    alpha_beta_family(a, b) for a, b in ((0.0, 0.0), (0.5, 2.0), (-0.999999, 3.0), (1000.0, 1000.0))]
+POINTWISE_N = (1, 2, 23, 24, 50, 4000, 10**6)
 
 
-@pytest.mark.parametrize("p", [0.0, -0.9999, -0.9, 0.5, 2.5, 400.0])
-def test_lgamma_shifted_against_mpmath(p):
-    # lgamma(p + k), k = 1..count: math.lgamma, the switch to Stirling's
-    # series at x = 24, and a seeded sample of the series range
-    count = 200_000
-    values = _lgamma_shifted(p, count)
-    rng = np.random.default_rng(2024)
-    index = set(range(300)) | set(rng.integers(0, count, 300).tolist()) | {count - 1}
-    worst = max(_lgamma_ulps(float(values[k]), (k + 1) + p) for k in sorted(index))
-    assert worst <= 4.0
+def _indices(n):
+    return sorted({0, 1, 23, 24, n // 2, n - 1, n} & set(range(n + 1)))
 
 
-def test_lgamma_shifted_integers_up_to_1e7():
-    rng = np.random.default_rng(7)
-    sample = {10**7, 10**7 - 1, 8191, 8192, 8193} | set(rng.integers(1, 10**7, 400).tolist())
-    for m in sorted(sample):
-        # a one-element array at p = m - 1 is lgamma(m), as in the full p = 0 array
-        assert _lgamma_ulps(float(_lgamma_shifted(m - 1.0, 1)[0]), float(m)) <= 4.0
-    assert np.array_equal(_lgamma_shifted(0.0, 2), [0.0, 0.0])  # lgamma(1) = lgamma(2) = 0
+@pytest.mark.parametrize("family", POINTWISE_FAMILIES, ids=lambda f: f.label())
+def test_log_sq_within_4_ulps_of_40_digit_mpmath(family):
+    # each value to 4 ulps of max(1, |log a_i^2|), not of lgamma(n): the
+    # table it replaced was 9.6e-13 relative off at alpha/beta (0.5, 2),
+    # n = 4000, i = 0 (measured at most 1.5 ulps here)
+    for n in POINTWISE_N:
+        index = _indices(n)
+        got = _log_sq(family, n, np.array(index))
+        with mp.workdps(40):
+            lg = mp.loggamma
+            for i, value in zip(index, got.tolist()):
+                if family.kind.value == "gamma":
+                    want = 2 * mp.mpf(family.gamma) * (lg(n + 1) - lg(i + 1) - lg(n - i + 1))
+                else:
+                    a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+                    want = (lg(n + a + 1) - lg(n - i + 1) - lg(a + i + 1)
+                            + lg(n + b + 1) - lg(i + 1) - lg(n + b - i + 1))
+                ulps = abs(mp.mpf(value) - want) / np.spacing(max(1.0, abs(float(want))))
+                assert ulps <= 4, (n, i, float(ulps))
 
 
-@pytest.mark.parametrize("p", [0.0, 3.0, 30.0, 0.3])
-def test_lgamma_shifted_values_depend_on_the_argument_alone(p):
-    # an integer p gives the entries of the p = 0 array, and a later start
-    # the entries of an earlier one
-    whole = _lgamma_shifted(0.0, 10_000)
-    if float(p).is_integer():
-        assert np.array_equal(_lgamma_shifted(p, 9_000), whole[int(p):int(p) + 9_000])
-    for start in (5, 40, 300, 8_000):  # the same arguments from a later start
-        assert np.array_equal(_lgamma_shifted(p + start, 50), _lgamma_shifted(p, start + 50)[start:])
+@pytest.mark.parametrize("family", POINTWISE_FAMILIES + NON_DYADIC + [kac(), legendre()], ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [1, 2, 23, 24, 25, 48, 49, 56, 57, 4000])
+def test_table_is_the_pointwise_reads(family, n):
+    # every value depends on (family, n, i) alone: a table, reads at single
+    # indices and reads in any order are one array, bit for bit; the
+    # reversal contract and the exact zeros hold for the reads as well
+    table = coefficient_table(family, n).log_sq_coeff
+    index = np.array(sorted({0, 1, 2, 23, 24, 25, n // 2, n - 25, n - 2, n - 1, n} & set(range(n + 1))))
+    assert np.array_equal(_log_sq(family, n, index), table[index])
+    assert np.array_equal(_log_sq(family, n, index[::-1]), table[index[::-1]])
+    assert all(_log_sq(family, n, np.array([i]))[0] == table[i] for i in index.tolist())
+    swapped = _log_sq(reciprocal_class(family), n, n - index)
+    assert np.array_equal(swapped, table[index])
+    if family.kind.value == "gamma" or family.alpha == 0.0:
+        assert _log_sq(family, n, np.array([0]))[0] == 0.0
+    if family.kind.value == "gamma" or family.beta == 0.0:
+        assert _log_sq(family, n, np.array([n]))[0] == 0.0
 
 
 @pytest.mark.parametrize("alpha, beta", [(3.0, 0.5), (3.0, 3.0), (2.0, 7.0), (400.0, 0.3), (0.3, 0.3)])

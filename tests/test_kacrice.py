@@ -666,7 +666,8 @@ def test_half_widths_reach_the_cut():
              for family in families for n in (129, 4000, 10**5)]
     cases.append((gamma_family(1.0), 10**6, np.zeros(1)))
     for family, n, lx in cases:
-        c = kr._ratios(coefficient_table(family, n))
+        table = coefficient_table(family, n)
+        c = kr._ratios(n, table.log_ratio, table.log_sq_coeff.take)
         d0 = 2.0 * lx
         peak = np.searchsorted(c.left[1:-1], d0)
         widths = kr._half_widths(c, peak, d0)
@@ -728,6 +729,155 @@ def test_density_log_m_against_30_digit_sums(family, n):
                 top = max(t)
                 want = top + mp.log(mp.fsum(mp.exp(v - top) for v in t))
             assert abs(got - want) <= bound, (x, float(abs(got - want)) / bound)
+
+
+@pytest.mark.parametrize("family,n", [
+    (family, n) for family in (gamma_family(0.3), gamma_family(1.0), gamma_family(5.0), alpha_beta_family(0.5, 2.0),
+                               alpha_beta_family(-0.999999, 3.0), alpha_beta_family(1000.0, 1000.0))
+    for n in (1, 1000, 4000)] + [(gamma_family(1.0), 10**5)], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_density_log_m_to_a_few_ulps_of_its_terms(family, n):
+    # log M = log a_i*^2 + 2 i* ln x + log(sum of weights / peak weight) at
+    # one point a call, where the anchor log a_i*^2 is read at the point's own
+    # peak i*: within 8 ulps of the larger of its two leading terms, against
+    # 30-digit direct sums.  test_density_log_m_against_30_digit_sums allows
+    # 8 ulps of lgamma(n + shift + 1), times 2 gamma: at n = 10^5, x = 0.1,
+    # gamma = 1, that is 3.7e-9 where this allows 1.5e-11.
+    k = kernel(family, n)
+    table = coefficient_table(family, n).log_sq_coeff
+    with mp.workdps(30):
+        for x in (0.1, 0.5, 1.0, 2.0):
+            log_m = k.rows(np.array([x]))[0][0]
+            near = table + 2.0 * math.log(x) * np.arange(n + 1)
+            peak = int(np.argmax(near))
+            lead = max(1.0, abs(table[peak]), abs(2.0 * peak * math.log(x)))
+            keep = tuple(np.flatnonzero(near >= near[peak] - 100.0).tolist())  # the rest moves log M < n e^-100
+            t = [v + 2 * i * mp.log(x) for i, v in zip(keep, exact_log_sq(family, n, 30, keep))]
+            top = max(t)
+            want = top + mp.log(mp.fsum(mp.exp(v - top) for v in t))
+            assert abs(log_m - want) <= 8 * np.spacing(lead), (x, float(abs(log_m - want)) / np.spacing(lead))
+
+
+def test_step_columns_are_one_array_grown_by_rebinding():
+    # the step columns of every half-width are views of one read-only pair,
+    # grown to the widest asked for: the moments they sum are the matmul of
+    # fresh columns bit for bit, and after a gamma = 1e-6 count at n = 3 * 10^5,
+    # whose windows span the table, they hold under 16 MB (287 MB stayed in a
+    # cache of per-half-width arrays)
+    import tracemalloc
+
+    import randroot.kacrice as kr
+
+    rng = np.random.default_rng(3)
+    kr._steps(5000)
+    for h in (1, 7, 64, 1000, 4999):
+        weights = rng.random((30, h))
+        q, columns = kr._steps(h)
+        fresh_q, fresh = kr._step_columns(h)
+        assert np.array_equal(q, fresh_q) and not columns.flags.writeable
+        assert np.array_equal(weights @ columns, weights @ fresh)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert expected_roots_real_line_result(gamma_family(1e-6), 3 * 10**5).converged
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16e6, retained
+
+
+def test_counts_and_densities_build_no_log_sq_array(monkeypatch, capsys):
+    # a count reads no log a_i^2 at all, and a density grid reads it at no
+    # more than two indices a call: no (n+1)-entry log-gamma array and no
+    # coefficient table is built
+    import randroot.families as fm
+    import randroot.kacrice as kr
+    from randroot.cli import main
+
+    reads = []
+    log_sq = kr._log_sq
+
+    def counted(family, n, i):
+        reads.append(len(i))
+        return log_sq(family, n, i)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a log a_i^2 array was built")
+
+    monkeypatch.setattr(kr, "_log_sq", counted)
+    monkeypatch.setattr(fm, "coefficient_table", forbidden)
+    monkeypatch.setattr(kr, "coefficient_table", forbidden)
+    for family, n in ((gamma_family(1.0), 4000), (alpha_beta_family(0.5, 2.0), 2000), (elliptic(), 3000),
+                      (alpha_beta_family(-0.999999, 3.0), 300)):
+        assert expected_roots_real_line_result(family, n).converged
+        assert expected_roots_interval_result(family, n, 0.5, 2.0).converged
+    assert reads == []
+    for cls in (["gamma", "--gamma", "1"], ["alpha-beta", "--alpha", "0.5", "--beta", "2"]):
+        assert main(["density", "--class", *cls, "--n", "2000", "--grid", "0:3:61"]) == 0
+        assert main(["density", "--class", *cls, "--n", "2000", "--grid", "1e300:1e301:2"]) == 0
+    capsys.readouterr()
+    assert reads and max(reads) <= 2, reads
+
+
+# the window kernel's whole domain: weights near flat (small gamma), alpha
+# and beta near -1, and large ones; n = 200 takes the window path above
+# _WHOLE_TABLE_N = 128, which `randroot verify` never reaches
+EDGE_FAMILIES = [gamma_family(g) for g in (1e-6, 1e-4, 1e-2, 0.1)] + [
+    alpha_beta_family(a, b) for a, b in ((-0.999999, -0.999999), (-0.999999, 3.0), (1000.0, 1000.0))]
+
+
+def mp_spread(family, n, dps=30):
+    """g(s) = sqrt(Var_p(i)), p_i ~ a_i^2 e^(-2is), from direct sums of ``dps``-digit coefficients.
+
+    The offsets o run from the end the weights lean to (i = o for s >= 0,
+    i = n - o below), so the moments do not cancel far from s = 0.
+    """
+    a_sq = [mp.exp(v) for v in exact_log_sq(family, n, dps)]
+
+    def g(s):
+        z, zo = mp.exp(-2 * abs(s)), mp.mpf(1)
+        m0 = m1 = m2 = mp.mpf(0)
+        for o in range(n + 1):
+            w = a_sq[o if s >= 0 else n - o] * zo
+            m0 += w
+            m1 += o * w
+            m2 += o * o * w
+            zo *= z
+        mean = m1 / m0
+        return mp.sqrt(m2 / m0 - mean * mean)
+    return g
+
+
+@pytest.mark.parametrize("family", EDGE_FAMILIES, ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [50, 200])
+def test_edge_densities_against_30_digit_direct_sums(family, n):
+    # f = g/x next to x = 1 and at 0.5 and 2, through the table and the count
+    # kernel; measured within 2.8e-16 relative
+    xs = (1.0 - 1e-9, 1.0 + 1e-9, 0.5, 2.0)
+    with mp.workdps(30):
+        g = mp_spread(family, n)
+        want = [float(g(-mp.log(mp.mpf(x))) / x) for x in xs]
+    for got in (density(coefficient_table(family, n), np.array(xs)), kernel(family, n).density(np.array(xs))):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("family", EDGE_FAMILIES, ids=lambda f: f.label())
+def test_edge_counts_against_a_30_digit_kac_rice_integral(family):
+    # (1/pi) integral of f over the full line and over (0.99, 1.01), as the
+    # integral of g over s = -ln x by Gauss-Legendre in mpmath, cut where g
+    # turns (its peak at s = 0 is about 1/n wide for flat weights); g past
+    # |s| = 60 adds less than e^-55.  Measured within 3.4e-14 of the counts.
+    n = 50
+    with mp.workdps(30):
+        g = mp_spread(family, n)
+        cuts = [0, 0.02, 0.1, 0.5, 2, 8, 60]
+        if family.is_symmetric:  # g is even in s
+            full = 4 / mp.pi * mp.quad(g, cuts, method="gauss-legendre")
+        else:
+            full = 2 / mp.pi * mp.quad(g, [-c for c in cuts[:0:-1]] + cuts, method="gauss-legendre")
+        near = mp.quad(g, [-mp.log(mp.mpf(1.01)), 0, -mp.log(mp.mpf(0.99))], method="gauss-legendre") / mp.pi
+    for (a, b), want in (((-math.inf, math.inf), full), ((0.99, 1.01), near)):
+        res = expected_roots_interval_result(family, n, a, b)
+        assert res.converged and abs(res.value - float(want)) <= 1e-12 * float(want), (a, b, res.value, want)
 
 
 @pytest.mark.parametrize("family,n,value,evaluations", [
@@ -845,12 +995,14 @@ def test_unreachable_tolerance_stops_at_the_rounding_floor():
 def test_kernel_blocks_stay_in_the_budget(monkeypatch):
     # every weights array of the expect_large_n counts and of n = 10^6 holds
     # at most _BUDGET points x half-width, unless it is one point whose own
-    # window is wider, and each block is walked once; the first panels at
-    # n = 4000 are one block
+    # window is wider, and each block is walked once; the first call of each
+    # expect_large_n count (its first panels) walks at most twice the terms
+    # its windows need (2.3-3.4 times when every point was padded to the
+    # widest window of the call)
     import randroot.kacrice as kr
 
-    shapes, blocks = [], []
-    walks, cut = kr._walks, kr._blocks
+    shapes, blocks, needed = [], [], []
+    walks, cut, half_widths = kr._walks, kr._blocks, kr._half_widths
 
     def recorded(c, peak, d0, h):
         u = walks(c, peak, d0, h)
@@ -862,17 +1014,24 @@ def test_kernel_blocks_stay_in_the_budget(monkeypatch):
             blocks.append(i)
             yield i
 
+    def sized(c, peak, d0):
+        widths = half_widths(c, peak, d0)
+        needed.append((len(shapes), 2 * int(widths.sum())))
+        return widths
+
     monkeypatch.setattr(kr, "_walks", recorded)
     monkeypatch.setattr(kr, "_blocks", counted)
+    monkeypatch.setattr(kr, "_half_widths", sized)
     for family, n in [(gamma_family(1.0), 4000), (alpha_beta_family(0.5, 2.0), 2000), (elliptic(), 3000),
                       (gamma_family(1.0), 10**6), (alpha_beta_family(0.5, 2.0), 10**6)]:
         shapes.clear()
         blocks.clear()
+        needed.clear()
         assert expected_roots_real_line_result(family, n).converged
         assert shapes and len(shapes) == len(blocks), (family.label(), n, len(shapes), len(blocks))
         for rows, h in shapes:
             assert rows // 2 * h <= kr._BUDGET or rows == 2, (family.label(), n, rows, h)
-        if n == 4000:
-            k = kr.kernel(family, n)
-            first = 1 + sum(0.0 < p < k.edges[1] for p in k.splits)
-            assert shapes[0][0] == 2 * 15 * first
+        if n <= 4000:
+            first = shapes[:needed[1][0] if len(needed) > 1 else None]  # walked before the second call
+            walked = sum(rows * h for rows, h in first)
+            assert walked <= 2 * needed[0][1], (family.label(), n, walked / needed[0][1])
