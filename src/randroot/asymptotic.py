@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterDomainError
-from .families import FamilyKind, PolynomialClass
+from .families import FamilyKind, PolynomialClass, _log_binom
 from .kacrice import expected_roots_real_line
 from .quadrature import DEFAULT_TOL
 
@@ -79,8 +79,9 @@ def _in_window(gamma: float, n: float, x: float) -> bool:
     return n == 1.0 or math.log(x) >= gamma * (4.0 * math.log(math.log(n)) - math.log(n))
 
 
-def _log_binom(n: float, k: float) -> float:
-    return math.lgamma(n + 1.0) - (math.lgamma(k + 1.0) + math.lgamma(n - k + 1.0))
+def _log_choose(n: float, k: int) -> float:
+    """log C(n, k) at an integer 0 <= k <= n and a real n, to a few ulps of itself (``families._log_binom``)."""
+    return float(_log_binom(np.array([float(k)]), np.array([n - k]))[0])
 
 
 class LaplaceApprox(NamedTuple):
@@ -98,7 +99,7 @@ def log_variance_approx(gamma: float, n: int, x: float) -> LaplaceApprox:
     """Laplace approximation of log M_n(x) for the gamma family."""
     params = concentration_params(gamma, x, n)
     value = (
-        2.0 * gamma * _log_binom(float(n), float(params.i_star))
+        2.0 * gamma * _log_choose(float(n), params.i_star)
         + 2.0 * params.i_star * math.log(x)
         + 0.5 * math.log(math.pi)
         + 0.5 * math.log(params.width)
@@ -109,7 +110,7 @@ def log_variance_approx(gamma: float, n: int, x: float) -> LaplaceApprox:
 def log_gram_approx(gamma: float, n: int, x: float) -> GramApprox:
     """Laplace approximation of log(A_n*M_n - B_n^2) for the gamma family."""
     params = concentration_params(gamma, x, n)
-    log_binom = _log_binom(float(n), float(params.i_star))
+    log_binom = _log_choose(float(n), params.i_star)
     shared = (
         (4.0 * params.i_star - 2.0) * math.log(x)
         + math.log(math.pi / 2.0)

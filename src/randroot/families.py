@@ -18,8 +18,8 @@ to a few ulps.  Each log(a_i^2) comes from one routine over index arrays
 in Loader's (2000) entropy form, so it is good to a few ulps of itself
 rather than of lgamma(n), and depends on (family, n, i) alone: a table and a
 read at a few indices agree bit for bit.  The density evaluation (see
-kacrice) sums its weights from the ratios and reads log(a_i^2) at no more
-than three indices a call, to place log M; it builds no table.
+kacrice) sums its weights from the ratios and builds no table; only its rows
+read log(a_i^2), at each point's peak and at i = 0 and n, to place log M.
 """
 from __future__ import annotations
 

@@ -110,9 +110,9 @@ class _Ratios(NamedTuple):
     i = 0..n, which size the windows (``_half_widths``) above
     ``_WHOLE_TABLE_N``; below, it is None.  A window ends where
     the log-weights fall below -``cut``.  ``log_sq`` gives log(a_i^2) at an
-    index array; the kernel reads it at no more than three indices a call
-    (``_log_sq_at`` and the limit rows), so no (n+1)-entry log a_i^2 array is
-    formed.
+    index array; only rows read it, at each point's own peak (``_moments``)
+    and at i = 0 and n for the limit rows, so no (n+1)-entry log a_i^2 array
+    is formed.
     """
 
     left: np.ndarray
@@ -241,68 +241,31 @@ def _centred(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[:, 0], mean, s[:, 2] / total - mean * mean
 
 
-def _log_sq_at(c: _Ratios, peak: np.ndarray) -> np.ndarray:
-    """log(a_i^2) at each index of ``peak``.
-
-    ``c.log_sq`` is read at one index per call, the lowest peak, where it is
-    good to a few ulps of itself, and the others add a cumulative sum of the
-    exact ratios from there, so log M differences within one call carry no
-    table noise, however the call is cut into blocks.  (For the gamma family
-    and alpha = 0, log a_0^2 = 0 exactly, so log M near x = 0 keeps its
-    relative precision.)
-    """
-    lo, hi = int(peak.min()), int(peak.max())
-    steps = np.zeros(hi - lo + 1)
-    np.cumsum(c.left[lo + 1:hi + 1], out=steps[1:])  # -r_lo .. -r_(hi-1)
-    return c.log_sq(np.array([lo]))[0] - steps[peak - lo]
-
-
 _BUDGET = 1 << 15  # points x half-width per weights array
-
-
-def _blocks(widths: np.ndarray):
-    """Slices of consecutive points, each as long as its count x widest half-width fits ``_BUDGET``.
-
-    ``widths`` are the points' half-widths; a point wider than the budget is
-    a block of its own.  The quadrature's nodes and a density grid come in
-    order of s, along which the widths change smoothly, so the points of a
-    block have similar widths.
-    """
-    start = 0
-    while start < len(widths):
-        run = np.maximum.accumulate(widths[start:start + max(1, _BUDGET // int(widths[start]))])
-        stop = start + max(1, int(np.count_nonzero(np.arange(1, len(run) + 1) * run <= _BUDGET)))
-        yield slice(start, stop)
-        start = stop
-
-
 # One more block costs about as much as walking this many more terms.
 _SPLIT_TERMS = 3000
 
 
-def _width_classes(widths: np.ndarray, max_width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The points to walk apart, those under a third of the widest half-width and the rest, or None.
+def _blocks(widths: np.ndarray):
+    """Slices of consecutive points, cut by one rule: each block is as long as it can be.
 
-    Walked with the widest, each narrow point would carry at least
-    widest - widest/3 steps of padding a side; below ``_SPLIT_TERMS`` of
-    them in all, one class (None: every point) is cheaper.  ``max_width``
-    bounds the half-widths: no window needs more than n steps.
+    ``widths`` are the points' half-widths.  A block ends before the point
+    that would take its count x widest half-width past ``_BUDGET``, or its
+    padding, the sum over its points of widest minus own half-width (steps a
+    side walked past a window), to ``_SPLIT_TERMS``: a narrow window walks
+    apart from wide ones where the padding would cost more than one more
+    block.  A single point, even one wider than the budget, is a block.  Both
+    measures grow with every point added, so the first point that breaks
+    either ends the block.
     """
-    if len(widths) * max_width < _SPLIT_TERMS:  # too few points for the padding to add up
-        return None
-    widest = int(widths.max())
-    narrow = 3 * widths < widest
-    if np.count_nonzero(narrow) * (widest - widest // 3) < _SPLIT_TERMS:
-        return None
-    return np.flatnonzero(narrow), np.flatnonzero(~narrow)
-
-
-def _class_sums(c: _Ratios, peak: np.ndarray, d0: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The rows of ``_centred`` for points of one width class, walked in ``_blocks``."""
-    sums = np.empty((3, len(peak)))
-    for i in _blocks(widths):
-        sums[:, i] = _centred(_walks(c, peak[i], d0[i], int(widths[i].max())))
-    return sums
+    start = 0
+    while start < len(widths):
+        w = widths[start:start + max(1, _BUDGET // int(widths[start]))]
+        count, widest = np.arange(1, len(w) + 1), np.maximum.accumulate(w)
+        fits = (count * widest <= _BUDGET) & (count * widest - np.cumsum(w) < _SPLIT_TERMS)
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        yield slice(start, stop)
+        start = stop
 
 
 def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
@@ -318,26 +281,19 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     ``_evaluator`` passes only points where the weight next to an end peak is
     at least about e^-40 of the peak's, so Var stays far inside the double
     range.  Each window's half-width is fixed before its walk (``_half_widths``),
-    and the weights of a block of points take one array of 2 x points x h,
-    h the widest half-width, walked once; a call whose points x widest
-    half-width exceeds ``_BUDGET`` is cut into blocks of consecutive points
-    (``_blocks``), so memory stays bounded however many points are asked
-    for, and one flat peak widens only the windows of its own block.  Points
-    whose windows are under a third of the call's widest are walked in
-    blocks of their own where the padding they would carry outweighs one
-    more block (``_width_classes``): the first panels of a leg at n = 4000,
-    whose windows narrow away from |x| = 1, are two blocks.
+    and the weights of a block of consecutive points (``_blocks``) take one
+    array of 2 x points x h, h the block's widest half-width, walked once: memory
+    stays bounded however many points are asked for, and a narrow window
+    carries little padding.  log M = log a_(i*)^2 + 2 i* ln x + log(weight
+    total) reads log a_i^2 at each point's own peak, so each point's log M is
+    placed as a one-point call places it; counts and f read none.
     """
     d0 = 2.0 * lx
     peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
     widths = _half_widths(c, peak, d0)
-    classes = _width_classes(widths, len(c.left) - 2)
-    if classes is None:
-        sums = _class_sums(c, peak, d0, widths)
-    else:
-        sums = np.empty((3, len(lx)))
-        for part in classes:
-            sums[:, part] = _class_sums(c, peak[part], d0[part], widths[part])
+    sums = np.empty((3, len(lx)))
+    for i in _blocks(widths):
+        sums[:, i] = _centred(_walks(c, peak[i], d0[i], int(widths[i].max())))
     s0, mean, var = sums
     g = np.sqrt(var)
     if xs is None:
@@ -346,7 +302,7 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     if not rows:
         return f
     s1 = (peak + mean) / xs
-    log_m = _log_sq_at(c, peak) + peak * d0 + np.log1p(s0)
+    log_m = c.log_sq(peak) + peak * d0 + np.log1p(s0)
     log_f = 0.5 * np.log(var) - lx
     return log_m, s1, f, 2.0 * (log_m + log_f)
 
@@ -608,8 +564,8 @@ def kernel(family: PolynomialClass, n: int) -> Kernel:
 
     This is the one place that picks the Kac closed forms (gamma = 0, O(1)
     per point, no table) over the generic window kernel, which builds the n
-    neighbour log-ratios and reads log a_i^2 at no more than three indices a
-    call (``_Ratios``).
+    neighbour log-ratios and their prefix sums, and reads log a_i^2 only for
+    rows: at each point's peak and at the two ends (``_Ratios``).
     """
     if family.is_kac:
         return _kac_kernel(n)

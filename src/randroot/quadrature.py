@@ -32,6 +32,7 @@ __all__ = ["QuadratureResult", "adaptive_quadrature"]
 DEFAULT_TOL = 1e-9
 MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
 MAX_DEPTH = 60  # bisections of a first panel before a panel is kept as it stands
+STALLED_ROUNDS = 16  # rounds at the rounding floor that set no new low error total before giving up
 
 # Kronrod-15 nodes on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
 _XGK = np.array([
@@ -54,6 +55,9 @@ _WG = np.array([
     0.129484966168870,
 ])
 _G_IDX = np.arange(1, 15, 2)
+# The Kronrod weights and, beside them, the Gauss weights at the Gauss nodes and 0 at the rest.
+_RULES = np.zeros((15, 2))
+_RULES[:, 0], _RULES[_G_IDX, 1] = _WGK, _WG
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], panels: Sequence[tuple[float,
     """(Kronrod value, |Kronrod - Gauss|) of each panel (a, b) of ``panels``, from one call of ``f``.
 
     ``f`` gets the 15 nodes of every panel, panel after panel; each panel's
-    sums are taken over its own 15 values, as if it were evaluated alone.
+    two sums are taken over its own 15 values, one row of one product with
+    both rules.
     """
     ab = np.array(panels, dtype=float)
     center, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
@@ -89,11 +94,8 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], panels: Sequence[tuple[float,
     if bad.any():
         a, b = panels[int(np.argmax(bad))]
         raise NumericError(f"integrand returned non-finite values on [{a}, {b}]")
-    out = []
-    for h, row in zip(half.tolist(), fx):
-        k15 = h * float(_WGK @ row)
-        out.append((k15, abs(k15 - h * float(_WG @ row[_G_IDX]))))
-    return out
+    sums = (fx @ _RULES) * half[:, None]
+    return list(zip(sums[:, 0].tolist(), np.abs(sums[:, 0] - sums[:, 1]).tolist()))
 
 
 def adaptive_quadrature(
@@ -116,7 +118,10 @@ def adaptive_quadrature(
     it, and the result carries ``converged=False`` with the achieved error
     estimate.  So does a round that leaves the error total at the rounding
     floor: no lower than the round before, within 64 ulps of the sums, and
-    over twice ``tol``, a gap that the total's rounding noise does not close.
+    over twice ``tol``, a gap that the total's rounding noise does not close;
+    and the ``STALLED_ROUNDS``-th round in a row that leaves it at the floor
+    no lower than every total before, where noise has kept it between ``tol``
+    and twice ``tol``.
     """
     if not tol > 0:
         raise NumericError(f"tolerance must be positive, got {tol!r}")
@@ -133,7 +138,7 @@ def adaptive_quadrature(
     live: list[tuple] = []
     kept: list[tuple] = []
     new = [(lo, hi, 0, seq) for seq, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-    seq, evaluations, last = len(new), 0, math.inf
+    seq, evaluations, last, lowest, stalled = len(new), 0, math.inf, math.inf, 0
     while True:
         for (lo, hi, depth, created), (value, err) in zip(new, _panels(f, [p[:2] for p in new])):
             mid = 0.5 * (lo + hi)
@@ -144,7 +149,10 @@ def adaptive_quadrature(
         kept_errors, errors = [p[6] for p in kept], [p[6] for p in live]
         total = math.fsum(kept_errors + errors)
         room = (MAX_EVALUATIONS - evaluations) // 30
-        at_floor = 2.0 * tol < total and last <= total <= 2.0 ** -46 * sum(abs(p[5]) for p in live + kept)
+        floor = 2.0 ** -46 * sum(abs(p[5]) for p in live + kept)
+        stalled = stalled + 1 if lowest <= total <= floor else 0
+        lowest = min(lowest, total)
+        at_floor = (2.0 * tol < total and last <= total <= floor) or stalled >= STALLED_ROUNDS
         if total <= tol or not live or room <= 0 or at_floor:
             break
         last = total

@@ -171,3 +171,28 @@ def test_scaling_fit_validation():
         scaling_fit(elliptic(), [25, 100, 100, 400])  # not strictly increasing
     with pytest.raises(ParameterDomainError):
         scaling_fit(elliptic(), [1, 100, 200, 400])  # no leading order at n = 1
+
+
+@pytest.mark.parametrize("n", [1, 2.5, 10, 50, 1000, 12345.6, 10**6, 10**7])
+def test_laplace_binomial_term_against_40_digit_values(n):
+    # both approximants against the same formula in 40 digits at the float
+    # Laplace point: the binomial term log C(n, i*), the largest at large n,
+    # is good to a few ulps of itself (libm's lgamma(n + 1) left it up to
+    # about 2000 ulps of the sum off at n = 10^7)
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for gamma in (0.5, 1.0, 3.0):
+        for x in (1.0, 0.5, 0.01):
+            p = concentration_params(gamma, x, n)
+            with mp.workdps(40):
+                big = mp.mpf(n)
+                binom = mp.loggamma(big + 1) - mp.loggamma(p.i_star + 1) - mp.loggamma(big - p.i_star + 1)
+                lx, width = mp.log(mp.mpf(x)), mp.mpf(p.width)
+                variance = [2 * gamma * binom, 2 * p.i_star * lx, mp.log(mp.pi) / 2, mp.log(width) / 2]
+                shared = (4 * p.i_star - 2) * lx + mp.log(mp.pi / 2) + 2 * mp.log(width)
+                gram = log_gram_approx(gamma, n, x)
+                for got, terms in ((log_variance_approx(gamma, n, x).log_value, variance),
+                                   (gram.log_value, [2 * gamma * binom, shared]),
+                                   (gram.log_value_squared_prefactor, [4 * gamma * binom, shared])):
+                    bound = 4 * eps * max(1, float(sum(abs(t) for t in terms)))
+                    assert abs(got - float(sum(terms))) <= bound, (gamma, x, got, float(sum(terms)))

@@ -744,17 +744,40 @@ def test_density_log_m_to_a_few_ulps_of_its_terms(family, n):
     # gamma = 1, that is 3.7e-9 where this allows 1.5e-11.
     k = kernel(family, n)
     table = coefficient_table(family, n).log_sq_coeff
+    for x in (0.1, 0.5, 1.0, 2.0):
+        want, lead = mp_log_m(family, n, table, x)
+        log_m = k.rows(np.array([x]))[0][0]
+        assert abs(log_m - want) <= 8 * np.spacing(lead), (x, float(abs(log_m - want)) / np.spacing(lead))
+
+
+def mp_log_m(family, n, table, x):
+    """(30-digit log M at x, the larger of its two leading terms log a_i*^2 and 2 i* ln x, or 1).
+
+    Only the terms within e^-100 of the largest are summed: the rest move
+    log M by less than n e^-100.
+    """
+    near = table + 2.0 * math.log(x) * np.arange(n + 1)
+    peak = int(np.argmax(near))
+    keep = tuple(np.flatnonzero(near >= near[peak] - 100.0).tolist())
     with mp.workdps(30):
-        for x in (0.1, 0.5, 1.0, 2.0):
-            log_m = k.rows(np.array([x]))[0][0]
-            near = table + 2.0 * math.log(x) * np.arange(n + 1)
-            peak = int(np.argmax(near))
-            lead = max(1.0, abs(table[peak]), abs(2.0 * peak * math.log(x)))
-            keep = tuple(np.flatnonzero(near >= near[peak] - 100.0).tolist())  # the rest moves log M < n e^-100
-            t = [v + 2 * i * mp.log(x) for i, v in zip(keep, exact_log_sq(family, n, 30, keep))]
-            top = max(t)
-            want = top + mp.log(mp.fsum(mp.exp(v - top) for v in t))
-            assert abs(log_m - want) <= 8 * np.spacing(lead), (x, float(abs(log_m - want)) / np.spacing(lead))
+        t = [v + 2 * i * mp.log(x) for i, v in zip(keep, exact_log_sq(family, n, 30, keep))]
+        top = max(t)
+        want = top + mp.log(mp.fsum(mp.exp(v - top) for v in t))
+    return want, max(1.0, abs(table[peak]), abs(2.0 * peak * math.log(x)))
+
+
+@pytest.mark.parametrize("family", [elliptic(), alpha_beta_family(-0.9, 3.0)], ids=lambda f: f.label())
+def test_density_grid_log_m_to_a_few_ulps_of_its_terms(family):
+    # one call over a grid, as `randroot density` makes it, keeps the
+    # one-point bound in every cell: each reads log a_i*^2 at its own peak.
+    # (An anchor at the grid's lowest peak plus cumulative sums of the ratios
+    # from there left cells here 12.4 and 10.4 ulps of their leading terms off.)
+    n = 4000
+    table = coefficient_table(family, n).log_sq_coeff
+    xs = np.linspace(0.05, 3.0, 60)
+    for x, log_m in zip(xs, kernel(family, n).rows(xs)[0]):
+        want, lead = mp_log_m(family, n, table, x)
+        assert abs(log_m - want) <= 8 * np.spacing(lead), (x, float(abs(log_m - want)) / np.spacing(lead))
 
 
 def test_step_columns_are_one_array_grown_by_rebinding():
@@ -787,8 +810,8 @@ def test_step_columns_are_one_array_grown_by_rebinding():
 
 def test_counts_and_densities_build_no_log_sq_array(monkeypatch, capsys):
     # a count reads no log a_i^2 at all, and a density grid reads it at no
-    # more than two indices a call: no (n+1)-entry log-gamma array and no
-    # coefficient table is built
+    # more than one index per point of the call (its peak) plus i = 0 and n:
+    # no (n+1)-entry log-gamma array and no coefficient table is built
     import randroot.families as fm
     import randroot.kacrice as kr
     from randroot.cli import main
@@ -812,10 +835,11 @@ def test_counts_and_densities_build_no_log_sq_array(monkeypatch, capsys):
         assert expected_roots_interval_result(family, n, 0.5, 2.0).converged
     assert reads == []
     for cls in (["gamma", "--gamma", "1"], ["alpha-beta", "--alpha", "0.5", "--beta", "2"]):
-        assert main(["density", "--class", *cls, "--n", "2000", "--grid", "0:3:61"]) == 0
-        assert main(["density", "--class", *cls, "--n", "2000", "--grid", "1e300:1e301:2"]) == 0
+        for grid, points in (("0:3:61", 61), ("1e300:1e301:2", 2)):
+            reads.clear()
+            assert main(["density", "--class", *cls, "--n", "2000", "--grid", grid]) == 0
+            assert 0 < sum(reads) <= points + 2, (grid, reads)
     capsys.readouterr()
-    assert reads and max(reads) <= 2, reads
 
 
 # the window kernel's whole domain: weights near flat (small gamma), alpha
@@ -990,6 +1014,54 @@ def test_unreachable_tolerance_stops_at_the_rounding_floor():
         assert not res.converged
         assert res.evaluations <= 10**4
         assert abs(res.value - 9.38826623329811) < 1e-12
+
+
+def _block_sequences():
+    """Seeded half-width sequences: smooth and noisy runs, wide -> narrow -> wide, and points wider than the budget."""
+    import randroot.kacrice as kr
+
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        size = int(rng.integers(1, 400))
+        yield rng.integers(1, int(rng.choice([20, 300, 3000])), size)
+    for wide, narrow in ((400, 10), (2000, 50), (90, 30), (5000, 4000)):
+        yield np.repeat([wide, narrow, wide, narrow // 2, wide], rng.integers(1, 60, 5))
+    yield np.array([kr._BUDGET + 1])
+    yield np.array([3, kr._BUDGET * 2, 5, 5, kr._BUDGET, 7, kr._BUDGET + 1, kr._BUDGET + 1, 2])
+    yield (40 + 30 * np.sin(np.linspace(0.0, 20.0, 2001))).astype(int)
+
+
+def test_blocks_keep_both_bounds_and_are_maximal():
+    # consecutive blocks cover the points once; each keeps count x widest
+    # half-width within _BUDGET and its padding (widest - own, summed) under
+    # _SPLIT_TERMS, unless it is one point; and each is as long as it can be:
+    # the next point would break a bound
+    import randroot.kacrice as kr
+
+    def fits(w):
+        return len(w) * w.max() <= kr._BUDGET and int((w.max() - w).sum()) < kr._SPLIT_TERMS
+
+    for widths in _block_sequences():
+        blocks = list(kr._blocks(widths))
+        assert blocks[0].start == 0 and blocks[-1].stop == len(widths)
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        for i in blocks:
+            assert i.stop - i.start == 1 or fits(widths[i]), (widths[i], i)
+            assert i.stop == len(widths) or not fits(widths[i.start:i.stop + 1]), (widths[i.start:i.stop + 1], i)
+
+
+def test_tolerance_inside_the_rounding_noise_stops_after_stalled_rounds(capsys):
+    # at tol = 2e-14 each leg's error total sits at the rounding floor between
+    # its tol and twice it, and no round lowers it: the count took the whole
+    # 2,000,000-evaluation budget (3 s) before STALLED_ROUNDS ended it
+    from randroot.cli import main
+
+    res = expected_roots_real_line_result(gamma_family(1.0), 50, tol=2e-14)
+    assert not res.converged and res.evaluations <= 4 * 10**5
+    assert abs(res.value - 9.38826623329811) < 1e-12
+    assert main(["expect", "--class", "gamma", "--gamma", "1", "--n", "50", "--tol", "2e-14"]) == 3
+    out, err = capsys.readouterr()
+    assert int(out.split("\n")[1].split(",")[3]) == res.evaluations and "Traceback" not in err
 
 
 def test_kernel_blocks_stay_in_the_budget(monkeypatch):

@@ -77,11 +77,17 @@ def test_rounding_floor_ends_refinement():
     assert adaptive_quadrature(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-14).converged
 
 
+_STALL = (1.6e-15,) * quadrature.STALLED_ROUNDS  # at the floor, within 2 tol, above the lowest 1.5e-15
+
+
 @pytest.mark.parametrize("totals,calls,converged", [
     ((1e-3, 3e-15, 3.1e-15, 0.9e-15), 3, False),  # stalls at the floor, over 2 tol: stop
     ((1e-3, 3e-15, 2.9e-15, 3.0e-15, 0.9e-15), 4, False),  # stops once the total is no lower
     ((1e-3, 1.5e-15, 1.6e-15, 0.9e-15), 4, True),  # stalls within 2 tol: noise may close it
     ((1e-3, 1e-13, 1.1e-13, 0.9e-15), 4, True),  # stalls above the floor: not at it
+    ((1e-3, 1.5e-15) + _STALL, 2 + len(_STALL), False),  # STALLED_ROUNDS in a row with no new low: stop
+    ((1e-3, 1.5e-15) + _STALL[1:] + (1.4e-15,) + _STALL, 2 + 2 * len(_STALL), False),  # a new low restarts them
+    ((1e-3, 1.5e-15) + _STALL[1:] + (0.9e-15,), 2 + len(_STALL), True),  # tol met in the last round first
 ])
 def test_rounding_floor_rule(monkeypatch, totals, calls, converged):
     # scripted panels, each of value 1: call k gives its first panel the error
