@@ -185,7 +185,10 @@ def _parse_grid(raw: str) -> np.ndarray:
         raise ParameterDomainError(f"bad grid {raw!r}") from exc
     if steps < 1 or not (math.isfinite(a) and math.isfinite(b)) or b < a:
         raise ParameterDomainError(f"bad grid {raw!r}")
-    return np.linspace(a, b, steps)
+    try:
+        return np.linspace(a, b, steps)
+    except ValueError as exc:  # more steps than an array can index
+        raise ParameterDomainError(f"grid {raw!r} has more steps than an array can hold") from exc
 
 
 def _parse_n_list(raw: str) -> list[int]:

@@ -133,21 +133,23 @@ def jacobi_derivative(n: int, alpha: float, beta: float, x):
 
 
 def _recurrence_matrix(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the symmetric (Golub-Welsch) matrix."""
+    """Diagonal and off-diagonal of the symmetric (Golub-Welsch) matrix, in NumPy doubles, so that a
+    term past the double range (alpha + beta from about 1e77) raises ``NumericError``, not an inf or 0."""
+    alpha, beta = np.float64(alpha), np.float64(beta)
     apb = alpha + beta
-    k = np.arange(n, dtype=float)
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (apb + 2.0)
-    if n > 1:
-        kk = k[1:]
-        diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * kk + apb) * (2.0 * kk + apb + 2.0))
     kk = np.arange(1, n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # k = 1 slot is replaced below
-        off_sq = (4.0 * kk * (kk + alpha) * (kk + beta) * (kk + apb)
-                  / ((2.0 * kk + apb) ** 2 * ((2.0 * kk + apb) ** 2 - 1.0)))
-    if n > 1:
-        # k = 1 in the cancelled limit form, valid even at alpha + beta = -1
-        off_sq[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + apb) ** 2 * (3.0 + apb))
+    try:
+        # divide and invalid: the k = 1 slot of off_sq, replaced below
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+            diag = np.append((beta - alpha) / (apb + 2.0),
+                             (beta * beta - alpha * alpha) / ((2.0 * kk + apb) * (2.0 * kk + apb + 2.0)))
+            off_sq = (4.0 * kk * (kk + alpha) * (kk + beta) * (kk + apb)
+                      / ((2.0 * kk + apb) ** 2 * ((2.0 * kk + apb) ** 2 - 1.0)))
+            if n > 1:  # k = 1 in the cancelled limit form, valid even at alpha + beta = -1
+                off_sq[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + apb) ** 2 * (3.0 + apb))
+    except FloatingPointError:
+        raise NumericError(f"recurrence matrix for n={n}, alpha={alpha}, beta={beta} "
+                           "does not fit in a double") from None
     return diag, np.sqrt(off_sq)
 
 
@@ -202,20 +204,20 @@ def log_variance_via_jacobi(n: int, alpha: float, beta: float, x):
 
     The recurrence rescales as it runs, so degrees whose J_n overflows a
     float stay representable.  Requires |x| < 1 at every point; an array
-    takes one recurrence for all its points.
+    takes one recurrence for all its points, and a scalar gives a float.
     """
     _check_alpha_beta(alpha, beta)
     _check_integer(n, 0)
     arr = np.asarray(x, dtype=float)
     if not (np.abs(arr) < 1.0).all():
         raise ParameterDomainError(f"identity requires |x| < 1, got {x!r}")
-    x, lib = (float(arr), math) if arr.ndim == 0 else (arr, np)  # a scalar keeps math's logs
-    x2 = x * x
+    x2 = arr * arr
     arg = (1.0 + x2) / (1.0 - x2)
     p_cur, e = (1.0, 0) if n == 0 else _recurrence(n, alpha, beta, arg)[1:]
     if not np.all(p_cur > 0.0):
         raise NumericError(f"Jacobi value unexpectedly non-positive at arg={arg!r}")
-    return n * lib.log1p(-x2) + e * _LN2 + lib.log(p_cur)
+    log_m = n * np.log1p(-x2) + e * _LN2 + np.log(p_cur)
+    return float(log_m) if arr.ndim == 0 else log_m
 
 
 def density_via_roots(rootset: JacobiRootSet, x):
@@ -291,11 +293,10 @@ def density_endpoints(n: int, alpha: float, beta: float) -> tuple[float, float]:
     _check_integer(n)
     f0 = math.sqrt(n * (n + beta) / (1.0 + alpha))
     s = 2.0 * n + alpha + beta
-    if n == 1:
-        # the factor (n+alpha+beta)/(s-1) is identically 1 here; cancel it so
-        # alpha + beta = -1 does not turn into 0/0
-        f1 = math.sqrt((1.0 + alpha) * (1.0 + beta)) / s
-    else:
-        f1 = math.sqrt(n * (n + alpha) * (n + beta) * (n + alpha + beta) / (s - 1.0)) / s
+    # f(1)^2 = n (n+alpha)(n+beta)(n+alpha+beta) / ((s-1) s^2), as a product of
+    # quotients at most 1, so no product overflows; the last is identically 1 at
+    # n = 1, where taking it as 1 keeps alpha + beta = -1 from turning into 0/0
+    last = 1.0 if n == 1 else (n + alpha + beta) / (s - 1.0)
+    f1 = math.sqrt(n * ((n + alpha) / s) * ((n + beta) / s) * last)
     return f0, f1
 

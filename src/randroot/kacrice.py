@@ -268,8 +268,8 @@ def _blocks(widths: np.ndarray):
         start = stop
 
 
-def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
-    """g = sqrt(Var) = x f at each ln x of ``lx``; at x = ``xs``, rows (log M, B/M, f, log(A*M - B^2)) or f.
+def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None):
+    """g = sqrt(Var) = x f at each ln x of ``lx``; at x = ``xs``, the rows (log M, B/M, f, log(A*M - B^2)).
 
     Weights p_i = a_i^2 x^(2i) / M give M, the mean mu = x B/M and the
     variance Var = sum p_i (i - mu)^2 = x^2 (A*M - B^2)/M^2, so f = sqrt(Var)/x.
@@ -286,7 +286,7 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     stays bounded however many points are asked for, and a narrow window
     carries little padding.  log M = log a_(i*)^2 + 2 i* ln x + log(weight
     total) reads log a_i^2 at each point's own peak, so each point's log M is
-    placed as a one-point call places it; counts and f read none.
+    placed as a one-point call places it; counts read none.
     """
     d0 = 2.0 * lx
     peak = np.searchsorted(c.left[1:-1], d0)  # the number of i with d_i > 0
@@ -299,8 +299,6 @@ def _moments(c: _Ratios, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
     if xs is None:
         return g
     f = g / xs  # past the double range at tiny x: ``_evaluator`` raises
-    if not rows:
-        return f
     s1 = (peak + mean) / xs
     log_m = c.log_sq(peak) + peak * d0 + np.log1p(s0)
     log_f = 0.5 * np.log(var) - lx
@@ -337,15 +335,15 @@ def _splits(finest: int) -> tuple[float, ...]:
 class Kernel(NamedTuple):
     """Array kernels of one family at one degree, through its one evaluator (``_evaluator``).
 
-    ``rows`` gives (log M, B/M, f, log(A*M - B^2)) and ``density`` f alone at
-    any x >= 0; ``spread`` gives g = x f at x = e^-s for s strictly between
+    A kernel has one read per job.  ``rows`` gives (log M, B/M, f,
+    log(A*M - B^2)) at any x >= 0, and a density is its f row; ``spread``
+    gives g = x f at x = e^-s, reading no log a_i^2, for s strictly between
     ``edges`` = (s_high, s_low), past which g is e^-20 e^-|s - edge|.  A root
-    count's first panels are cut at the increasing ``splits`` that lie inside
-    its leg.
+    count integrates ``spread``, its first panels cut at the increasing
+    ``splits`` that lie inside its leg.
     """
 
     rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-    density: Callable[[np.ndarray], np.ndarray]
     spread: Callable[[np.ndarray], np.ndarray]
     edges: tuple[float, float]
     splits: tuple[float, ...]
@@ -355,16 +353,16 @@ def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tupl
                splits: tuple) -> Kernel:
     """The one evaluator of a family: ``moments`` at ln x, served to x and to s.
 
-    ``moments(lx)`` gives g, and ``moments(lx, xs, rows)`` the rows or f at
-    xs = e^lx, between x_low = e^-((40 + r_0)/2) and x_high =
-    e^((40 - r_(n-1))/2), from ``ratios`` = (r_0, r_1, -r_(n-1), -r_(n-2)).
-    x up to x_low take the limit rows (``_end_rows``) of (log a_0^2, r_0, r_1,
-    log(a_0^2 a_1^2)), finite x from x_high those of (log a_n^2, -r_(n-1),
-    -r_(n-2), log(a_(n-1)^2 a_n^2)) at y = 1/x, reflected through
-    M(x) = x^(2n) M_rev(y), mean index n - mean_rev, f(x) = f_rev(y)/x^2 and
-    A*M - B^2 = x^(4n-4) (A*M - B^2)_rev, and x = inf the limits.
-    ``ends()`` gives (log a_0^2, log a_n^2); only rows past the edges read it,
-    so f alone and root counts never do.  NaN or x < 0 raises
+    ``moments(lx)`` gives g, and ``moments(lx, xs)`` the rows at xs = e^lx,
+    between x_low = e^-((40 + r_0)/2) and x_high = e^((40 - r_(n-1))/2), from
+    ``ratios`` = (r_0, r_1, -r_(n-1), -r_(n-2)).  x up to x_low take the limit
+    rows (``_end_rows``) of (log a_0^2, r_0, r_1, log(a_0^2 a_1^2)), finite x
+    from x_high those of (log a_n^2, -r_(n-1), -r_(n-2), log(a_(n-1)^2 a_n^2))
+    at y = 1/x, reflected through M(x) = x^(2n) M_rev(y), mean index
+    n - mean_rev, f(x) = f_rev(y)/x^2 and A*M - B^2 = x^(4n-4) (A*M - B^2)_rev,
+    and x = inf the limits.  ``ends()`` gives (log a_0^2, log a_n^2); only a
+    call with a point past the edges reads it, so root counts, and rows whose
+    points all lie inside the edges, never do.  NaN or x < 0 raises
     ``ParameterDomainError``, and an f or B/M past the double range at a
     finite x ``NumericError``.
     """
@@ -374,11 +372,11 @@ def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tupl
     x_high = 1.0 / y_high if y_high > 0.0 else math.inf
     x_min = max(x_low, (n + 1.0) / sys.float_info.max)  # above it no f or B/M (<= n/x) overflows
 
-    def evaluate(xs: np.ndarray, rows: bool = True):
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, ...]:
         if len(xs) == 0:
-            return tuple(np.empty((4, 0))) if rows else np.empty(0)
+            return tuple(np.empty((4, 0)))
         if x_min < xs.min() and xs.max() < x_high:  # false for NaN
-            return moments(np.log(xs), xs, rows)
+            return moments(np.log(xs), xs)
         if not xs.min() >= 0.0:
             raise ParameterDomainError(f"density needs x >= 0, got {xs[~(xs >= 0.0)][0]!r}")
         with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; overflows raise below
@@ -386,7 +384,7 @@ def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tupl
             below, infinite = xs <= x_low, xs == math.inf
             above = (xs >= x_high) & ~infinite
             inside = ~(below | above | infinite)
-            la_0, la_n = ends() if rows and not inside.all() else (0.0, 0.0)  # f alone reads no log a_i^2
+            la_0, la_n = ends() if not inside.all() else (0.0, 0.0)
             low = (la_0, r_0, r_1, 2.0 * la_0 + r_0)
             # at n = 1, A*M - B^2 = a_0^2 a_1^2 at every x: both ends take one constant
             high = (la_n, r_n, r_n1, low[3] if n == 1 else 2.0 * la_n + r_n)
@@ -400,15 +398,14 @@ def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tupl
                                  log_amb + (4 * n - 4) * l_above)
             # A*M - B^2 ~ a_n^2 a_(n-1)^2 x^(4n-4): constant only at n = 1
             out[:, infinite] = [[math.inf], [0.0], [0.0], [high[3] if n == 1 else math.inf]]
-            if inside.any():  # all four rows, or the f row alone
-                out[slice(None) if rows else 2, inside] = moments(lx[inside], xs[inside], rows)
-        out = tuple(out) if rows else out[2]
-        finite = np.isfinite(out[1]) & np.isfinite(out[2]) if rows else np.isfinite(out)
+            if inside.any():
+                out[:, inside] = moments(lx[inside], xs[inside])
+        finite = np.isfinite(out[1]) & np.isfinite(out[2])
         if not finite.all():  # the window sums near x = 0, where f ~ e^(r_0/2)
             raise NumericError(f"f or B/M at x = {float(xs[~finite][0])!r} does not fit in a double")
-        return out
+        return tuple(out)
 
-    return Kernel(evaluate, partial(evaluate, rows=False), lambda s: moments(-s), (s_high, s_low), splits)
+    return Kernel(evaluate, lambda s: moments(-s), (s_high, s_low), splits)
 
 
 def _ratio_kernel(n: int, log_ratio: np.ndarray, log_sq: Callable[[np.ndarray], np.ndarray]) -> Kernel:
@@ -438,12 +435,11 @@ def kac_rice_eval(table: CoefficientTable, x: float) -> KacRiceTriple:
     return _triple(float(x), _table_kernel(table).rows(np.array([float(x)])))
 
 
-def _over_abs(fn, x):
-    """``fn`` on |x| as a flat array, reshaped like ``x``; a float for a scalar."""
+def _density(k: Kernel, x):
+    """The f row of ``k`` at |x| as a flat array, reshaped like ``x``; a float for a scalar."""
     arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(arr).ravel()
-    res = fn(np.abs(flat))
-    return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
+    f = k.rows(np.abs(np.atleast_1d(arr).ravel()))[2]
+    return float(f[0]) if arr.ndim == 0 else f.reshape(arr.shape)
 
 
 def density(table: CoefficientTable, x):
@@ -451,7 +447,7 @@ def density(table: CoefficientTable, x):
 
     f(+-inf) = 0, its limit; NaN raises ``ParameterDomainError``.
     """
-    return _over_abs(_table_kernel(table).density, x)
+    return _density(_table_kernel(table), x)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +485,8 @@ def _log1mexp(t: np.ndarray) -> np.ndarray:
     return np.where(t > -_LN2, np.log(-np.expm1(t)), np.log1p(-np.exp(t)))
 
 
-def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: bool = True):
-    """g = x f of the Kac family at each ln x of ``lx``; at x = ``xs``, its rows or f as in ``_moments``.
+def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None):
+    """g = x f of the Kac family at each ln x of ``lx``; at x = ``xs``, its rows as in ``_moments``.
 
     Every closed form is taken at y = min(x, 1/x) = e^-s, s = |ln x|, where its
     terms stay bounded, and reflected through the palindromic coefficients:
@@ -517,8 +513,6 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None, rows: boo
         return np.exp(-s) * np.sqrt(f2)
     high, f = lx > 0.0, np.sqrt(f2)
     f = np.where(high, f / xs / xs, f)  # x > e^-20 here: no quotient overflows
-    if not rows:
-        return f
     q = 1.0 / one_m_x - big * x_n / one_m_xbig  # phi / X
     s1 = np.where(high, (n - np.exp(t) * q) / xs, xs * q)  # B/M = phi/x, exact as x -> 0
     log_m = _log1mexp(big * t) - _log1mexp(t)
@@ -547,7 +541,7 @@ def _kac_kernel(n: int) -> Kernel:
 
 def kac_density(n: int, x) -> float | np.ndarray:
     """Kac density in O(1) per point; series fallback keeps full precision near |x| = 1."""
-    return _over_abs(_kac_kernel(n).density, x)
+    return _density(_kac_kernel(n), x)
 
 
 def kac_triple(n: int, x: float) -> KacRiceTriple:

@@ -52,8 +52,6 @@ _CHUNK_ENTRIES = 2 ** 16
 class SampledPolynomial:
     """One draw: coefficients ascending in degree, rescaled to max |c| = 1."""
 
-    family: PolynomialClass | None
-    n: int
     coeffs: np.ndarray
 
     @classmethod
@@ -67,7 +65,7 @@ class SampledPolynomial:
             raise ParameterDomainError(f"need finite coefficients, not all zero, got {c!r}")
         c = c / scale
         c.flags.writeable = False
-        return cls(None, len(c) - 1, c)
+        return cls(c)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def sample_polynomial(family: PolynomialClass, n: int, rng: np.random.Generator)
     log_weight = 0.5 * _log_sq(family, n, np.arange(n + 1))  # log |a_i|
     coeffs = _rescaled(rng.standard_normal(n + 1), log_weight)
     coeffs.flags.writeable = False
-    return SampledPolynomial(family, n, coeffs)
+    return SampledPolynomial(coeffs)
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:

@@ -175,7 +175,7 @@ def _check_endpoints(params, table, kernel, rows) -> tuple[bool, str]:
     for alpha, beta in params["ab_grid"]:
         family = alpha_beta_family(alpha, beta)
         for n in params["recurrence_n"]:
-            at_0 = float(kernel(family, n).density(np.zeros(1))[0])
+            at_0 = float(kernel(family, n).rows(np.zeros(1))[2][0])
             at_1 = float(rows(family, n, (1.0,))[2, 0])
             f0, f1 = density_endpoints(n, alpha, beta)
             worst = _worst(worst, abs(at_0 / f0 - 1.0), abs(at_1 / f1 - 1.0))
@@ -224,8 +224,8 @@ def _check_reciprocity(params, table, kernel, rows) -> tuple[bool, str]:
     worst = 0.0
     for family in (gamma_family(1.0), gamma_family(0.5), alpha_beta_family(0.5, 2.0)):
         for n in params["envelope_n"]:
-            f = kernel(family, n).density
+            rows_of = kernel(family, n).rows
             outer = expected_roots_interval(reciprocal_table(table(family, n)), 0.0, 1.0, tol)
-            sub = adaptive_quadrature(lambda us: f(1.0 / us) / (math.pi * us * us), 0.0, 1.0, tol)
+            sub = adaptive_quadrature(lambda us: rows_of(1.0 / us)[2] / (math.pi * us * us), 0.0, 1.0, tol)
             worst = _worst(worst, abs(outer.value - sub.value))
     return worst < 10 * tol, f"worst |E(1,inf) - E(u = 1/x)| = {worst:.3e} (tol {10 * tol:g})"

@@ -265,6 +265,23 @@ def test_bounds_at_large_alpha_beta(capsys):
     assert jac_lo <= count <= jac_hi and ultra_lo <= count <= ultra_hi
 
 
+def test_bounds_past_the_double_range_exits_three(capsys):
+    # (2 + alpha + beta)^2 in the recurrence matrix raised OverflowError: a traceback and exit 1
+    code, out, err = run_cli(capsys, "bounds", "--class", "alpha-beta", "--alpha", "1e155",
+                             "--beta", "1", "--n", "2")
+    assert (code, out) == (3, "")
+    assert err == ("randroot: numeric failure: recurrence matrix for n=2, alpha=1e+155, beta=1.0 "
+                   "does not fit in a double\n")
+
+
+def test_density_grid_past_the_array_size_exits_two(capsys):
+    # 10^20 steps: np.linspace raises ValueError before it allocates anything
+    grid = "0:1:99999999999999999999"
+    code, out, err = run_cli(capsys, "density", "--class", "gamma", "--gamma", "1", "--n", "3", "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err == f"randroot: error: grid {grid!r} has more steps than an array can hold\n"
+
+
 def test_density_kac_route(capsys):
     code, out, _ = run_cli(capsys, "density", "--class", "kac", "--n", "50000",
                            "--grid", "0:2:9")

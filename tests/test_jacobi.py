@@ -471,6 +471,31 @@ def test_density_endpoints_match_pointwise(alpha, beta):
         assert density(table, 1.0) == pytest.approx(f1, rel=1e-10)
 
 
+@pytest.mark.parametrize("n,alpha,beta", [(3, 1e155, 1.0), (3, 1e155, 1e155), (1, 1e155, 1e155), (4, 1.0, 1e300)])
+def test_density_endpoint_at_one_past_the_double_range_of_its_product(n, alpha, beta):
+    # n (n+alpha)(n+beta)(n+alpha+beta) overflows a double, but f(1) does not: it
+    # was returned as inf
+    with mp.workdps(30):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        s = 2 * n + a + b
+        last = 1 if n == 1 else (n + a + b) / (s - 1)
+        want = float(mp.sqrt(n * (n + a) * (n + b) * last) / s)
+    assert density_endpoints(n, alpha, beta)[1] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: root_bounds(2, 1e155, 1.0),
+    lambda: jacobi_roots(2, 1e155, 1.0),
+    lambda: root_bounds(5, 1e150, 1.0),
+    lambda: jacobi_roots(5, 1e100, 1e100),
+], ids=["bounds-1e155", "roots-1e155", "bounds-1e150", "roots-1e100"])
+def test_recurrence_matrix_past_the_double_range_raises(call):
+    # a term of the matrix past the double range left an inf or a 0 in it, with
+    # RuntimeWarnings, or raised OverflowError from (2 + alpha + beta)^2
+    with pytest.raises(NumericError, match="recurrence matrix .* does not fit in a double"):
+        call()
+
+
 @pytest.mark.parametrize(
     "n,alpha,beta,x,bound",
     [(3, 1.0, 2.0, 0.3, 1e-10), (2, 0.0, 0.0, 1.0, 1e-12), (10, 0.5, 0.5, 0.8, 1e-9)],
