@@ -246,7 +246,12 @@ def _log_sq(family: PolynomialClass, n: int, i: np.ndarray) -> np.ndarray:
     indices agree bit for bit.  Swapping alpha <-> beta and i <-> n - i swaps
     the two terms, which add in the other order: the reversal contract holds
     bit for bit.  The gamma family's log a_0^2 and log a_n^2 are 0 exactly.
+    Indices that are not strictly increasing, such as the peaks of a grid of
+    points, may repeat: each distinct one is evaluated once.
     """
+    if len(i) > 1 and not (i[1:] > i[:-1]).all():
+        distinct, at = np.unique(i, return_inverse=True)
+        return _log_sq(family, n, distinct)[at]
     if family.kind is FamilyKind.GAMMA:
         if n <= _EXACT_N:
             log_binom = np.log([float(math.comb(n, v)) for v in i.tolist()])

@@ -291,7 +291,7 @@ def density_endpoints(n: int, alpha: float, beta: float) -> tuple[float, float]:
     """Closed forms (f(0), f(1)) for the alpha/beta family."""
     _check_alpha_beta(alpha, beta)
     _check_integer(n)
-    f0 = math.sqrt(n * (n + beta) / (1.0 + alpha))
+    f0 = math.sqrt(n) * math.sqrt(n + beta) / math.sqrt(1.0 + alpha)  # each factor fits where f(0) does
     s = 2.0 * n + alpha + beta
     # f(1)^2 = n (n+alpha)(n+beta)(n+alpha+beta) / ((s-1) s^2), as a product of
     # quotients at most 1, so no product overflows; the last is identically 1 at

@@ -37,8 +37,12 @@ palindromic coefficients, with series fallbacks near X = 1, O(1) per point.
 Every root count integrates g(s) = x f(x) = sqrt(Var_p(i)) over s = -ln |x|
 (Edelman & Kostlan 1995, section 3), where x -> 1/x is s -> -s, up to the
 limit-row edges, past which g is integrated in closed form: no interval is
-integrated improperly and no reversed table is built.  Every root count goes
-through ``_integrate_legs``, the full line as the interval (-inf, inf).
+integrated improperly and no reversed table is built.  Past the knees
+s_K = r_0/2 and s_H = r_(n-1)/2, each 20 inside its edge, g falls like
+e^-|s - knee|, and a leg takes the variable v = s_K + 1 - e^(s_K - s) (resp.
+s_H - 1 + e^(s - s_H)), x (resp. 1/x) rescaled, in which g ds/dv is flat.
+Every root count goes through ``_integrate_legs``, the full line as the
+interval (-inf, inf).
 """
 from __future__ import annotations
 
@@ -340,7 +344,8 @@ class Kernel(NamedTuple):
     gives g = x f at x = e^-s, reading no log a_i^2, for s strictly between
     ``edges`` = (s_high, s_low), past which g is e^-20 e^-|s - edge|.  A root
     count integrates ``spread``, its first panels cut at the increasing
-    ``splits`` that lie inside its leg.
+    ``splits`` that lie inside its leg and between its knees
+    (``_integrate_legs``).
     """
 
     rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
@@ -472,12 +477,13 @@ _SERIES_CUT = 0.5
 _LN2 = math.log(2.0)
 
 
-def _horner(coeffs, z: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] z^k."""
-    p = np.full_like(z, coeffs[-1])
+def _horner(coeffs, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k coeffs[k] z^k and the same sum at w, in one pass over both."""
+    zw = np.concatenate((z, w))
+    p = np.full_like(zw, coeffs[-1])
     for c in coeffs[-2::-1]:
-        p = p * z + c
-    return p
+        p = p * zw + c
+    return p[:len(z)], p[len(z):]
 
 
 def _log1mexp(t: np.ndarray) -> np.ndarray:
@@ -508,7 +514,8 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None):
     if near.any():
         sn = s[near]
         vn = big * sn
-        f2[near] = np.exp(2.0 * sn) / 4.0 * (_horner(_CSCH2, sn * sn) - big * big * _horner(_CSCH2, vn * vn))
+        c_s, c_v = _horner(_CSCH2, sn * sn, vn * vn)
+        f2[near] = np.exp(2.0 * sn) / 4.0 * (c_s - big * big * c_v)
     if xs is None:
         return np.exp(-s) * np.sqrt(f2)
     high, f = lx > 0.0, np.sqrt(f2)
@@ -519,7 +526,8 @@ def _kac_moments(n: int, lx: np.ndarray, xs: np.ndarray | None = None):
     if near.any():
         u = 2.0 * lx[near]  # ln x^2
         w = big * u
-        phi = 0.5 * n + big * w * _horner(_EXPM1_INV, w * w) - u * _horner(_EXPM1_INV, u * u)
+        d_w, d_u = _horner(_EXPM1_INV, w * w, u * u)
+        phi = 0.5 * n + big * w * d_w - u * d_u
         s1[near] = phi / xs[near]
         ratio = np.divide(np.expm1(-2.0 * big * sn), np.expm1(-2.0 * sn),
                           out=np.full_like(sn, big), where=sn > 0.0)
@@ -593,25 +601,85 @@ def _legs(a: float, b: float, symmetric: bool) -> Counter[tuple[float, float]]:
     return legs
 
 
+def _knees(k: Kernel) -> tuple[float, float]:
+    """(s_H, s_K): the knees past which a leg takes the variable of ``_to_leg``.
+
+    The low knee s_K = s_low - _EDGE_LOG/2 = r_0/2 is where the weight next to
+    the end peak at i = 0 equals the peak's own; past it g tends to
+    x e^(r_0/2), so it falls like e^(s_K - s).  The high knee r_(n-1)/2
+    mirrors it.  No knee sits closer to s = 0 than the table ladder's first
+    rung, |s| = 1: the Kac peak and nearly flat weights vary there on scales
+    far below 1, and past |s| = 1 their g falls like e^-|s| as well.
+    """
+    s_high, s_low = k.edges
+    high, low = s_high + 0.5 * _EDGE_LOG, s_low - 0.5 * _EDGE_LOG
+    return min(high, -1.0), max(low, 1.0)
+
+
+def _to_leg(s: float, high: float, low: float) -> float:
+    """The leg variable v at s: s between the knees, s_K + 1 - e^(s_K - s) past the low knee and
+    s_H - 1 + e^(s - s_H) past the high one (v is x, and 1/x, rescaled there)."""
+    if s > low:
+        return low + 1.0 - math.exp(low - s)
+    if s < high:
+        return high - 1.0 + math.exp(s - high)
+    return s
+
+
+_NEAR_END = 1.0 / 3.0  # the share of its scale within which a leg's outermost rung goes
+
+
+def _cuts(rungs: list[float], high: float, low: float, lo: float, hi: float) -> list[float]:
+    """The first-panel cuts of the leg (lo, hi) in the leg variable: the rungs and knees inside it.
+
+    The outermost cut at either end goes if it is a rung closer to that end
+    than ``_NEAR_END`` times the leg's length, or times its own distance from
+    s = 0 where that is shorter, so no rung leaves a sliver of a panel.  The
+    ladder halves towards s = 0, so each rung is as far from the end of a leg
+    (0, hi) as from the rung below it, and stays.  Knees always stay: the
+    integrand is only once differentiable there, and a panel across one
+    misjudges its error.
+    """
+    cuts = sorted(p for p in (*rungs, high, low) if lo < p < hi)
+    for i, end in ((-1, hi), (0, lo)):
+        if cuts and cuts[i] not in (high, low) and abs(end - cuts[i]) < _NEAR_END * min(hi - lo, abs(cuts[i])):
+            del cuts[i]
+    return cuts
+
+
 def _integrate_legs(k: Kernel, symmetric: bool, a: float, b: float, tol: float) -> QuadratureResult:
     """(1/pi) * integral of f over (a, b): each distinct s-leg once, scaled by its multiplicity.
 
-    A leg is one quadrature of g between the edges and the closed-form
-    integral of the limit rows past them.  Every leg gets ``tol`` over the
-    total multiplicity, so the scaled error estimates add up to at most ``tol``.
+    A leg is one quadrature of g between the edges, in the leg variable of
+    ``_to_leg``, and the closed-form integral of the limit rows past them.
+    Its first panels are cut at the knees and at the kernel's splits between
+    them (``_cuts``).
+    Every leg gets ``tol`` over the total multiplicity, so the scaled error
+    estimates add up to at most ``tol``.
     """
     legs = _legs(a, b, symmetric)
     per_leg = tol / sum(legs.values())
     s_high, s_low = k.edges
+    high, low = _knees(k)
+    rungs = [p for p in k.splits if high < p < low]
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        # (1/pi) g ds/dv.  Past a knee at distance d in v, s = knee -+ ln(1 - |d|) and
+        # ds/dv = 1/(1 - |d|), so g ds/dv tends to a constant towards the edge;
+        # between the knees d = 0, and the values are g/pi to the bit
+        w = np.minimum(np.maximum(v, high), low)
+        d = v - w
+        t = 1.0 - np.abs(d)
+        return k.spread(w + np.copysign(np.log(t), d)) / (t * math.pi)
+
     total = QuadratureResult(0.0, 0.0, 0, True)
     for (s1, s2), count in legs.items():
         tail = ((math.exp(s_low - max(s1, s_low)) - math.exp(s_low - max(s2, s_low)))
                 + (math.exp(min(s2, s_high) - s_high) - math.exp(min(s1, s_high) - s_high)))
         leg = QuadratureResult(_TAIL * tail / math.pi, 0.0, 0, True)
-        lo, hi = max(s1, s_high), min(s2, s_low)
+        lo, hi = _to_leg(max(s1, s_high), high, low), _to_leg(min(s2, s_low), high, low)
         if lo < hi:
-            leg = leg + adaptive_quadrature(lambda s: k.spread(s) / math.pi, lo, hi, tol=per_leg,
-                                            splits=[p for p in k.splits if lo < p < hi])
+            leg = leg + adaptive_quadrature(integrand, lo, hi, tol=per_leg, splits=_cuts(rungs, high, low, lo, hi))
         total = total + QuadratureResult(count * leg.value, count * leg.abs_error_estimate,
                                          leg.evaluations, leg.converged)
     return total

@@ -483,6 +483,14 @@ def test_density_endpoint_at_one_past_the_double_range_of_its_product(n, alpha, 
     assert density_endpoints(n, alpha, beta)[1] == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.parametrize("n,alpha,beta", [(4, -0.9999999999999999, 1e300), (10**6, 0.0, 1.7e308)])
+def test_density_endpoint_at_zero_past_the_double_range_of_its_product(n, alpha, beta):
+    # n (n+beta) / (1+alpha) overflows a double, but f(0) does not: it was returned as inf
+    with mp.workdps(30):
+        want = float(mp.sqrt(n * (n + mp.mpf(beta)) / (1 + mp.mpf(alpha))))
+    assert density_endpoints(n, alpha, beta)[0] == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize("call", [
     lambda: root_bounds(2, 1e155, 1.0),
     lambda: jacobi_roots(2, 1e155, 1.0),
