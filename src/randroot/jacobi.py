@@ -185,11 +185,11 @@ def _matrix_eigenvalues(n: int, alpha: float, beta: float, **select) -> np.ndarr
 
 def jacobi_roots(n: int, alpha: float, beta: float) -> JacobiRootSet:
     """Roots as eigenvalues of the recurrence matrix, plus one Newton polish."""
-    s = _newton(n, alpha, beta, np.sort(np.asarray(_matrix_eigenvalues(n, alpha, beta), dtype=float)))
-    if alpha == beta:
-        s = 0.5 * (s - s[::-1])  # enforce the exact s_k = -s_{n+1-k} symmetry
-    s = np.sort(s)
-    if not ((s > -1.0).all() and (s < 1.0).all() and (np.diff(s) > 0).all() or n == 1):
+    s = np.sort(np.asarray(_matrix_eigenvalues(n, alpha, beta), dtype=float))
+    if (np.abs(s) < 1.0).all():  # a wild eigenvalue is rejected, never polished into range
+        s = _newton(n, alpha, beta, s)
+        s = np.sort(0.5 * (s - s[::-1]) if alpha == beta else s)  # alpha = beta: exactly s_k = -s_{n+1-k}
+    if not ((np.abs(s) < 1.0).all() and (np.diff(s) > 0).all()):
         raise NumericError(
             f"root set failed validation for n={n}, alpha={alpha}, beta={beta}: {s}"
         )

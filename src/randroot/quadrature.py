@@ -14,6 +14,12 @@ errors of the rest exceed the tolerance.  Where the two end on the same
 partition, every panel's sums agree.  The final sum runs over panels sorted
 by left endpoint, so results are deterministic for a given integrand.
 
+A round stalls if it leaves the error total at the rounding floor (64 ulps of
+the panel sums) and at most floor/``STALLED_ROUNDS``, rounding noise, under the
+lowest total before; QUADPACK's QAGS, too, counts a bisection that gains too
+little as roundoff.  Refinement stops at the first stall over twice the
+tolerance, and at the ``STALLED_ROUNDS``-th in a row within it.
+
 ``DEFAULT_TOL`` is the default tolerance of ``adaptive_quadrature``, every root count and ``--tol``.
 """
 from __future__ import annotations
@@ -32,7 +38,7 @@ __all__ = ["QuadratureResult", "adaptive_quadrature"]
 DEFAULT_TOL = 1e-9
 MAX_EVALUATIONS = 2_000_000  # integrand evaluations before giving up
 MAX_DEPTH = 60  # bisections of a first panel before a panel is kept as it stands
-STALLED_ROUNDS = 16  # rounds at the rounding floor that set no new low error total before giving up
+STALLED_ROUNDS = 16  # stalled rounds in a row within twice tol before giving up
 
 # Kronrod-15 nodes on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
 _XGK = np.array([
@@ -116,12 +122,7 @@ def adaptive_quadrature(
     call per panel, bit for bit.  Never returns a silently wrong value: when
     the evaluation budget runs short, a round bisects its worst panels up to
     it, and the result carries ``converged=False`` with the achieved error
-    estimate.  So does a round that leaves the error total at the rounding
-    floor: no lower than the round before, within 64 ulps of the sums, and
-    over twice ``tol``, a gap that the total's rounding noise does not close;
-    and the ``STALLED_ROUNDS``-th round in a row that leaves it at the floor
-    no lower than every total before, where noise has kept it between ``tol``
-    and twice ``tol``.
+    estimate; so does a stop at the rounding floor (see the module docstring).
     """
     if not tol > 0:
         raise NumericError(f"tolerance must be positive, got {tol!r}")
@@ -138,7 +139,7 @@ def adaptive_quadrature(
     live: list[tuple] = []
     kept: list[tuple] = []
     new = [(lo, hi, 0, seq) for seq, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-    seq, evaluations, last, lowest, stalled = len(new), 0, math.inf, math.inf, 0
+    seq, evaluations, lowest, stalled = len(new), 0, math.inf, 0
     while True:
         for (lo, hi, depth, created), (value, err) in zip(new, _panels(f, [p[:2] for p in new])):
             mid = 0.5 * (lo + hi)
@@ -150,12 +151,11 @@ def adaptive_quadrature(
         total = math.fsum(kept_errors + errors)
         room = (MAX_EVALUATIONS - evaluations) // 30
         floor = 2.0 ** -46 * sum(abs(p[5]) for p in live + kept)
-        stalled = stalled + 1 if lowest <= total <= floor else 0
+        stalled = stalled + 1 if lowest - floor / STALLED_ROUNDS <= total <= floor else 0
         lowest = min(lowest, total)
-        at_floor = (2.0 * tol < total and last <= total <= floor) or stalled >= STALLED_ROUNDS
+        at_floor = stalled >= (1 if total > 2.0 * tol else STALLED_ROUNDS)
         if total <= tol or not live or room <= 0 or at_floor:
             break
-        last = total
         # the fewest worst panels whose bisection leaves at most tol in the rest, or all
         count = 1 + bisect.bisect_left(range(1, len(live)), True,
                                        key=lambda k: math.fsum(kept_errors + errors[k:]) <= tol)

@@ -421,6 +421,15 @@ def test_root_bounds_rejects_a_wild_eigenvalue(monkeypatch, bad):
         root_bounds(40, 0.0, 0.0)
 
 
+def test_jacobi_roots_rejects_an_eigenvalue_at_the_interval_end():
+    # one root, the eigenvalue exactly 1.0: it was polished with a division by
+    # zero and returned as s = [1.0], r = [0.0]; root_bounds raises here too
+    with pytest.raises(NumericError, match="root set failed validation"):
+        jacobi_roots(1, -0.9999999999999999, 1e17)
+    with pytest.raises(NumericError):
+        root_bounds(1, -0.9999999999999999, 1e17)
+
+
 def test_ultraspherical_bounds_pinned_values():
     b = ultraspherical_bounds(2, 0.0)
     assert b.lower == pytest.approx((2 / math.pi) * math.sqrt(4.0 / 3.0), rel=1e-14)

@@ -1100,6 +1100,16 @@ def test_unreachable_tolerance_stops_at_the_rounding_floor():
         assert abs(res.value - 9.38826623329811) < 1e-12
 
 
+def test_a_count_at_its_noise_plateau_exits_promptly():
+    # the leg's total sits near 6.1e-13, over its tolerance 5e-13 and under
+    # the rounding floor, setting new lows of a few 1e-17; a new low that
+    # small no longer restarts the stall count, which let this count spend
+    # the whole 2,000,000-evaluation budget
+    res = expected_roots_interval_result(gamma_family(5.0), 50_000, -math.inf, -0.99, tol=1e-12)
+    assert not res.converged and res.evaluations <= 14_000
+    assert abs(res.value - 176.13169161392958) < 1e-12
+
+
 def _block_sequences():
     """Seeded half-width sequences: smooth and noisy runs, wide -> narrow -> wide, and points wider than the budget."""
     import randroot.kacrice as kr

@@ -67,9 +67,10 @@ def test_budget_exhaustion_reports_not_converged(monkeypatch):
 
 
 def test_rounding_floor_ends_refinement():
-    # once a round leaves the error total no lower, within 64 ulps of the sums
-    # and over twice tol, the loop stops with converged=False, far inside the
-    # budget; a tolerance above the floor still converges
+    # once a round leaves the error total within 64 ulps of the sums, over
+    # twice tol and no lower than the lowest before by more than its noise, the
+    # loop stops with converged=False, far inside the budget; a tolerance
+    # above the floor still converges
     for f, a, b in ((np.exp, -1.0, 2.0), (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0)):
         res = adaptive_quadrature(f, a, b, tol=1e-30)
         assert not res.converged and res.evaluations < 1000
@@ -82,12 +83,13 @@ _STALL = (1.6e-15,) * quadrature.STALLED_ROUNDS  # at the floor, within 2 tol, a
 
 @pytest.mark.parametrize("totals,calls,converged", [
     ((1e-3, 3e-15, 3.1e-15, 0.9e-15), 3, False),  # stalls at the floor, over 2 tol: stop
-    ((1e-3, 3e-15, 2.9e-15, 3.0e-15, 0.9e-15), 4, False),  # stops once the total is no lower
+    ((1e-3, 3e-15, 2.9e-15, 3.0e-15, 0.9e-15), 3, False),  # over 2 tol, a new low by under floor/16 stalls
     ((1e-3, 1.5e-15, 1.6e-15, 0.9e-15), 4, True),  # stalls within 2 tol: noise may close it
     ((1e-3, 1e-13, 1.1e-13, 0.9e-15), 4, True),  # stalls above the floor: not at it
     ((1e-3, 1.5e-15) + _STALL, 2 + len(_STALL), False),  # STALLED_ROUNDS in a row with no new low: stop
-    ((1e-3, 1.5e-15) + _STALL[1:] + (1.4e-15,) + _STALL, 2 + 2 * len(_STALL), False),  # a new low restarts them
+    ((1e-3, 1.5e-15) + _STALL[1:] + (1e-12,) + _STALL, 2 + 2 * len(_STALL), False),  # a round off the floor restarts them
     ((1e-3, 1.5e-15) + _STALL[1:] + (0.9e-15,), 2 + len(_STALL), True),  # tol met in the last round first
+    ((1e-3, 1.5e-15) + _STALL[1:] + (1.4e-15,) + _STALL, 2 + len(_STALL), False),  # a new low by under floor/16 restarts nothing
 ])
 def test_rounding_floor_rule(monkeypatch, totals, calls, converged):
     # scripted panels, each of value 1: call k gives its first panel the error
@@ -102,6 +104,12 @@ def test_rounding_floor_rule(monkeypatch, totals, calls, converged):
     monkeypatch.setattr(quadrature, "_panels", scripted)
     res = adaptive_quadrature(np.exp, 0.0, 1.0, tol=1e-15)
     assert (len(made), res.converged) == (calls, converged)
+
+
+def test_integrand_of_the_wrong_shape_raises():
+    # one value for the 15 nodes of the first panel
+    with pytest.raises(NumericError, match=r"integrand returned shape \(\) for 15 nodes"):
+        adaptive_quadrature(np.sum, 0.0, 1.0)
 
 
 def test_degenerate_and_invalid_intervals():

@@ -118,6 +118,26 @@ def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, ca
         assert "FAIL density_envelope  (density not nonincreasing on (0, inf))" in out.splitlines()
 
 
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_suite_passes_with_every_window_sized(level, monkeypatch, capsys):
+    # the suite's degrees (at most 30) take whole-table windows; with no
+    # threshold every window comes from the width estimate of _half_widths
+    monkeypatch.setattr(kacrice, "_WHOLE_TABLE_N", 0)
+    assert cli.main(["verify", "--level", level]) == 0
+    assert _failing(capsys.readouterr().out) == set()
+
+
+def test_quartered_windows_fail_the_suite(monkeypatch, capsys):
+    # the same, with each estimated window cut to a quarter of its width,
+    # rounded up: every check fails but the symmetry check, which reads the
+    # tables alone
+    monkeypatch.setattr(kacrice, "_WHOLE_TABLE_N", 0)
+    estimate = kacrice._half_widths
+    monkeypatch.setattr(kacrice, "_half_widths", lambda c, peak, d0: (estimate(c, peak, d0) + 3) // 4)
+    assert cli.main(["verify", "--level", "fast"]) == 3
+    assert _failing(capsys.readouterr().out) == set(_CHECKS) - {"density_symmetry"}
+
+
 def test_symmetry_fails_on_a_one_ulp_ratio(monkeypatch, capsys):
     # one entry of log_ratio off by one ulp in every alpha != beta table breaks the reversal contract
     def nudged(table):
