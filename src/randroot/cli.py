@@ -11,8 +11,12 @@ Subcommands:
 
 Output is CSV (17 significant digits, LF line endings) or JSON with top-level
 ``config``/``results``/``diagnostics`` keys.  Identical invocations produce
-byte-identical output; Monte Carlo seeds default to a fixed constant.  Exit
-codes: 0 success, 2 validation error, 3 numeric non-convergence.
+byte-identical output on one host with one set of libraries (the NumPy build,
+its SIMD level and the BLAS kernel); Monte Carlo seeds default to a fixed
+constant.  Across BLAS kernels and SIMD levels ``expect``, ``density`` and
+``scaling`` values move by a few ulps; ``mc``, ``bounds``, ``verify``, exit
+codes and stderr do not.  Exit codes: 0 success, 2 validation error, 3
+numeric non-convergence or arrays that do not fit in memory.
 """
 from __future__ import annotations
 
@@ -368,8 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterDomainError as exc:
         print(f"randroot: error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"randroot: numeric failure: {exc}", file=sys.stderr)
+    except (NumericError, MemoryError) as exc:  # a degree whose arrays do not fit, too
+        print(f"randroot: numeric failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     return code
 

@@ -162,11 +162,10 @@ _TAIL_FROM = _STIRLING_FROM + 1.0  # the first factor a product of 24 leaves out
 _S_TAIL_FROM = float(_stirling_error(np.array([_TAIL_FROM]))[0])
 
 
-def _log_products(k: np.ndarray, m: np.ndarray, width: int = len(_FACTORS)) -> np.ndarray:
-    """sum_(j <= min(k, width)) log1p(m/j), width <= 24: ``width`` columns whatever the count, so each row sums alike."""
-    factors = _FACTORS[:width]
-    terms = np.log1p(m[:, None] / factors)
-    terms *= factors <= k[:, None]
+def _log_products(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_(j <= min(k, 24)) log1p(m/j): 24 columns whatever the count, so each row sums alike."""
+    terms = np.log1p(m[:, None] / _FACTORS)
+    terms *= _FACTORS <= k[:, None]
     return terms.sum(axis=1)
 
 
@@ -227,21 +226,15 @@ def _log_binom(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-# Up to this degree every C(n, i) is an integer below 2^53, an exact double.
-_EXACT_N = 56
-
-
 def _log_sq(family: PolynomialClass, n: int, i: np.ndarray) -> np.ndarray:
     """log(a_i^2) at each index 0 <= i <= n of the integer array ``i``, to a few ulps of itself.
 
-    gamma:      2 gamma log C(n, i): up to n = 56 the log of the exact
-                integer, above it log C(k + m, k) with k = min(i, n - i) and
+    gamma:      2 gamma log C(k + m, k) with k = min(i, n - i) and
                 m = max(i, n - i), so a_i^2 = a_(n-i)^2 bit for bit;
     alpha/beta: log C(n + alpha, n - i) + log C(n + beta, i), the first with
                 k = n - i and m = alpha + i, the second with k = i and
-                m = beta + (n - i), each m rounded once, and, above n = 24, k
-                and m swapped where the larger is k and the parameter is an
-                integer.
+                m = beta + (n - i), each m rounded once, and k and m swapped
+                where the larger is k and the parameter is an integer.
     Each value depends on (family, n, i) alone, so a table and a read at a few
     indices agree bit for bit.  Swapping alpha <-> beta and i <-> n - i swaps
     the two terms, which add in the other order: the reversal contract holds
@@ -253,22 +246,14 @@ def _log_sq(family: PolynomialClass, n: int, i: np.ndarray) -> np.ndarray:
         distinct, at = np.unique(i, return_inverse=True)
         return _log_sq(family, n, distinct)[at]
     if family.kind is FamilyKind.GAMMA:
-        if n <= _EXACT_N:
-            log_binom = np.log([float(math.comb(n, v)) for v in i.tolist()])
-        else:
-            x = i.astype(float)
-            log_binom = _log_binom(np.minimum(x, n - x), np.maximum(x, n - x))
-        return 2.0 * family.gamma * log_binom
+        x = i.astype(float)
+        return 2.0 * family.gamma * _log_binom(np.minimum(x, n - x), np.maximum(x, n - x))
     j = n - i
-    k, m = np.concatenate((j, i)), np.concatenate((family.alpha + i, family.beta + j))
-    if n <= _STIRLING_FROM:  # products of at most n factors
-        terms = _log_products(k, m, n)
-    else:
-        k = k.astype(float)
-        for side, p in ((slice(None, len(i)), family.alpha), (slice(len(i), None), family.beta)):
-            if float(p).is_integer():  # a binomial over either side: the shorter product
-                k[side], m[side] = np.minimum(k[side], m[side]), np.maximum(k[side], m[side])
-        terms = _log_binom(k, m)
+    k, m = np.concatenate((j, i)).astype(float), np.concatenate((family.alpha + i, family.beta + j))
+    for side, p in ((slice(None, len(i)), family.alpha), (slice(len(i), None), family.beta)):
+        if float(p).is_integer():  # a binomial over either side: the shorter product
+            k[side], m[side] = np.minimum(k[side], m[side]), np.maximum(k[side], m[side])
+    terms = _log_binom(k, m)
     return terms[:len(i)] + terms[len(i):]
 
 

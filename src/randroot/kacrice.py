@@ -111,8 +111,7 @@ class _Ratios(NamedTuple):
     which is r_j + d0 to the bit, and a walk left by left[j] - d0; one that
     steps past either end of the table gathers an infinity and gets weight 0.
     ``sink`` holds its prefix sums, sink[i] = -(r_0 + ... + r_(i-1)) for
-    i = 0..n, which size the windows (``_half_widths``) above
-    ``_WHOLE_TABLE_N``; below, it is None.  A window ends where
+    i = 0..n, which size the windows (``_half_widths``).  A window ends where
     the log-weights fall below -``cut``.  ``log_sq`` gives log(a_i^2) at an
     index array; only rows read it, at each point's own peak (``_moments``)
     and at i = 0 and n for the limit rows, so no (n+1)-entry log a_i^2 array
@@ -120,7 +119,7 @@ class _Ratios(NamedTuple):
     """
 
     left: np.ndarray
-    sink: np.ndarray | None
+    sink: np.ndarray
     cut: float
     log_sq: Callable[[np.ndarray], np.ndarray]
 
@@ -129,11 +128,9 @@ def _ratios(n: int, log_ratio: np.ndarray, log_sq: Callable[[np.ndarray], np.nda
     left = np.empty(n + 2)
     left[0], left[-1] = -math.inf, math.inf
     np.negative(log_ratio, out=left[1:-1])
-    sink = None
-    if n > _WHOLE_TABLE_N:
-        sink = np.empty(n + 1)
-        sink[0] = 0.0
-        np.cumsum(left[1:-1], out=sink[1:])
+    sink = np.empty(n + 1)
+    sink[0] = 0.0
+    np.cumsum(left[1:-1], out=sink[1:])
     return _Ratios(left, sink, 40.0 + 3.0 * math.log(n + 1.0), log_sq)
 
 

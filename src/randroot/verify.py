@@ -57,7 +57,7 @@ def _suite_params(level: str) -> dict:
         "identity_n": (2, 5, 9),
         "gram_n": (1, 3, 7),
         "ab_grid": _AB_GRID,
-        "recurrence_n": (2, 5, 9),
+        "recurrence_n": (2, 5, 9, 130),
         "envelope_n": (2, 5, 12),
     }
 

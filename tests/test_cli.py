@@ -274,6 +274,28 @@ def test_bounds_past_the_double_range_exits_three(capsys):
                    "does not fit in a double\n")
 
 
+@pytest.mark.parametrize("argv, module, name", [
+    (["expect", "--class", "elliptic", "--n", "50"], "kacrice", "_log_ratio_array"),
+    (["density", "--class", "gamma", "--gamma", "1", "--n", "50", "--grid", "0:1:3"], "kacrice", "_log_ratio_array"),
+    (["scaling", "--class", "gamma", "--gamma", "1", "--n-list", "50,100,200,400"], "kacrice", "_log_ratio_array"),
+    (["mc", "--class", "gamma", "--gamma", "1", "--n", "50", "--trials", "1"], "montecarlo", "_log_sq"),
+    (["bounds", "--class", "legendre", "--n", "50"], "jacobi", "_recurrence_matrix"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 1.29 TiB", "Unable to allocate 1.29 TiB"), ("", "out of memory")], ids=["numpy", "bare"])
+def test_arrays_that_do_not_fit_exit_three(argv, module, name, message, line, capsys, monkeypatch):
+    # a degree such as 177712870421 asks for arrays of 1.3 TiB, and NumPy's
+    # MemoryError was a traceback and exit 1.  The error is planted where each
+    # command first builds an O(n) array, so nothing large is allocated
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(getattr(randroot, module), name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"randroot: numeric failure: {line}\n"
+
+
 def test_density_grid_past_the_array_size_exits_two(capsys):
     # 10^20 steps: np.linspace raises ValueError before it allocates anything
     grid = "0:1:99999999999999999999"

@@ -792,7 +792,7 @@ def test_grid_rows_read_each_distinct_peak_once(monkeypatch):
     xs = np.linspace(0.0, 3.0, 601)
     sizes = []
     products = fam._log_products
-    monkeypatch.setattr(fam, "_log_products", lambda k, m, *width: sizes.append(len(k)) or products(k, m, *width))
+    monkeypatch.setattr(fam, "_log_products", lambda k, m: sizes.append(len(k)) or products(k, m))
     got = kr.kernel(legendre(), 50).rows(xs)
     assert sizes == [2 * 2, 2 * 38]  # the limit rows' ends 0 and n, then the 38 distinct peaks inside
     log_sq = kr._log_sq
@@ -866,7 +866,8 @@ def test_counts_and_densities_build_no_log_sq_array(monkeypatch, capsys):
 
 # the window kernel's whole domain: weights near flat (small gamma), alpha
 # and beta near -1, and large ones; n = 200 takes the window path above
-# _WHOLE_TABLE_N = 128, which `randroot verify` never reaches
+# _WHOLE_TABLE_N = 128, which `randroot verify` reaches only in its
+# recurrence and endpoint checks, at n = 129 and 130
 EDGE_FAMILIES = [gamma_family(g) for g in (1e-6, 1e-4, 1e-2, 0.1)] + [
     alpha_beta_family(a, b) for a, b in ((-0.999999, -0.999999), (-0.999999, 3.0), (1000.0, 1000.0))]
 

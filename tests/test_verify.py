@@ -120,7 +120,8 @@ def test_planted_kernel_faults_fail_their_checks(fault, failing, monkeypatch, ca
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_suite_passes_with_every_window_sized(level, monkeypatch, capsys):
-    # the suite's degrees (at most 30) take whole-table windows; with no
+    # the suite's degrees up to 30 take whole-table windows, and only the
+    # recurrence degrees 129 and 130 of --level fast estimated ones; with no
     # threshold every window comes from the width estimate of _half_widths
     monkeypatch.setattr(kacrice, "_WHOLE_TABLE_N", 0)
     assert cli.main(["verify", "--level", level]) == 0
@@ -128,12 +129,21 @@ def test_suite_passes_with_every_window_sized(level, monkeypatch, capsys):
 
 
 def test_quartered_windows_fail_the_suite(monkeypatch, capsys):
-    # the same, with each estimated window cut to a quarter of its width,
-    # rounded up: every check fails but the symmetry check, which reads the
-    # tables alone
-    monkeypatch.setattr(kacrice, "_WHOLE_TABLE_N", 0)
+    # each estimated window cut to a quarter of its width, rounded up, and the
+    # whole-table ones left whole: the recurrence degrees 129 and 130 of
+    # --level fast fail the two checks that read them, with no patch of the
+    # threshold.  With no threshold every check fails but the symmetry check,
+    # which reads the tables alone
     estimate = kacrice._half_widths
-    monkeypatch.setattr(kacrice, "_half_widths", lambda c, peak, d0: (estimate(c, peak, d0) + 3) // 4)
+
+    def quartered(c, peak, d0):
+        widths = estimate(c, peak, d0)
+        return widths if len(c.left) - 2 <= kacrice._WHOLE_TABLE_N else (widths + 3) // 4
+
+    monkeypatch.setattr(kacrice, "_half_widths", quartered)
+    assert cli.main(["verify", "--level", "fast"]) == 3
+    assert _failing(capsys.readouterr().out) == {"derivative_recurrence", "density_endpoints"}
+    monkeypatch.setattr(kacrice, "_WHOLE_TABLE_N", 0)
     assert cli.main(["verify", "--level", "fast"]) == 3
     assert _failing(capsys.readouterr().out) == set(_CHECKS) - {"density_symmetry"}
 
