@@ -153,7 +153,8 @@ class ScalingFit:
 
 
 class ScalingFitError(NumericError):
-    """Carries the per-n rows that did complete before the failure."""
+    """Carries the per-n rows that did complete before the failure, at least one: a failure at the
+    first n goes on as it is."""
 
     def __init__(self, message: str, rows: list[tuple[int, float]]):
         super().__init__(message)
@@ -170,9 +171,11 @@ def scaling_fit(family: PolynomialClass, n_values: Sequence[int], tol: float = D
     for n in ns:
         try:
             rows.append((n, expected_roots_real_line(family, n, tol)))
-        except NumericError as exc:
+        except (NumericError, MemoryError) as exc:  # a degree whose arrays do not fit, too
+            if not rows:  # no row to keep: the error goes on as it is
+                raise
             raise ScalingFitError(
-                f"quadrature failed at n={n} ({exc}); {len(rows)} of {len(ns)} values completed",
+                f"count failed at n={n} ({str(exc) or 'out of memory'}); {len(rows)} of {len(ns)} values completed",
                 rows,
             ) from exc
     en = np.array([v for _, v in rows])

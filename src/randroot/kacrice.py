@@ -41,11 +41,18 @@ integrated improperly and no reversed table is built.  Past the knees
 s_K = r_0/2 and s_H = r_(n-1)/2, each 20 inside its edge, g falls like
 e^-|s - knee|, and a leg takes the variable v = s_K + 1 - e^(s_K - s) (resp.
 s_H - 1 + e^(s - s_H)), x (resp. 1/x) rescaled, in which g ds/dv is flat.
-Every root count goes through ``_integrate_legs``, the full line as the
-interval (-inf, inf).
+Between the knees g is the spread of the index, and each tie t_i = r_i/2,
+where weights i and i+1 are equal, adds a bump 1/2 sech(s - t_i) to it, of
+integral pi/2 and about 1 wide.  A table kernel cuts the first panels of
+every leg from one list (``_table_cuts``): the dyadic ladder |s| = 2^k up to
+32, cuts about 1 apart from the last rung to a knee inside it, and past the
+ladder a ladder of steps around each cluster of ties, which at large gamma
+lie up to 10^6 apart.  Every root count goes through ``_integrate_legs``,
+the full line as the interval (-inf, inf).
 """
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from collections import Counter
@@ -57,7 +64,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterDomainError, QuadratureError, _check_integer
 from .families import CoefficientTable, PolynomialClass, _log_ratio_array, _log_sq, kac
-from .quadrature import DEFAULT_TOL, QuadratureResult, adaptive_quadrature
+from .quadrature import DEFAULT_TOL, MAX_EVALUATIONS, QuadratureResult, adaptive_quadrature
 
 # Nothing here calls them; benchmarks/layers.py patches them on this module.
 from .families import coefficient_table, reciprocal_table  # noqa: F401
@@ -333,6 +340,10 @@ def _splits(finest: int) -> tuple[float, ...]:
     return (*(-h for h in reversed(ladder)), 0.0, *ladder)
 
 
+_TABLE_RUNGS = tuple(p for p in _splits(0) if p > 0.0)  # the table ladder's rungs past s = 0, 1 .. 32
+_FROM_0 = (0.0, *_TABLE_RUNGS)  # s = 0 and the rungs: the inner end of each rung's inward panel
+
+
 class Kernel(NamedTuple):
     """Array kernels of one family at one degree, through its one evaluator (``_evaluator``).
 
@@ -342,17 +353,25 @@ class Kernel(NamedTuple):
     ``edges`` = (s_high, s_low), past which g is e^-20 e^-|s - edge|.  A root
     count integrates ``spread``, its first panels cut at the increasing
     ``splits`` that lie inside its leg and between its knees
-    (``_integrate_legs``).
+    (``_integrate_legs``).  The splits are one list for the whole s-line,
+    which ``cuts`` makes from the knees when a count reads it: the Kac
+    kernel's dyadic ladder, which steps down to its 1/n peak at s = 0, and a
+    table kernel's cuts at the scale of its knees and ties (``_table_cuts``).
+    A density never reads them, and a count once.
     """
 
     rows: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     spread: Callable[[np.ndarray], np.ndarray]
     edges: tuple[float, float]
-    splits: tuple[float, ...]
+    cuts: Callable[[float, float], tuple[float, ...]]
+
+    @property
+    def splits(self) -> tuple[float, ...]:
+        return self.cuts(*_knees(self))
 
 
 def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tuple[float, float]],
-               splits: tuple) -> Kernel:
+               cuts: Callable[[float, float], tuple[float, ...]]) -> Kernel:
     """The one evaluator of a family: ``moments`` at ln x, served to x and to s.
 
     ``moments(lx)`` gives g, and ``moments(lx, xs)`` the rows at xs = e^lx,
@@ -366,7 +385,8 @@ def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tupl
     call with a point past the edges reads it, so root counts, and rows whose
     points all lie inside the edges, never do.  NaN or x < 0 raises
     ``ParameterDomainError``, and an f or B/M past the double range at a
-    finite x ``NumericError``.
+    finite x ``NumericError``.  ``cuts(high, low)`` makes the kernel's splits
+    from its knees (``Kernel``).
     """
     r_0, r_1, r_n, r_n1 = ratios
     s_low, s_high = 0.5 * (_EDGE_LOG + r_0), -0.5 * (_EDGE_LOG + r_n)
@@ -407,7 +427,7 @@ def _evaluator(moments: Callable, n: int, ratios: tuple, ends: Callable[[], tupl
             raise NumericError(f"f or B/M at x = {float(xs[~finite][0])!r} does not fit in a double")
         return tuple(out)
 
-    return Kernel(evaluate, lambda s: moments(-s), (s_high, s_low), splits)
+    return Kernel(evaluate, lambda s: moments(-s), (s_high, s_low), cuts)
 
 
 def _ratio_kernel(n: int, log_ratio: np.ndarray, log_sq: Callable[[np.ndarray], np.ndarray]) -> Kernel:
@@ -415,7 +435,7 @@ def _ratio_kernel(n: int, log_ratio: np.ndarray, log_sq: Callable[[np.ndarray], 
     c = _ratios(n, log_ratio, log_sq)
     ratios = (-c.left[1], -c.left[2], c.left[-2], c.left[-3])
     return _evaluator(partial(_moments, c), n, ratios, lambda: tuple(log_sq(np.array([0, n])).tolist()),
-                      _splits(0))
+                      partial(_table_cuts, c.left))
 
 
 def _table_kernel(table: CoefficientTable) -> Kernel:
@@ -540,8 +560,9 @@ def _kac_kernel(n: int) -> Kernel:
     r_next = 0.0 if n > 1 else -math.inf  # every a_i^2 = 1: each log and ratio is 0
     # g peaks at s = 0 with a width of about 1/(n+1): the first panels step down to
     # the finest 2^-k >= 2/(n+1), so no round of bisections is spent halving its way there
+    ladder = _splits(2 - (int(n) + 1).bit_length())
     return _evaluator(partial(_kac_moments, n), n, (0.0, r_next, 0.0, r_next), lambda: (0.0, 0.0),
-                      _splits(2 - (int(n) + 1).bit_length()))
+                      lambda high, low: ladder)
 
 
 def kac_density(n: int, x) -> float | np.ndarray:
@@ -623,19 +644,73 @@ def _to_leg(s: float, high: float, low: float) -> float:
     return s
 
 
-_NEAR_END = 1.0 / 3.0  # the share of its scale within which a leg's outermost rung goes
+_NEAR_END = 1.0 / 3.0  # the share of its scale within which a cut leaves a sliver of a panel
+_BUMP = 1.0  # the scale in s of the bump 1/2 sech(s - t_i) that a tie adds to g: its tails fall like e^-|s - t_i|
+
+
+def _side_cuts(knee: float, ties: Callable[[], np.ndarray]) -> tuple[float, ...]:
+    """A table kernel's first-panel cuts on one side of s = 0, in u = |s| ascending, below that side's knee.
+
+    ``ties()`` gives the side's ties past the ladder's end, u = 32, in u
+    ascending; the last of them is the end tie, at the knee.  The rungs below
+    the knee stay, but for one that would leave a sliver next to it: closer
+    than ``_NEAR_END`` of its own inward panel.  Near the knee g varies on
+    the scale of the end ties' bumps, not of the ladder, so where the knee
+    lies inside the ladder, cuts ``_BUMP`` apart, rounded to a whole number
+    of panels, fill the span from the last rung kept to it.  Past the ladder
+    such a fill could span 10^6 units with nothing in it; there ties closer
+    than ``_BUMP`` merge into one cluster, each cluster end is cut, and the
+    ladder's steps 1 .. 32 lead away from it into each gap while they stay
+    within ``_NEAR_END`` of the way across, so the steps from the two sides
+    of a gap leave no sliver between them.  A bump's tail past 32 is below
+    e^-32, the quadrature's rounding floor of its integral.  At most twice as
+    many cuts are kept as the evaluation budget has first panels: a leg that
+    reaches past them starts at |s| < 745, where x = e^-s is a double, and so
+    holds more first panels than the budget allows (``_integrate_legs``
+    raises).
+    """
+    i = bisect.bisect_left(_TABLE_RUNGS, knee)  # the rungs below the knee
+    if i and knee - _TABLE_RUNGS[i - 1] < _NEAR_END * (_TABLE_RUNGS[i - 1] - _FROM_0[i - 1]):
+        i -= 1
+    rungs, last = _TABLE_RUNGS[:i], _FROM_0[i]
+    if knee <= _TABLE_RUNGS[-1]:
+        m = round((knee - last) / _BUMP)
+        return rungs + tuple([last + j * (knee - last) / m for j in range(1, m)])
+    most = 2 * (MAX_EVALUATIONS // 15)
+    points = np.concatenate(([last], ties()[:-1], [knee]))
+    gaps = np.flatnonzero(np.diff(points) >= _BUMP)[:most]
+    hi, lo = points[gaps], points[gaps + 1]  # the cluster ends on either side of each gap
+    steps = np.array(_TABLE_RUNGS)
+    reach = steps < _NEAR_END * (lo - hi)[:, None]
+    up = (hi[:, None] + steps)[reach & (hi > last)[:, None]]
+    down = (lo[:, None] - steps)[reach]
+    return rungs + tuple(np.unique(np.concatenate((hi[hi > last], lo[lo < knee], up, down)))[:most].tolist())
+
+
+def _table_cuts(left: np.ndarray, high: float, low: float) -> tuple[float, ...]:
+    """The first-panel cuts of a table kernel's whole s-line, strictly between its knees (``_side_cuts``).
+
+    ``left`` is ``_Ratios.left``, -r_0 .. -r_(n-1) between -inf and +inf: the
+    ties t_i = r_i/2 past the ladder's end on either side are its two ends,
+    read only where a knee lies past it.
+    """
+    far = 2.0 * _TABLE_RUNGS[-1]
+    neg = _side_cuts(-float(high), lambda: 0.5 * left[np.searchsorted(left, far, side="right"):-1])
+    pos = _side_cuts(float(low), lambda: -0.5 * left[1:np.searchsorted(left, -far)][::-1])
+    return tuple([-u for u in neg[::-1]]) + (0.0,) + pos
 
 
 def _cuts(rungs: list[float], high: float, low: float, lo: float, hi: float) -> list[float]:
-    """The first-panel cuts of the leg (lo, hi) in the leg variable: the rungs and knees inside it.
+    """The first-panel cuts of the leg (lo, hi) in the leg variable: the kernel's splits and knees inside it.
 
-    The outermost cut at either end goes if it is a rung closer to that end
-    than ``_NEAR_END`` times the leg's length, or times its own distance from
-    s = 0 where that is shorter, so no rung leaves a sliver of a panel.  The
-    ladder halves towards s = 0, so each rung is as far from the end of a leg
-    (0, hi) as from the rung below it, and stays.  Knees always stay: the
-    integrand is only once differentiable there, and a panel across one
-    misjudges its error.
+    The splits, ``rungs`` here, come clipped to the knees; this clips them to
+    the leg.  The outermost cut at either end goes if it is a split closer to
+    that end than ``_NEAR_END`` times the leg's length, or times its own
+    distance from s = 0 where that is shorter, so no split leaves a sliver of
+    a panel.  The ladder halves towards s = 0, so each rung is as far from the
+    end of a leg (0, hi) as from the rung below it, and stays.  Knees always
+    stay: the integrand is only once differentiable there, and a panel across
+    one misjudges its error.
     """
     cuts = sorted(p for p in (*rungs, high, low) if lo < p < hi)
     for i, end in ((-1, hi), (0, lo)):
@@ -650,7 +725,8 @@ def _integrate_legs(k: Kernel, symmetric: bool, a: float, b: float, tol: float) 
     A leg is one quadrature of g between the edges, in the leg variable of
     ``_to_leg``, and the closed-form integral of the limit rows past them.
     Its first panels are cut at the knees and at the kernel's splits between
-    them (``_cuts``).
+    them (``_cuts``); a leg whose first panels alone would take more than
+    the evaluation budget raises ``QuadratureError`` before it evaluates any.
     Every leg gets ``tol`` over the total multiplicity, so the scaled error
     estimates add up to at most ``tol``.
     """
@@ -676,7 +752,11 @@ def _integrate_legs(k: Kernel, symmetric: bool, a: float, b: float, tol: float) 
         leg = QuadratureResult(_TAIL * tail / math.pi, 0.0, 0, True)
         lo, hi = _to_leg(max(s1, s_high), high, low), _to_leg(min(s2, s_low), high, low)
         if lo < hi:
-            leg = leg + adaptive_quadrature(integrand, lo, hi, tol=per_leg, splits=_cuts(rungs, high, low, lo, hi))
+            cuts = _cuts(rungs, high, low, lo, hi)
+            if 15 * (len(cuts) + 1) > MAX_EVALUATIONS:
+                raise QuadratureError(f"the {len(cuts) + 1} first panels of the leg ({s1}, {s2}) in s "
+                                      f"take more than the {MAX_EVALUATIONS} evaluations allowed")
+            leg = leg + adaptive_quadrature(integrand, lo, hi, tol=per_leg, splits=cuts)
         total = total + QuadratureResult(count * leg.value, count * leg.abs_error_estimate,
                                          leg.evaluations, leg.converged)
     return total

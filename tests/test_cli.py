@@ -411,6 +411,33 @@ def test_scaling_failure_keeps_completed_rows(capsys, monkeypatch):
         assert lead == math.sqrt(n) and ratio == en / lead
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.29 TiB", ""], ids=["numpy", "bare"])
+def test_scaling_keeps_its_rows_when_a_degree_does_not_fit(capsys, monkeypatch, message):
+    # n = 177712870421 asks for 1.3 TiB of ratios, and the run exited 3 without
+    # the rows it had completed.  The MemoryError is planted where the kernel
+    # builds them, so nothing large is allocated; a failure at the first degree
+    # still exits 3 with one stderr line (test_arrays_that_do_not_fit_exit_three)
+    from randroot import kacrice
+
+    build = kacrice._log_ratio_array
+
+    def refuse_huge(family, n):
+        if n > 10**9:
+            raise MemoryError(message)
+        return build(family, n)
+
+    monkeypatch.setattr(kacrice, "_log_ratio_array", refuse_huge)
+    argv = ("scaling", "--class", "gamma", "--gamma", "1", "--n-list", "50,100,200,177712870421")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (3, "")
+    header, *rows = out.strip().split("\n")
+    assert header == "n,en,leading_order,ratio"
+    assert [row.split(",")[0] for row in rows] == ["50", "100", "200"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    error = json.loads(out)["diagnostics"]["error"]
+    assert code == 3 and error.startswith(f"count failed at n=177712870421 ({message or 'out of memory'})")
+
+
 def test_scaling_rejects_short_lists(capsys):
     code, _, err = run_cli(capsys, "scaling", "--class", "elliptic", "--n-list", "16,25")
     assert code == 2

@@ -982,14 +982,16 @@ def test_legs_past_a_knee_against_a_30_digit_kac_rice_integral(family, n, interv
 
 
 @pytest.mark.parametrize("family,n,value,evaluations", [
-    (gamma_family(1.0), 4000, 88.788419341846094, 150),
-    (alpha_beta_family(0.5, 2.0), 2000, 62.217158065140836, 240),
+    (gamma_family(1.0), 4000, 88.788419341846094, 120),
+    (alpha_beta_family(0.5, 2.0), 2000, 62.217158065140836, 210),
     (elliptic(), 3000, 54.77225575051645, 75),
-    (gamma_family(1.0), 10**6, 1413.5540479400981, 210),
+    (gamma_family(1.0), 10**6, 1413.5540479400981, 195),
 ], ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_counts_pinned_value_and_evaluations(family, n, value, evaluations):
     # how the quadrature groups its integrand calls, and how the kernel cuts
-    # them into blocks, chooses no other panel and moves no value past 4 ulp
+    # them into blocks, chooses no other panel and moves no value past 4 ulp;
+    # first panels at the knees' own scale took the first two from 150 and 240
+    # evaluations, and the last from 210, with the values within 1 ulp
     res = expected_roots_real_line_result(family, n)
     assert res.converged and res.evaluations == evaluations
     assert abs(res.value - value) <= 4 * np.spacing(value)
@@ -1015,19 +1017,83 @@ def _integrand_calls(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("family,n,calls", [
-    (gamma_family(1.0), 4000, [3]),
-    (alpha_beta_family(0.5, 2.0), 2000, [3]),
+    (gamma_family(1.0), 4000, [1]),
+    (alpha_beta_family(0.5, 2.0), 2000, [1]),
     (elliptic(), 3000, [1]),
-    (gamma_family(20.0), 100, [7]),
+    (gamma_family(20.0), 100, [6]),
 ], ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_counts_pinned_integrand_calls(monkeypatch, family, n, calls):
     # integrand calls per leg: one for the first panels, one per round of bisections
+    # (the first two took 3 and the last 7 with the ladder's first panels)
     legs = _integrand_calls(monkeypatch)
     assert expected_roots_real_line_result(family, n).converged
     assert legs == calls
 
 
-# the first-panel splits of every table kernel
+@pytest.mark.parametrize("family,n", [
+    (gamma_family(1.0), 4000), (alpha_beta_family(0.5, 2.0), 2000), (elliptic(), 3000),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_large_n_counts_converge_on_their_first_panels(monkeypatch, family, n):
+    # the counts of the expect_large_n benchmark: the first panels, cut at the
+    # kernel's splits and knees, meet the tolerance in one integrand call, so
+    # no round of bisections is spent
+    legs = _integrand_calls(monkeypatch)
+    assert expected_roots_real_line_result(family, n).converged
+    assert legs == [1]
+
+
+@pytest.mark.parametrize("family,most", [(gamma_family(1.0), (60, 60, 90, 105)),
+                                         (alpha_beta_family(0.5, 2.0), (105, 120, 150, 195))],
+                         ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_scaling_counts_take_no_more_evaluations(family, most):
+    # the counts of the small_n_sweep benchmark's scaling ops, n = 10, 20, 40, 80,
+    # against what each took with the ladder's first panels
+    for n, bound in zip((10, 20, 40, 80), most):
+        res = expected_roots_real_line_result(family, n)
+        assert res.converged and res.evaluations <= bound, (n, res.evaluations, bound)
+
+
+# Kac counts before the table kernels' first panels followed their ties: (n, a, b,
+# value as float.hex, evaluations, and each leg's (lo, hi) in v with its first-panel
+# cuts 2^k for k = first .. last).  Past the knee s = 1, v = 2 - e^(1 - s): the
+# legs end at the edge s = 20, and x = 0.3 starts one at s = ln(1/0.3)
+KAC_EDGE = 2.0 - math.exp(-19.0)
+KAC_V_03 = 2.0 - math.exp(1.0 + math.log(0.3))
+KAC_COUNTS = [
+    (1000, -math.inf, math.inf, "0x1.4188fa4f9997ap+2", 180, [(0.0, KAC_EDGE, -8, 0)]),
+    (1000, 0.0, 1.0, "0x1.4188fa4f9997bp+0", 150, [(0.0, KAC_EDGE, -8, 0)]),
+    (1000, 0.5, 2.0, "0x1.14c60933beb1ep+1", 165, [(0.0, math.log(2.0), -8, -1)]),
+    (1000, -0.3, 0.7, "0x1.7f956f0e1d081p-2", 75, [(KAC_V_03, KAC_EDGE, 0, -1), (-math.log(0.7), KAC_EDGE, 0, 0)]),
+    (10**6, -math.inf, math.inf, "0x1.2d7888b828de8p+3", 330, [(0.0, KAC_EDGE, -18, 0)]),
+    (10**6, 0.0, 1.0, "0x1.2d7888b828de8p+1", 300, [(0.0, KAC_EDGE, -18, 0)]),
+    (10**6, 0.5, 2.0, "0x1.1717102a3b6bap+2", 315, [(0.0, math.log(2.0), -18, -1)]),
+    (10**6, -0.3, 0.7, "0x1.7f956f0e1d081p-2", 75, [(KAC_V_03, KAC_EDGE, 0, -1), (-math.log(0.7), KAC_EDGE, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("n,a,b,value,evaluations,legs", KAC_COUNTS,
+                         ids=[f"{n}-{a}-{b}" for n, a, b, *_ in KAC_COUNTS])
+def test_kac_counts_keep_their_first_panels(monkeypatch, n, a, b, value, evaluations, legs):
+    # the Kac kernel has no ties: each leg starts from the same panels as before,
+    # so the count is the same computation, bit for bit on one host (its bytes
+    # may differ by a few ulps on another BLAS or SIMD level, ROADMAP item 2)
+    import randroot.kacrice as kr
+
+    seen = []
+    quad = kr.adaptive_quadrature
+
+    def spy(f, lo, hi, tol, splits):
+        seen.append((lo, hi, tuple(splits)))
+        return quad(f, lo, hi, tol, splits=splits)
+
+    monkeypatch.setattr(kr, "adaptive_quadrature", spy)
+    res = expected_roots_interval_result(kac(), n, a, b)
+    assert seen == [(lo, hi, tuple(2.0 ** k for k in range(first, last + 1))) for lo, hi, first, last in legs]
+    assert res.converged and res.evaluations == evaluations
+    assert abs(res.value - float.fromhex(value)) <= 4 * np.spacing(res.value)
+
+
+# the table ladder, which the Kac kernel extends below |s| = 1
 TABLE_SPLITS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
@@ -1068,14 +1134,124 @@ def test_kac_kernel_takes_a_numpy_integer_degree():
     assert expected_roots_real_line(kac(), np.int64(5)) == expected_roots_real_line(kac(), 5)
 
 
-def test_table_kernels_split_where_they_did():
-    # only the Kac kernel adds splits: every table kernel keeps the fixed ones
+def test_table_kernel_splits_follow_the_knees_and_ties():
+    # a table kernel's splits are one cut list for the whole s-line, strictly
+    # between its knees: the ladder's rungs below each knee, but for one that
+    # would leave a sliver next to it; cuts about 1 apart from the last rung
+    # kept to a knee inside the ladder; and past the ladder each tie cut with
+    # the ladder's steps inward (each tie's bump is about 1 wide)
     import randroot.kacrice as kr
 
-    for family in (gamma_family(1.0), elliptic(), alpha_beta_family(0.5, 2.0), legendre()):
-        for n in (1, 50, 4000):
-            assert kr.kernel(family, n).splits == TABLE_SPLITS
+    for family in (gamma_family(1.0), elliptic(), alpha_beta_family(0.5, 2.0), legendre(), gamma_family(1e3)):
+        for n in (1, 2, 50, 4000):
+            k = kr.kernel(family, n)
+            high, low = kr._knees(k)
+            assert 0.0 in k.splits and all(high < a < b < low for a, b in zip(k.splits, k.splits[1:]))
+            if family.is_symmetric:
+                assert [-p for p in reversed(k.splits)] == list(k.splits)
+            for knee, side in ((low, 1.0), (-high, -1.0)):
+                rungs = [r for r in TABLE_SPLITS if 0.0 < r < knee]
+                assert set(side * r for r in rungs[:-1]) <= set(k.splits)
+    # ln 4000 = 8.29: the rung 8 goes, 4 to the knee is 4 panels
+    assert kr.kernel(gamma_family(1.0), 4000).splits == pytest.approx(
+        [-7.2205372, -6.1470248, -5.0735124, -4, -2, -1, 0, 1, 2, 4, 5.0735124, 6.1470248, 7.2205372])
+    # the elliptic knee ln(3000)/2 = 4.0032 took a panel 0.0032 wide at 4
+    assert kr.kernel(elliptic(), 3000).splits == pytest.approx([-3.0015919, -2, -1, 0, 1, 2, 3.0015919])
+    knee = 1e6 * math.log(2.0)  # gamma 10^6, n = 2: the knees are its two ties
+    steps = [2.0 ** k for k in range(6)]
+    side = steps + [knee - d for d in reversed(steps)]
+    assert kr.kernel(gamma_family(1e6), 2).splits == pytest.approx([-u for u in reversed(side)] + [0.0] + side)
+    assert kr.kernel(gamma_family(1.0), 1).splits == (0.0,)
     assert kr.kernel(kac(), 2).splits == TABLE_SPLITS  # no 2^-k >= 2/3
+
+
+def test_first_panels_past_the_evaluation_budget_raise(monkeypatch):
+    # gamma 10^6 at n = 100 has 50 ties past the ladder on either side, cut up
+    # to 13 times each; under a budget of 300 evaluations, 20 first panels, the
+    # kernel keeps 40 cuts past the ladder a side, and a leg that reaches them
+    # raises before it evaluates anything.  A leg within |s| < 745 (x a
+    # double) holds every cut it needs, and runs.
+    import randroot.kacrice as kr
+
+    monkeypatch.setattr(kr, "MAX_EVALUATIONS", 300)
+    family = gamma_family(1e6)
+    assert sum(p > 32.0 for p in kr.kernel(family, 100).splits) == 40
+    legs = _integrand_calls(monkeypatch)
+    with pytest.raises(QuadratureError, match="first panels"):
+        expected_roots_real_line_result(family, 100)
+    assert legs == []
+    res = expected_roots_interval_result(family, 100, 0.5, 2.0)
+    assert res.converged and abs(res.value) < 1e-12
+
+
+# ties past the ladder at large gamma, each tie one root in the limit
+TIE_LADDER = [0] + [sign * 2 ** k for k in range(7) for sign in (-1, 1)]
+
+
+def tie_oracle(family, n, a, b, dps=30):
+    """(1/pi) integral of g over the s-range of (a, b) by Gauss-Legendre in mpmath, cut at each tie and +-2^k of it.
+
+    The ties t_i = r_i/2 come from ``exact_log_sq``, and g from direct sums
+    about the weights' mean, which stay exact where g is e^-64 of a tie's
+    bump (``mp_spread``'s moments about an end would cancel there).  Past the
+    outermost ties, g falls like e^-|s - t|: the range stops 80 beyond them.
+    """
+    log_sq = exact_log_sq(family, n, dps)
+    ties = [(log_sq[i + 1] - log_sq[i]) / 2 for i in range(n)]
+    far = max(abs(t) for t in ties) + 80
+    pieces = {}
+    with mp.workdps(dps):
+        def g(s):
+            lw = [v - 2 * i * s for i, v in enumerate(log_sq)]
+            top = max(lw)
+            w = [mp.exp(v - top) for v in lw]
+            m0 = mp.fsum(w)
+            mean = mp.fsum(i * wi for i, wi in enumerate(w)) / m0
+            return mp.sqrt(mp.fsum((i - mean) ** 2 * wi for i, wi in enumerate(w)) / m0)
+
+        for lo, hi in ((max(-b, 0.0), -a), (max(a, 0.0), b)):  # each side of x = 0
+            if lo < hi and (lo, hi) not in pieces:
+                s1 = -mp.log(hi) if hi < math.inf else -far
+                s2 = -mp.log(lo) if lo > 0 else far
+                cuts = sorted({s1, s2} | {t + d for t in ties for d in TIE_LADDER if s1 < t + d < s2})
+                pieces[lo, hi] = mp.quad(g, cuts, method="gauss-legendre")
+        sides = [pieces.get(side, 0) for side in ((max(-b, 0.0), -a), (max(a, 0.0), b))]
+        return float(sum(sides) / mp.pi)
+
+
+@pytest.mark.parametrize("gamma,n,a,b", [
+    (1e3, 5, -math.inf, math.inf), (1e3, 5, 1e3, math.inf), (1e3, 5, 1e-300, 1e-100), (1e4, 10, 0.0, 1.0),
+])
+def test_counts_at_large_gamma_against_a_30_digit_integral_cut_at_every_tie(gamma, n, a, b):
+    # at gamma 1000 every tie but the middle one lay past the ladder's last
+    # rung, |s| = 32, in one first panel that the Kronrod nodes crossed
+    # without meeting a bump: the full line read 3.000000000516, converged.
+    # (1e-300, 1e-100) ends 2.4 short of the tie at 1000 ln 2.  Measured
+    # within 2.6e-13 of the oracle.
+    res = expected_roots_interval_result(gamma_family(gamma), n, a, b)
+    want = tie_oracle(gamma_family(gamma), n, a, b)
+    assert res.converged and abs(res.value - want) <= 1e-9, (res.value, want)
+    assert res.evaluations <= 10**5
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 30])
+def test_full_line_at_gamma_a_million_counts_every_tie(n):
+    # 10^6 ln 2 and more apart, each tie adds one root: E N = n to far below
+    # the tolerance.  The counts read 0.99999999996, 2.0000000000075,
+    # 1.0000000003 and 1.0000000003 with the ladder's first panels
+    res = expected_roots_real_line_result(gamma_family(1e6), n)
+    assert res.converged and abs(res.value - n) <= 1e-9, res.value
+    assert res.evaluations <= 10**5
+
+
+def test_no_short_last_panel_past_a_knee():
+    # the leg of (1e-6, 1e-2) ends 0.86 past the knee s = 11.86 in the x-like
+    # variable; beside the ladder's panel (8, 11.86) that last panel was short,
+    # and the first round bisected it: 255 evaluations.  Cut about 1 apart up
+    # to the knee, the panels match it
+    res = expected_roots_interval_result(alpha_beta_family(-0.5, -0.5), 10**5, 1e-6, 1e-2, tol=1e-12)
+    assert res.converged and res.evaluations <= 240
+    assert abs(res.value - 14.044301711660516) <= 1e-12
 
 
 def test_unreachable_tolerance_fills_the_evaluation_budget(monkeypatch):
